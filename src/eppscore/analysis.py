@@ -470,10 +470,3 @@ def win_matrix_csv_text(scores: EppScores) -> str:
         buf.write(model + "," + ",".join(_fmt(v) for v in matrix[i]) + "\n")
     return buf.getvalue()
 
-
-def win_matrix_json_text(scores: EppScores) -> str:
-    obj = {
-        "models": list(scores.models),
-        "win_probability": win_matrix(scores).tolist(),
-    }
-    return json.dumps(obj, indent=2) + "\n"

@@ -229,14 +229,20 @@ def _connected_components(n: np.ndarray) -> list[np.ndarray]:
     return components
 
 
-def _newton_direction(w, n, beta, lam, g):
-    m = len(beta)
+def _neg_hessian(n, beta, lam):
+    """Negative Hessian of the log-likelihood: curvature Laplacian plus ridge."""
     p = sigmoid(beta[:, None] - beta[None, :])
     np.fill_diagonal(p, 0.0)
     curv = n * p * (1.0 - p)
-    lap = np.diag(curv.sum(axis=1)) - curv
+    return np.diag(curv.sum(axis=1)) - curv + lam * np.identity(len(beta))
+
+
+def _newton_direction(w, n, beta, lam, g):
+    m = len(beta)
+    lap = _neg_hessian(n, beta, 0.0)
     # Gauge term acts only along the all-ones direction, which the centered
-    # gradient never has; it keeps the system nonsingular when lam == 0.
+    # gradient never has; it keeps the system nonsingular when lam == 0. Its
+    # scale is the ridge-free Laplacian's trace, so the ridge is added here.
     gauge = (max(np.trace(lap), 1.0) / m / m) * np.ones((m, m))
     h = lap + lam * np.identity(m) + gauge
     try:
@@ -346,11 +352,7 @@ def _fit_mm(w, n, cfg: FitConfig, trace=None):
 
 def _component_covariance(w, n, beta, lam):
     m = len(beta)
-    p = sigmoid(beta[:, None] - beta[None, :])
-    np.fill_diagonal(p, 0.0)
-    curv = n * p * (1.0 - p)
-    neg_hessian = np.diag(curv.sum(axis=1)) - curv + lam * np.identity(m)
-    cov = np.linalg.pinv(neg_hessian, hermitian=True)
+    cov = np.linalg.pinv(_neg_hessian(n, beta, lam), hermitian=True)
     proj = np.identity(m) - np.full((m, m), 1.0 / m)
     cov = proj @ cov @ proj
     return (cov + cov.T) / 2.0

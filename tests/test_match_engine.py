@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eppscore import (
     PairedSplitsMismatchError,
@@ -9,6 +13,7 @@ from eppscore import (
     UndefinedWinRateError,
     build_matches,
     empirical_win_rate,
+    match_engine,
     parse_scores_csv,
 )
 from oracles import naive_pairwise_counts
@@ -105,6 +110,33 @@ class TestBuildMatches:
             )
             assert np.array_equal(counts.w[np.ix_(order, order)], w_ref)
             assert np.array_equal(counts.n[np.ix_(order, order)], n_ref)
+
+    @pytest.mark.parametrize("cap", [1, 40])
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_property_matches_naive_oracle(self, cap, data):
+        # A tiny chunk cap forces one or a few model columns per chunk.
+        paired = data.draw(st.booleans(), label="paired")
+        half = data.draw(st.booleans(), label="half")
+        m = data.draw(st.integers(1, 6), label="m")
+        pool = st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0])
+        if paired:
+            s = data.draw(st.integers(1, 6), label="s")
+            raw = [data.draw(st.lists(pool, min_size=s, max_size=s)) for _ in range(m)]
+        else:
+            raw = [data.draw(st.lists(pool, min_size=1, max_size=6)) for _ in range(m)]
+        table = table_from_matrix({f"m{i}": raw[i] for i in range(m)})
+        with mock.patch.object(match_engine, "_CHUNK_ELEMS", cap):
+            counts = build_matches(
+                table,
+                "d1",
+                PairingMode.PAIRED if paired else PairingMode.CROSS,
+                TiePolicy.HALF if half else TiePolicy.DROP,
+            )
+        order = [counts.model_index(f"m{i}") for i in range(m)]
+        w_ref, n_ref = naive_pairwise_counts(raw, paired, half)
+        assert np.array_equal(counts.w[np.ix_(order, order)], w_ref)
+        assert np.array_equal(counts.n[np.ix_(order, order)], n_ref)
 
     def test_monotone_transform_invariance_bit_exact(self):
         rng = np.random.default_rng(1)
