@@ -209,6 +209,10 @@ def parse_scores_json(data) -> PerformanceTable:
     return PerformanceTable(records)
 
 
+def _missing_splits_warning(ds: str, model: str, absent: tuple[str, ...]) -> str:
+    return f"dataset {ds!r}: model {model!r} missing splits {', '.join(absent)}"
+
+
 @dataclass
 class DatasetValidation:
     """Per-dataset summary produced by :func:`validate`."""
@@ -220,6 +224,24 @@ class DatasetValidation:
     constant_models: tuple[str, ...] = ()
     exact_tie_pairs: int = 0
     warnings: tuple[str, ...] = ()
+
+    def folded_warnings(self) -> list[str]:
+        """`warnings` with the per-model missing-split lines folded into one
+        line: the number of models, of missing runs, and the first 10 ids."""
+        if not self.missing_splits:
+            return list(self.warnings)
+        per_model = {
+            _missing_splits_warning(self.dataset_id, model, absent)
+            for model, absent in self.missing_splits.items()
+        }
+        models = list(self.missing_splits)
+        runs = sum(len(absent) for absent in self.missing_splits.values())
+        shown = ", ".join(models[:10]) + (", ..." if len(models) > 10 else "")
+        folded = (
+            f"dataset {self.dataset_id!r}: {len(models)} models missing splits "
+            f"({runs} missing runs): {shown}"
+        )
+        return [folded] + [w for w in self.warnings if w not in per_model]
 
 
 @dataclass
@@ -257,10 +279,7 @@ def validate(table: PerformanceTable) -> ValidationReport:
             absent = tuple(sorted(all_splits - set(splits)))
             if absent:
                 missing[model] = absent
-                warnings.append(
-                    f"dataset {ds!r}: model {model!r} missing splits "
-                    f"{', '.join(absent)}"
-                )
+                warnings.append(_missing_splits_warning(ds, model, absent))
             if len(set(splits.values())) == 1 and len(splits) > 1:
                 constant.append(model)
                 warnings.append(

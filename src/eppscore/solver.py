@@ -14,6 +14,7 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,6 +70,13 @@ class EppScores:
     so its rows sum to ~0. `log_likelihood` is the unpenalized value at
     `beta`. Models that won or lost every match are flagged: their
     magnitudes depend on the ridge penalty, not the data alone.
+
+    Solver diagnostics: `grad_norm` is the penalized-gradient max-norm of
+    the last stop test (the largest over components), `rescue_steps` counts
+    the Newton steps MM interleaved on stalls (0 for Newton), and
+    `iterations_per_component` lists each connected component's iterations
+    (0 for an isolated model). They are None when read from a file written
+    before they existed.
     """
 
     dataset_id: str
@@ -81,6 +89,9 @@ class EppScores:
     separation_flags: tuple[SeparationFlag, ...]
     n_components: int = 1
     algorithms: dict[str, str] = field(default_factory=dict)
+    grad_norm: float | None = None
+    rescue_steps: int | None = None
+    iterations_per_component: tuple[int, ...] | None = None
 
     def model_index(self, model_id: str) -> int:
         try:
@@ -113,6 +124,13 @@ class EppScores:
             "separation": [f.value for f in self.separation_flags],
             "converged": self.converged,
             "iterations": self.iterations,
+            "iterations_per_component": (
+                None
+                if self.iterations_per_component is None
+                else list(self.iterations_per_component)
+            ),
+            "grad_norm": self.grad_norm,
+            "rescue_steps": self.rescue_steps,
             "log_likelihood": self.log_likelihood,
             "covariance": self.covariance.tolist(),
             "n_components": self.n_components,
@@ -123,6 +141,7 @@ class EppScores:
     @classmethod
     def from_json_text(cls, text: str) -> "EppScores":
         obj = json.loads(text)
+        per_component = obj.get("iterations_per_component")
         return cls(
             dataset_id=obj["dataset"],
             models=tuple(obj["models"]),
@@ -134,6 +153,11 @@ class EppScores:
             separation_flags=tuple(SeparationFlag(s) for s in obj["separation"]),
             n_components=int(obj.get("n_components", 1)),
             algorithms=dict(obj.get("algorithms", {})),
+            grad_norm=obj.get("grad_norm"),
+            rescue_steps=obj.get("rescue_steps"),
+            iterations_per_component=(
+                None if per_component is None else tuple(per_component)
+            ),
         )
 
 
@@ -251,9 +275,9 @@ def _newton_direction(w, n, beta, lam, g):
         return np.linalg.lstsq(h, g, rcond=None)[0]
 
 
-def _newton_step(w, n, beta, lam):
-    """One ascent-guaranteed Newton step: Armijo backtracking, centered."""
-    g = _grad(w, n, beta, lam)
+def _newton_step(w, n, beta, lam, g):
+    """One ascent-guaranteed Newton step from `beta`, whose penalized
+    gradient is `g`: Armijo backtracking, centered."""
     direction = _newton_direction(w, n, beta, lam, g)
     f0 = _loglik(w, n, beta, lam)
     slope = float(g @ direction)
@@ -279,31 +303,65 @@ def _gradient_noise_floor(n: np.ndarray) -> float:
     return max(1.0, float(n.sum(axis=1).max())) * 2.0**-46
 
 
-def _fit_newton(w, n, cfg: FitConfig, trace=None):
+class _Fit(NamedTuple):
+    """One component's optimizer result; `grad_norm` is the penalized
+    gradient max-norm that the last stop test saw."""
+
+    beta: np.ndarray
+    iterations: int
+    converged: bool
+    grad_norm: float
+    rescue_steps: int
+
+
+def _fit_newton(w, n, cfg: FitConfig, trace=None) -> _Fit:
     beta = np.zeros(n.shape[0])
     lam = cfg.ridge_lambda
     noise = _gradient_noise_floor(n)
     if trace is not None:
         trace.append(_loglik(w, n, beta, lam))
+    g = _grad(w, n, beta, lam)
     for it in range(1, cfg.max_iter + 1):
-        new_beta = _newton_step(w, n, beta, lam)
+        new_beta = _newton_step(w, n, beta, lam, g)
         delta = float(np.max(np.abs(new_beta - beta)))
         beta = new_beta
         if trace is not None:
             trace.append(_loglik(w, n, beta, lam))
-        gnorm = float(np.max(np.abs(_grad(w, n, beta, lam))))
+        g = _grad(w, n, beta, lam)  # also the next step's gradient
+        gnorm = float(np.max(np.abs(g)))
         if (delta <= cfg.tol and gnorm <= 10.0 * cfg.tol) or gnorm <= noise:
-            return beta, it, True
-    return beta, cfg.max_iter, False
+            return _Fit(beta, it, True, gnorm, 0)
+    return _Fit(beta, cfg.max_iter, False, gnorm, 0)
 
 
-def _fit_mm(w, n, cfg: FitConfig, trace=None):
+def _mm_sums(n, beta):
+    """``pi = exp(beta)`` and the MM rate ``rate_i = sum_j n_ij / (pi_i + pi_j)``."""
+    pi = np.exp(beta)
+    pair_sum = pi[:, None] + pi[None, :]
+    np.fill_diagonal(pair_sum, 1.0)
+    return pi, (n / pair_sum).sum(axis=1)
+
+
+def _mm_grad(wins, pi, rate, beta, lam):
+    """:func:`_grad` from the MM sums in O(m): since
+    ``sigmoid(beta_i - beta_j) = pi_i / (pi_i + pi_j)``, the expected wins
+    ``sum_j n_ij * sigmoid(beta_i - beta_j)`` equal ``pi_i * rate_i``."""
+    g = wins - pi * rate
+    if lam > 0.0:
+        g = g - lam * beta
+    return g
+
+
+def _fit_mm(w, n, cfg: FitConfig, trace=None) -> _Fit:
     """Minorization-maximization sweeps on aggregated counts.
 
     Each sweep maximizes a separable minorizer of the penalized likelihood,
     so the objective never decreases. Near-separated instances make the
     minorizer arbitrarily loose; when the gradient norm stalls, a single
     safeguarded Newton step (also an ascent step) is interleaved.
+
+    A sweep makes one m x m pass: the rate sums at the new iterate give
+    both its stop-test gradient and the next sweep's update.
     """
     m = n.shape[0]
     lam = cfg.ridge_lambda
@@ -312,12 +370,10 @@ def _fit_mm(w, n, cfg: FitConfig, trace=None):
     noise = _gradient_noise_floor(n)
     if trace is not None:
         trace.append(_loglik(w, n, beta, lam))
+    pi, rate = _mm_sums(n, beta)
     stall_reference = np.inf
+    rescues = 0
     for it in range(1, cfg.max_iter + 1):
-        pi = np.exp(beta)
-        pair_sum = pi[:, None] + pi[None, :]
-        np.fill_diagonal(pair_sum, 1.0)
-        rate = (n / pair_sum).sum(axis=1)
         # Sweep update solves rate_i * e^u + lam * u = wins_i per model
         # (exactly u = log(wins/rate) when lam == 0); convex scalar Newton.
         u = np.log(np.maximum(wins, 1e-300)) - np.log(rate)
@@ -337,17 +393,21 @@ def _fit_mm(w, n, cfg: FitConfig, trace=None):
         beta = new_beta
         if trace is not None:
             trace.append(_loglik(w, n, beta, lam))
-        g = _grad(w, n, beta, lam)
-        gnorm = float(np.max(np.abs(g)))
+        pi, rate = _mm_sums(n, beta)
+        gnorm = float(np.max(np.abs(_mm_grad(wins, pi, rate, beta, lam))))
         if (delta <= cfg.tol and gnorm <= 10.0 * cfg.tol) or gnorm <= noise:
-            return beta, it, True
+            return _Fit(beta, it, True, gnorm, rescues)
         if it % _MM_STALL_CHECK == 0:
             if gnorm > 0.5 * stall_reference:
-                beta = _newton_step(w, n, beta, lam)
+                # The rescue takes the sigmoid-form gradient, so a rescued
+                # iterate does not depend on the sums' last-ulp rounding.
+                beta = _newton_step(w, n, beta, lam, _grad(w, n, beta, lam))
+                rescues += 1
                 if trace is not None:
                     trace.append(_loglik(w, n, beta, lam))
+                pi, rate = _mm_sums(n, beta)
             stall_reference = gnorm
-    return beta, cfg.max_iter, False
+    return _Fit(beta, cfg.max_iter, False, gnorm, rescues)
 
 
 def _component_covariance(w, n, beta, lam):
@@ -380,28 +440,36 @@ def fit_epp(counts: PairwiseCounts, cfg: FitConfig | None = None) -> EppScores:
         )
     fitter = _fit_mm if cfg.algorithm == FitAlgorithm.MM else _fit_newton
     converged = True
-    iterations = 0
+    grad_norm = 0.0
+    rescue_steps = 0
+    per_component = []
     for comp in components:
         if len(comp) == 1:
+            per_component.append(0)
             continue  # isolated model keeps beta 0 and zero variance
         wc = w[np.ix_(comp, comp)]
         nc = n[np.ix_(comp, comp)]
-        beta_c, iters_c, conv_c = fitter(wc, nc, cfg)
-        beta_c = beta_c - beta_c.mean()
+        fit = fitter(wc, nc, cfg)
+        beta_c = fit.beta - fit.beta.mean()
         beta[comp] = beta_c
         covariance[np.ix_(comp, comp)] = _component_covariance(
             wc, nc, beta_c, cfg.ridge_lambda
         )
-        converged = converged and conv_c
-        iterations = max(iterations, iters_c)
+        converged = converged and fit.converged
+        grad_norm = max(grad_norm, fit.grad_norm)
+        rescue_steps += fit.rescue_steps
+        per_component.append(fit.iterations)
     return EppScores(
         dataset_id=counts.dataset_id,
         models=counts.models,
         beta=beta,
         converged=converged,
-        iterations=iterations,
+        iterations=max(per_component, default=0),
         log_likelihood=_loglik(w, n, beta, 0.0),
         covariance=covariance,
         separation_flags=detect_separation(counts),
         n_components=len(components),
+        grad_norm=grad_norm,
+        rescue_steps=rescue_steps,
+        iterations_per_component=tuple(per_component),
     )

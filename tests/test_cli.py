@@ -106,27 +106,32 @@ class TestFit:
         b = json.loads((tmp_path / "b" / "epp_d1.json").read_text())
         assert a["beta"] == b["beta"]
 
-    def test_multiple_datasets_and_jobs(self, tmp_path):
+    @pytest.mark.parametrize("variant", ["equal", "lower_is_better", "ragged"])
+    def test_multiple_datasets_and_jobs(self, tmp_path, variant):
         lines = ["dataset,model,algorithm,split,score"]
         rng = np.random.default_rng(1)
         for ds in ("d1", "d2", "d3"):
             for k in range(3):
                 for s in range(6):
+                    if variant == "ragged" and s < k + (ds == "d2"):
+                        continue  # model k misses its first k splits (k + 1 in d2)
                     lines.append(
                         f"{ds},m{k},alg,s{s},{0.5 + 0.1 * k + rng.normal(0, 0.05)!r}"
                     )
         scores = tmp_path / "scores.csv"
         scores.write_text("\n".join(lines) + "\n")
-        rc = main(["fit", str(scores), "--jobs", "3", "--out-dir", str(tmp_path)])
+        flags = ["--lower-is-better"] if variant == "lower_is_better" else []
+        rc = main(["fit", str(scores), "--jobs", "3", "--out-dir", str(tmp_path), *flags])
         assert rc == 0
         for ds in ("d1", "d2", "d3"):
             assert (tmp_path / f"epp_{ds}.csv").exists()
         # concurrency must not change any output byte
-        main(["fit", str(scores), "--jobs", "1", "--out-dir", str(tmp_path / "seq")])
+        main(["fit", str(scores), "--jobs", "1", "--out-dir", str(tmp_path / "seq"), *flags])
         for ds in ("d1", "d2", "d3"):
-            assert (tmp_path / f"epp_{ds}.json").read_bytes() == (
-                tmp_path / "seq" / f"epp_{ds}.json"
-            ).read_bytes()
+            for ext in ("csv", "json"):
+                assert (tmp_path / f"epp_{ds}.{ext}").read_bytes() == (
+                    tmp_path / "seq" / f"epp_{ds}.{ext}"
+                ).read_bytes()
 
     def test_missing_split_warns_but_fit_proceeds(self, tmp_path, capsys):
         text = (
@@ -139,6 +144,25 @@ class TestFit:
         assert rc == 0  # cross pairing tolerates ragged splits
         assert "missing splits" in capsys.readouterr().err
         assert (tmp_path / "epp_d1.csv").exists()
+
+    def test_missing_splits_one_line_per_dataset(self, tmp_path, capsys):
+        lines = ["dataset,model,algorithm,split,score"]
+        for ds in ("d1", "d2"):
+            for k in range(12):
+                for s in range(3):
+                    if s == 0 and k > 0 or ds == "d2" and s == 1 and k == 5:
+                        continue  # d1: 11 models miss s0; d2 also m5 misses s1
+                    lines.append(f"{ds},m{k:02d},alg,s{s},{0.1 * k + 0.01 * s!r}")
+        scores = tmp_path / "scores.csv"
+        scores.write_text("\n".join(lines) + "\n")
+        assert main(["fit", str(scores), "--out-dir", str(tmp_path)]) == 0
+        missing = [l for l in capsys.readouterr().err.splitlines() if "missing splits" in l]
+        assert missing == [
+            "warning: dataset 'd1': 11 models missing splits (11 missing runs): "
+            "m01, m02, m03, m04, m05, m06, m07, m08, m09, m10, ...",
+            "warning: dataset 'd2': 11 models missing splits (12 missing runs): "
+            "m01, m02, m03, m04, m05, m06, m07, m08, m09, m10, ...",
+        ]
 
     def test_missing_input_file(self, tmp_path, capsys):
         rc = main(["fit", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path)])

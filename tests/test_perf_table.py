@@ -110,6 +110,16 @@ class TestValidate:
         assert any("m2" in w and "s19" in w for w in report.warnings)
         assert report.datasets[0].missing_splits == {"m2": ("s19",)}
 
+    def test_folded_warnings_keep_other_warnings(self):
+        rows = [f"d1,m1,gbm,s{k},0.5" for k in range(3)]  # constant
+        rows += ["d1,m2,rf,s0,0.1", "d1,m3,rf,s2,0.3"]  # two missing splits each
+        ds = validate(parse_scores_csv(make_csv(rows))).datasets[0]
+        assert len(ds.warnings) == 3
+        assert ds.folded_warnings() == [
+            "dataset 'd1': 2 models missing splits (4 missing runs): m2, m3",
+            "dataset 'd1': model 'm1' has a constant score across 3 splits",
+        ]
+
     def test_constant_model_flagged(self):
         rows = [f"d1,m1,gbm,s{k},0.5" for k in range(3)]
         rows += [f"d1,m2,rf,s{k},0.{k + 1}" for k in range(3)]

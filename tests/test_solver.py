@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eppscore import (
     FitConfig,
@@ -15,7 +18,13 @@ from eppscore import (
     log_likelihood,
     two_model_closed_form,
 )
-from eppscore.solver import _fit_mm
+from eppscore.solver import (
+    _fit_mm,
+    _fit_newton,
+    _gradient_noise_floor,
+    _mm_grad,
+    _mm_sums,
+)
 from oracles import (
     finite_diff_gradient,
     golden_section_max,
@@ -334,9 +343,125 @@ class TestFitEpp:
         assert np.allclose(again.covariance, scores.covariance)
         assert again.separation_flags == scores.separation_flags
         assert again.algorithms == scores.algorithms
+        assert scores.grad_norm <= 10.0 * FitConfig().tol
+        assert scores.rescue_steps == 0
+        assert scores.iterations_per_component == (scores.iterations,)
+        assert again.grad_norm == scores.grad_norm
+        assert again.rescue_steps == scores.rescue_steps
+        assert again.iterations_per_component == scores.iterations_per_component
+
+    def test_json_without_diagnostics_still_loads(self):
+        from eppscore import EppScores
+
+        obj = json.loads(fit_epp(random_counts(np.random.default_rng(19), 3)).to_json_text())
+        for key in ("grad_norm", "rescue_steps", "iterations_per_component"):
+            del obj[key]
+        again = EppScores.from_json_text(json.dumps(obj))
+        assert again.grad_norm is None
+        assert again.rescue_steps is None
+        assert again.iterations_per_component is None
+        assert again.iterations == obj["iterations"]
+
+    def test_diagnostics_per_component(self):
+        # a separated 3-model island (a wins every match, so MM needs Newton
+        # rescues there), a 2-model island and an isolated model
+        w = np.zeros((6, 6))
+        n = np.zeros((6, 6))
+        n[:3, :3] = 10.0 - 10.0 * np.identity(3)
+        w[:3, :3] = [[0, 10, 10], [0, 0, 5], [0, 5, 0]]
+        w[3, 4], w[4, 3], n[3, 4], n[4, 3] = 6.0, 4.0, 10.0, 10.0
+        counts = PairwiseCounts("d", ("a", "b", "c", "e", "f", "z"), w, n)
+        with pytest.warns(FitWarning):
+            mm = fit_epp(counts)
+        with pytest.warns(FitWarning):
+            newton = fit_epp(counts, FitConfig(algorithm="newton"))
+        for scores in (mm, newton):
+            assert len(scores.iterations_per_component) == scores.n_components == 3
+            assert scores.iterations_per_component[2] == 0  # isolated model
+            assert scores.iterations == max(scores.iterations_per_component)
+            # components share no matches, so the whole gradient's max-norm
+            # is the largest over components
+            oracle = np.max(np.abs(gradient(counts, scores.beta, 1e-6)))
+            assert scores.grad_norm == pytest.approx(oracle, abs=1e-12 * n.sum())
+        assert mm.rescue_steps > 0
+        assert newton.rescue_steps == 0
 
     def test_single_model_dataset(self):
         counts = PairwiseCounts("d", ("only",), np.zeros((1, 1)), np.zeros((1, 1)))
         scores = fit_epp(counts)
         assert scores.beta[0] == 0.0
         assert scores.converged
+
+
+def _counts_from(rng, m, half_ties):
+    iu = np.triu_indices(m, 1)
+    n = np.zeros((m, m))
+    w = np.zeros((m, m))
+    n_up = rng.integers(0, 31, size=len(iu[0])).astype(float)
+    w_up = rng.integers(0, n_up + 1).astype(float)
+    if half_ties:
+        w_up = np.minimum(w_up + 0.5 * (w_up < n_up), n_up)
+    n[iu] = n_up
+    n.T[iu] = n_up
+    w[iu] = w_up
+    w.T[iu] = n_up - w_up
+    return PairwiseCounts("d", tuple(f"m{i}" for i in range(m)), w, n)
+
+
+class TestMMStopTest:
+    """The MM sweep's stop test takes its gradient from the rate sums
+    ``pi_i * sum_j n_ij / (pi_i + pi_j)``; the public sigmoid-form
+    :func:`gradient` is the oracle."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 7),
+        half_ties=st.booleans(),
+        lam=st.sampled_from([0.0, 1e-6]),
+        beta=st.lists(
+            st.floats(-350.0, 350.0, allow_nan=False), min_size=7, max_size=7
+        ),
+    )
+    def test_sums_gradient_matches_sigmoid_form(self, seed, m, half_ties, lam, beta):
+        counts = _counts_from(np.random.default_rng(seed), m, half_ties)
+        beta = np.array(beta[:m])
+        pi, rate = _mm_sums(counts.n, beta)
+        fast = _mm_grad(counts.w.sum(axis=1), pi, rate, beta, lam)
+        oracle = gradient(counts, beta, lam)
+        bound = 1e-12 * max(1.0, float(counts.n.sum()))
+        assert np.max(np.abs(fast - oracle)) <= bound
+
+    def _separated(self):
+        w = np.array([[0, 10, 10], [0, 0, 5], [0, 5, 0]], float)
+        n = np.array([[0, 10, 10], [10, 0, 10], [10, 10, 0]], float)
+        return PairwiseCounts("d", ("a", "b", "c"), w, n)
+
+    @pytest.mark.parametrize("instance", ["random", "separated", "fractional_ties"])
+    @pytest.mark.parametrize("lam", [0.0, 1e-6])
+    def test_returned_optimum_passes_stop_test_by_oracle(self, instance, lam):
+        if instance == "random":
+            counts = random_counts(np.random.default_rng(31), 6)
+        elif instance == "separated":
+            counts = self._separated()
+        else:
+            counts = _counts_from(np.random.default_rng(32), 6, half_ties=True)
+        cfg = FitConfig(ridge_lambda=lam)
+        fit = _fit_mm(counts.w, counts.n, cfg)
+        assert fit.converged
+        if instance == "separated":
+            assert fit.rescue_steps > 0
+        oracle = float(np.max(np.abs(gradient(counts, fit.beta, lam))))
+        assert oracle <= max(10.0 * cfg.tol, _gradient_noise_floor(counts.n))
+        assert fit.grad_norm == pytest.approx(
+            oracle, abs=1e-12 * max(1.0, float(counts.n.sum()))
+        )
+
+    def test_newton_reports_its_stop_test_gradient(self):
+        counts = random_counts(np.random.default_rng(33), 5)
+        cfg = FitConfig(algorithm="newton")
+        fit = _fit_newton(counts.w, counts.n, cfg)
+        assert fit.converged and fit.rescue_steps == 0
+        assert fit.grad_norm == float(
+            np.max(np.abs(gradient(counts, fit.beta, cfg.ridge_lambda)))
+        )
