@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, baselines, svg
-from .errors import ConfigError, EppError
+from .errors import ConfigError, EppError, FileFormatError
 from .match_engine import PairingMode, PairwiseCounts, TiePolicy, build_matches
 from .perf_table import parse_hyperparams_csv, parse_scores_csv, validate
 from .solver import EppScores, FitAlgorithm, FitConfig, fit_epp
@@ -152,11 +152,34 @@ def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "_", name)
 
 
+def _load_json_file(path: str, parse):
+    """`parse` applied to a fit or counts file's text; errors name the file."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (FileFormatError, UnicodeDecodeError) as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
+
+
 def _load_fit_files(paths) -> list[EppScores]:
-    results = []
-    for p in paths:
-        results.append(EppScores.from_json_text(Path(p).read_text(encoding="utf-8")))
-    return results
+    return [_load_json_file(p, EppScores.from_json_text) for p in paths]
+
+
+def _check_output_names(dataset_ids) -> None:
+    """Refuse datasets whose ids map to the same output files.
+
+    `_safe_name` folds characters, so ids such as 'a b' and 'a_b' would both
+    write epp_a_b.* (and counts_a_b.json), the later one silently replacing
+    the earlier, and with --jobs both would write the same temp file.
+    """
+    owner: dict[str, str] = {}
+    for ds in dataset_ids:
+        name = _safe_name(ds)
+        if name in owner:
+            raise EppError(
+                f"datasets {owner[name]!r} and {ds!r} would both write "
+                f"epp_{name}.csv/.json; rename one"
+            )
+        owner[name] = ds
 
 
 def _algorithm_map(results: list[EppScores], scores_path: str | None) -> dict[str, str]:
@@ -188,16 +211,15 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
     out_dir = Path(cfg.out_dir)
     if args.counts:
-        ledgers = [
-            PairwiseCounts.from_json_text(Path(p).read_text(encoding="utf-8"))
-            for p in args.counts
-        ]
+        ledgers = [_load_json_file(p, PairwiseCounts.from_json_text) for p in args.counts]
+        _check_output_names(c.dataset_id for c in ledgers)
         table = None
     else:
         if not args.scores:
             print("fit: provide a scores CSV or --counts files", file=sys.stderr)
             return 2
         table = parse_scores_csv(Path(args.scores).read_bytes())
+        _check_output_names(table.datasets())
         if cfg.lower_is_better:
             table = table.negated()
         for summary in validate(table).datasets:
@@ -364,7 +386,7 @@ def _cmd_elo(args: argparse.Namespace) -> int:
 
 def _cmd_recovery(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
-    fitted = EppScores.from_json_text(Path(args.fit).read_text(encoding="utf-8"))
+    (fitted,) = _load_fit_files([args.fit])
     truth: dict[str, float] = {}
     reader = csv.reader(io.StringIO(Path(args.truth).read_text(encoding="utf-8")))
     header = next(reader, None)

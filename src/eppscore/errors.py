@@ -45,6 +45,10 @@ class ConfigError(EppError, ValueError):
     """Invalid run configuration value or config-file line."""
 
 
+class FileFormatError(EppError, ValueError):
+    """Malformed fit or counts JSON file; the message names the problem."""
+
+
 class AnalysisWarning(UserWarning):
     """Non-fatal analysis issue (degenerate group, skipped parameter, ...)."""
 

@@ -22,7 +22,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import PairedSplitsMismatchError, UndefinedWinRateError
+from .errors import FileFormatError, PairedSplitsMismatchError, UndefinedWinRateError
+from .jsonio import decode_array, encode_array, load_object
 from .perf_table import PerformanceTable
 
 # Cap on the elements of one chunk's temporaries. Kept small on purpose: on a
@@ -89,19 +90,25 @@ class PairwiseCounts:
         obj = {
             "dataset": self.dataset_id,
             "models": list(self.models),
-            "w": self.w.tolist(),
-            "n": self.n.tolist(),
+            "w": encode_array(self.w),
+            "n": encode_array(self.n),
         }
         return json.dumps(obj, indent=2) + "\n"
 
     @classmethod
     def from_json_text(cls, text: str) -> "PairwiseCounts":
-        obj = json.loads(text)
+        """Parse a counts file; `FileFormatError` names what is malformed."""
+        obj = load_object(text, ("dataset", "models", "w", "n"))
+        try:
+            models = tuple(obj["models"])
+        except TypeError as exc:
+            raise FileFormatError(f"malformed counts file ({exc})") from None
+        shape = (len(models), len(models))
         return cls(
             dataset_id=obj["dataset"],
-            models=tuple(obj["models"]),
-            w=np.array(obj["w"], dtype=float),
-            n=np.array(obj["n"], dtype=float),
+            models=models,
+            w=decode_array(obj["w"], shape, "w"),
+            n=decode_array(obj["n"], shape, "n"),
         )
 
 

@@ -18,12 +18,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FitWarning, SeparationError
+from .errors import FileFormatError, FitWarning, SeparationError
+from .jsonio import decode_array, encode_array, load_object
 from .match_engine import PairwiseCounts
 from .special import sigmoid
 
 _BETA_CLAMP = 350.0  # keeps exp(beta) finite when an unpenalized fit separates
 _MM_STALL_CHECK = 20  # sweeps between stall checks; see _fit_mm
+_FIT_KEYS = (
+    "dataset", "models", "beta", "separation", "converged", "iterations",
+    "log_likelihood", "covariance",
+)
 
 
 class FitAlgorithm(str, Enum):
@@ -132,7 +137,7 @@ class EppScores:
             "grad_norm": self.grad_norm,
             "rescue_steps": self.rescue_steps,
             "log_likelihood": self.log_likelihood,
-            "covariance": self.covariance.tolist(),
+            "covariance": encode_array(self.covariance),
             "n_components": self.n_components,
             "algorithms": self.algorithms,
         }
@@ -140,25 +145,36 @@ class EppScores:
 
     @classmethod
     def from_json_text(cls, text: str) -> "EppScores":
-        obj = json.loads(text)
-        per_component = obj.get("iterations_per_component")
-        return cls(
-            dataset_id=obj["dataset"],
-            models=tuple(obj["models"]),
-            beta=np.array(obj["beta"], dtype=float),
-            converged=bool(obj["converged"]),
-            iterations=int(obj["iterations"]),
-            log_likelihood=float(obj["log_likelihood"]),
-            covariance=np.array(obj["covariance"], dtype=float),
-            separation_flags=tuple(SeparationFlag(s) for s in obj["separation"]),
-            n_components=int(obj.get("n_components", 1)),
-            algorithms=dict(obj.get("algorithms", {})),
-            grad_norm=obj.get("grad_norm"),
-            rescue_steps=obj.get("rescue_steps"),
-            iterations_per_component=(
-                None if per_component is None else tuple(per_component)
-            ),
-        )
+        """Parse a fit file; `FileFormatError` names what is malformed."""
+        obj = load_object(text, _FIT_KEYS)
+        try:
+            models = tuple(obj["models"])
+            m = len(models)
+            flags = tuple(SeparationFlag(s) for s in obj["separation"])
+            if len(flags) != m:
+                raise FileFormatError(f"separation: {len(flags)} flags for {m} models")
+            per_component = obj.get("iterations_per_component")
+            return cls(
+                dataset_id=obj["dataset"],
+                models=models,
+                beta=decode_array(obj["beta"], (m,), "beta"),
+                converged=bool(obj["converged"]),
+                iterations=int(obj["iterations"]),
+                log_likelihood=float(obj["log_likelihood"]),
+                covariance=decode_array(obj["covariance"], (m, m), "covariance"),
+                separation_flags=flags,
+                n_components=int(obj.get("n_components", 1)),
+                algorithms=dict(obj.get("algorithms", {})),
+                grad_norm=obj.get("grad_norm"),
+                rescue_steps=obj.get("rescue_steps"),
+                iterations_per_component=(
+                    None if per_component is None else tuple(per_component)
+                ),
+            )
+        except FileFormatError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise FileFormatError(f"malformed fit file ({exc})") from None
 
 
 def _loglik(w: np.ndarray, n: np.ndarray, beta: np.ndarray, lam: float) -> float:

@@ -1,9 +1,11 @@
+import base64
 import json
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+from eppscore import EppScores
 from eppscore.cli import RunConfig, build_run_config, main, parse_config_text
 
 SUBCOMMANDS = [
@@ -56,7 +58,12 @@ class TestFit:
         payload = json.loads(json_path.read_text())
         assert payload["dataset"] == "d1"
         assert payload["algorithms"]["m0"] == "gbm"
-        assert len(payload["covariance"]) == 4
+        enc = payload["covariance"]
+        assert enc["dtype"] == "<f8" and enc["shape"] == [4, 4]
+        cov = np.frombuffer(base64.b64decode(enc["base64"]), "<f8").reshape(enc["shape"])
+        loaded = EppScores.from_json_text(json_path.read_text())
+        assert cov.shape == (4, 4)
+        assert np.array_equal(cov.view(np.int64), loaded.covariance.view(np.int64))
 
     def test_paired_mismatch_exits_2_and_names_models(self, tmp_path, capsys):
         text = (
@@ -168,6 +175,119 @@ class TestFit:
         rc = main(["fit", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path)])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_colliding_output_names_exit_2(self, tmp_path, capsys, jobs):
+        # 'a b' and 'a_b' both map to epp_a_b.*; neither may overwrite the other
+        write_scores(tmp_path / "one.csv", dataset="a b")
+        write_scores(tmp_path / "two.csv", dataset="a_b", seed=1)
+        scores = tmp_path / "scores.csv"
+        scores.write_text(
+            (tmp_path / "one.csv").read_text()
+            + "".join((tmp_path / "two.csv").read_text().splitlines(True)[1:])
+        )
+        out = tmp_path / "out"
+        rc = main(["fit", str(scores), "--jobs", jobs, "--dump-counts", "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "'a b'" in err[0] and "'a_b'" in err[0]
+        assert not out.exists()
+
+    def test_colliding_counts_files_exit_2(self, tmp_path, capsys):
+        counts = []
+        for ds in ("a b", "a_b"):
+            write_scores(tmp_path / "scores.csv", n_models=3, dataset=ds)
+            main(["fit", str(tmp_path / "scores.csv"), "--dump-counts",
+                  "--out-dir", str(tmp_path / ds)])
+            counts += (tmp_path / ds).glob("counts_*.json")
+        capsys.readouterr()
+        rc = main(["fit", "--counts", *map(str, counts), "--jobs", "2",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "'a b'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestMalformedFiles:
+    """A bad fit or counts file exits 2 with one line naming the file."""
+
+    @pytest.fixture()
+    def fitted(self, tmp_path):
+        scores = write_scores(tmp_path / "scores.csv")
+        main(["fit", str(scores), "--dump-counts", "--out-dir", str(tmp_path)])
+        return scores, tmp_path / "epp_d1.json", tmp_path / "counts_d1.json"
+
+    @staticmethod
+    def _one_row_covariance(obj):
+        obj["covariance"] = [[0.1, 0.0, 0.0, -0.1]]
+
+    @staticmethod
+    def _short_bytes(obj):
+        obj["covariance"]["base64"] = obj["covariance"]["base64"][:-32]
+
+    @staticmethod
+    def _bad_base64(obj):
+        obj["covariance"]["base64"] = "@@@@"
+
+    @staticmethod
+    def _no_beta(obj):
+        del obj["beta"]
+
+    @pytest.mark.parametrize("corrupt, message", [
+        ("_one_row_covariance", "covariance: shape [1, 4]"),
+        ("_short_bytes", "covariance: 105 bytes do not hold shape [4, 4]"),
+        ("_bad_base64", "covariance: base64 does not decode"),
+        ("_no_beta", "missing key 'beta'"),
+    ])
+    @pytest.mark.parametrize("command", ["leaderboard", "compare", "embed", "recovery"])
+    def test_corrupt_fit_file(self, fitted, tmp_path, capsys, corrupt, message, command):
+        scores, fit_json, _ = fitted
+        obj = json.loads(fit_json.read_text())
+        getattr(self, corrupt)(obj)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        argv = {
+            "leaderboard": ["leaderboard", "--fit", str(bad), "--scores", str(scores)],
+            "compare": ["compare", "--fit", str(fit_json), str(bad)],
+            "embed": ["embed", "--fit", str(bad)],
+            "recovery": ["recovery", "--fit", str(bad), "--truth", str(scores)],
+        }[command]
+        capsys.readouterr()
+        assert main([*argv, "--out-dir", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {bad}: {message}")
+
+    def test_truncated_fit_json(self, fitted, tmp_path, capsys):
+        _, fit_json, _ = fitted
+        bad = tmp_path / "bad.json"
+        bad.write_text(fit_json.read_text()[:200])
+        capsys.readouterr()
+        assert main(["compare", "--fit", str(bad), "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: not valid JSON")
+
+    def test_not_utf8_fit_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{")
+        assert main(["compare", "--fit", str(bad), "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda obj: obj["n"].update(shape=[4, 3]), "n: shape [4, 3]"),
+        (lambda obj: obj.pop("w"), "missing key 'w'"),
+        (lambda obj: obj["w"].update(dtype="<f4"), "w: dtype '<f4' is not '<f8'"),
+    ])
+    def test_corrupt_counts_file(self, fitted, tmp_path, capsys, corrupt, message):
+        _, _, counts = fitted
+        obj = json.loads(counts.read_text())
+        corrupt(obj)
+        bad = tmp_path / "bad_counts.json"
+        bad.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["fit", "--counts", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
 
 
 class TestReports:

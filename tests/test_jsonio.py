@@ -1,0 +1,140 @@
+"""The float64 array codec of the fit and counts files, and older list-form files."""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eppscore import EppScores, FileFormatError, PairwiseCounts, fit_epp
+from eppscore.cli import main
+from eppscore.jsonio import decode_array, encode_array
+
+DATA = Path(__file__).parent / "data"
+
+SPECIAL = [
+    0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+    2.2250738585072014e-308, 1e-310, 1e308, -1e308, np.finfo(float).max, 1.0 / 3.0,
+]
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+@st.composite
+def matrices(draw):
+    m = draw(st.sampled_from([0, 1, draw(st.integers(2, 12))]))
+    values = draw(st.lists(
+        st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infinity=True)),
+        min_size=m * m, max_size=m * m,
+    ))
+    return np.array(values, dtype=float).reshape(m, m)
+
+
+class TestCodec:
+    @settings(max_examples=200, deadline=None)
+    @given(matrices())
+    def test_round_trip_is_bit_exact(self, a):
+        text = json.dumps({"a": encode_array(a)})
+        again = decode_array(json.loads(text)["a"], a.shape, "a")
+        assert again.shape == a.shape and again.dtype == np.float64
+        assert np.array_equal(bits(again), bits(a))
+        again[...] = 0.0  # writable, not a view of the decoded bytes
+
+    def test_nan_payloads_and_signed_zero_survive(self):
+        # quiet NaN with a payload, negative quiet NaN, signalling NaN,
+        # smallest subnormal, -0.0
+        a = np.array([0x7FF8000000000001, -0x0008000000000000, 0x7FF0000000000001,
+                      0x0000000000000001, -0x8000000000000000], dtype=np.int64).view(float)
+        again = decode_array(encode_array(a), (5,), "a")
+        assert np.array_equal(bits(again), bits(a))
+
+    def test_fortran_order_and_views_encode_in_c_order(self):
+        a = np.arange(12.0).reshape(3, 4)
+        for view in (np.asfortranarray(a), a.T.T, a[:, ::-1][:, ::-1]):
+            assert encode_array(view) == encode_array(a)
+
+    def test_list_form_decodes(self):
+        again = decode_array([[0.0, -1.5], [2.5, 0.0]], (2, 2), "w")
+        assert np.array_equal(again, np.array([[0.0, -1.5], [2.5, 0.0]]))
+
+    @pytest.mark.parametrize("value, message", [
+        ({"dtype": "<f8", "shape": [2, 2], "base64": "@@@@"}, "w: base64 does not decode"),
+        ({"dtype": "<f8", "shape": [2, 2]}, "w: base64 does not decode"),
+        ({"dtype": ">f8", "shape": [2, 2], "base64": ""}, "w: dtype '>f8' is not '<f8'"),
+        ({"dtype": "<f8", "shape": [1, 4], "base64": ""}, "w: shape [1, 4] is not the expected [2, 2]"),
+        ({"dtype": "<f8", "shape": [2, 2], "base64": "AAAAAAAAAAA="},
+         "w: 8 bytes do not hold shape [2, 2]"),
+        ([[0.0, 1.0]], "w: shape [1, 2] is not the expected [2, 2]"),
+        ([[0.0, 1.0], [2.0]], "w: not an array of numbers"),
+        ([["x", 1.0], [2.0, 0.0]], "w: not an array of numbers"),
+    ])
+    def test_malformed_values_name_the_problem(self, value, message):
+        with pytest.raises(FileFormatError, match="^" + message.replace("[", r"\[")):
+            decode_array(value, (2, 2), "w")
+
+
+class TestFitFile:
+    def test_covariance_written_as_base64_bytes(self):
+        counts = PairwiseCounts.from_json_text((DATA / "counts_list_form.json").read_text())
+        obj = json.loads(fit_epp(counts).to_json_text())
+        assert obj["covariance"]["dtype"] == "<f8"
+        assert obj["covariance"]["shape"] == [3, 3]
+        assert list(obj)[-3:] == ["covariance", "n_components", "algorithms"]
+
+    def test_list_form_fit_file_loads_to_the_same_arrays(self):
+        text = (DATA / "epp_list_form.json").read_text()
+        obj = json.loads(text)
+        loaded = EppScores.from_json_text(text)
+        assert loaded.models == ("m0", "m1", "m2")
+        assert np.array_equal(bits(loaded.beta), bits(np.array(obj["beta"])))
+        assert np.array_equal(bits(loaded.covariance), bits(np.array(obj["covariance"])))
+        assert loaded.standard_errors().tolist() == obj["se"]
+        again = EppScores.from_json_text(loaded.to_json_text())
+        assert np.array_equal(bits(again.covariance), bits(loaded.covariance))
+
+    def test_list_form_counts_file_loads_and_refits(self, tmp_path):
+        counts_path = DATA / "counts_list_form.json"
+        obj = json.loads(counts_path.read_text())
+        counts = PairwiseCounts.from_json_text(counts_path.read_text())
+        assert np.array_equal(counts.w, np.array(obj["w"]))
+        assert np.array_equal(counts.n, np.array(obj["n"]))
+        again = PairwiseCounts.from_json_text(counts.to_json_text())
+        assert np.array_equal(bits(again.w), bits(counts.w))
+        assert np.array_equal(bits(again.n), bits(counts.n))
+        rc = main(["fit", "--counts", str(counts_path), "--out-dir", str(tmp_path)])
+        assert rc == 0
+        refit = EppScores.from_json_text((tmp_path / "epp_toy.json").read_text())
+        fixture = EppScores.from_json_text((DATA / "epp_list_form.json").read_text())
+        assert np.allclose(refit.covariance, fixture.covariance, rtol=1e-9, atol=1e-12)
+
+    def test_reports_read_list_form_fit_files(self, tmp_path):
+        rc = main(["compare", "--fit", str(DATA / "epp_list_form.json"),
+                   "--out-dir", str(tmp_path)])
+        assert rc == 0
+        assert (tmp_path / "compare.csv").read_text().splitlines()[0] == (
+            "model,toy_epp,toy_p_vs_avg"
+        )
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"dataset": "d", "models": [', "not valid JSON"),
+        ("[1, 2]", "not a JSON object"),
+        ('{"dataset": "d"}', "missing key 'models'"),
+    ])
+    def test_malformed_text(self, text, message):
+        with pytest.raises(FileFormatError, match="^" + message):
+            EppScores.from_json_text(text)
+        with pytest.raises(FileFormatError, match="^" + message):
+            PairwiseCounts.from_json_text(text)
+
+    def test_separation_flags_must_match_models(self):
+        obj = json.loads((DATA / "epp_list_form.json").read_text())
+        obj["separation"] = ["none"]
+        with pytest.raises(FileFormatError, match="separation: 1 flags for 3 models"):
+            EppScores.from_json_text(json.dumps(obj))
+        obj["separation"] = ["none", "none", "maybe"]
+        with pytest.raises(FileFormatError, match="malformed fit file"):
+            EppScores.from_json_text(json.dumps(obj))
