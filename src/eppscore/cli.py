@@ -359,13 +359,32 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_matches_csv(path: str) -> list[tuple[str, str]]:
+def _read_two_column_csv(path: str, header: tuple[str, str]):
+    """(line, row) for each non-blank row of a CSV with a two-field header.
+
+    A wrong header, or a row with fewer than two fields, raises an error
+    naming the file (and the line).
+    """
     text = Path(path).read_text(encoding="utf-8")
     reader = csv.reader(io.StringIO(text.replace("\r\n", "\n")))
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != ["winner", "loser"]:
-        raise EppError(f"{path}: expected header 'winner,loser'")
-    return [(row[0].strip(), row[1].strip()) for row in reader if row]
+    found = next(reader, None)
+    if found is None or [h.strip() for h in found] != list(header):
+        raise EppError(f"{path}: expected header {','.join(header)!r}")
+    for row in reader:
+        if not row:
+            continue
+        if len(row) < 2:
+            raise EppError(
+                f"{path}: line {reader.line_num}: expected 2 columns, got {len(row)}"
+            )
+        yield reader.line_num, row
+
+
+def _read_matches_csv(path: str) -> list[tuple[str, str]]:
+    return [
+        (row[0].strip(), row[1].strip())
+        for _, row in _read_two_column_csv(path, ("winner", "loser"))
+    ]
 
 
 def _cmd_elo(args: argparse.Namespace) -> int:
@@ -388,13 +407,13 @@ def _cmd_recovery(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
     (fitted,) = _load_fit_files([args.fit])
     truth: dict[str, float] = {}
-    reader = csv.reader(io.StringIO(Path(args.truth).read_text(encoding="utf-8")))
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != ["model", "skill"]:
-        raise EppError(f"{args.truth}: expected header 'model,skill'")
-    for row in reader:
-        if row:
+    for line, row in _read_two_column_csv(args.truth, ("model", "skill")):
+        try:
             truth[row[0].strip()] = float(row[1])
+        except ValueError:
+            raise EppError(
+                f"{args.truth}: line {line}: cannot parse skill {row[1].strip()!r}"
+            ) from None
     max_abs, rho = baselines.recovery_from_truth(fitted, truth)
     out = Path(cfg.out_dir)
     if cfg.format == OutputFormat.CSV:

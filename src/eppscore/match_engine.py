@@ -112,12 +112,15 @@ class PairwiseCounts:
         )
 
 
-def _cross_counts(per_model: list[np.ndarray]):
-    """CROSS greater/equal counts from one sort of the dataset's scores."""
-    k = len(per_model)
-    sizes = np.array([len(x) for x in per_model])
+def _cross_counts(scores: np.ndarray, sizes: np.ndarray):
+    """CROSS greater/equal counts from one sort of the dataset's scores.
+
+    `scores` holds the models' scores one model after another, `sizes[k]`
+    of them for model k.
+    """
+    k = len(sizes)
     # run[e]: rank of score e's distinct value; model[e]: the model it belongs to
-    values, run = np.unique(np.concatenate(per_model), return_inverse=True)
+    values, run = np.unique(scores, return_inverse=True)
     model = np.repeat(np.arange(k), sizes)
     starts = np.cumsum(sizes) - sizes
     gt = np.empty((k, k))
@@ -165,27 +168,22 @@ def build_matches(
     Only score orderings matter: any strictly increasing transform of the
     scores yields identical counts. Models are indexed in sorted-id order.
     """
-    if dataset_id not in table.index:
-        raise KeyError(f"unknown dataset {dataset_id!r}")
-    by_model = table.index[dataset_id]
-    models = tuple(sorted(by_model))
+    block = table.block(dataset_id)
+    models = block.models
+    m = len(models)
 
     if mode == PairingMode.PAIRED:
-        split_sets = {m: frozenset(by_model[m]) for m in models}
-        all_splits = frozenset().union(*split_sets.values()) if models else frozenset()
-        offending = sorted(m for m in models if split_sets[m] != all_splits)
+        split_codes, column = block.split_columns()
+        # No model repeats a split, so a model has every split iff it has as many.
+        offending = [models[k] for k in np.flatnonzero(block.sizes != len(split_codes))]
         if offending:
             raise PairedSplitsMismatchError(dataset_id, offending)
-        split_order = sorted(all_splits)
-        scores = np.array(
-            [[by_model[m][s] for s in split_order] for m in models], dtype=float
-        )
+        scores = np.empty((m, len(split_codes)))
+        scores[np.repeat(np.arange(m), block.sizes), column] = block.score
         gt, eq = _paired_counts(scores)
-        nmat = np.full((len(models), len(models)), float(len(split_order)))
+        nmat = np.full((m, m), float(len(split_codes)))
     else:
-        gt, eq, nmat = _cross_counts(
-            [np.fromiter(by_model[m].values(), dtype=float) for m in models]
-        )
+        gt, eq, nmat = _cross_counts(block.score, block.sizes)
 
     if ties == TiePolicy.HALF:
         w = gt + 0.5 * eq

@@ -7,12 +7,16 @@ A JSON mirror with the same field names is supported for both directions.
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
+import itertools
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import TableParseError
 
@@ -31,107 +35,251 @@ class ScoreRecord:
     score: float
 
 
-class PerformanceTable:
-    """Immutable collection of :class:`ScoreRecord`, indexed for lookups.
+class DatasetBlock(NamedTuple):
+    """One dataset's rows, grouped by model.
 
-    The index maps dataset -> model -> split -> score. Record order does not
-    affect semantics; duplicated (dataset, model, split) triples are rejected.
+    ``models`` are the dataset's model ids, sorted; ``sizes[k]`` is the
+    number of rows of ``models[k]``. ``score`` and ``split`` hold the rows
+    model by model, each model's rows in table order; ``split`` holds codes
+    into ``split_ids``, the table's sorted split ids.
     """
 
-    def __init__(self, records):
-        recs = tuple(records)
-        index: dict[str, dict[str, dict[str, float]]] = {}
-        algorithm_of: dict[str, str] = {}
-        for rec in recs:
-            if not math.isfinite(rec.score):
+    models: tuple[str, ...]
+    sizes: np.ndarray
+    score: np.ndarray
+    split: np.ndarray
+    split_ids: tuple[str, ...]
+
+    def split_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """(the codes of the splits present, ascending; each row's position
+        among them)."""
+        present = np.bincount(self.split, minlength=len(self.split_ids)) > 0
+        return np.flatnonzero(present), (np.cumsum(present) - 1)[self.split]
+
+
+class PerformanceTable:
+    """Immutable long-format scores, held as columns.
+
+    Dataset, model, algorithm and split ids are integer codes into sorted
+    tuples of labels, and the scores a float64 array, all in row order. One
+    stable permutation groups the rows by (dataset, model), so a dataset's
+    rows, and a model's within it, are contiguous slices of it. Row order
+    does not affect semantics; non-finite scores, duplicated (dataset, model,
+    split) triples and models labeled with two algorithms are rejected.
+    """
+
+    def __init__(self, records=()):
+        recs = list(records)
+        self._build(
+            [r.dataset_id for r in recs],
+            [r.model_id for r in recs],
+            [r.algorithm for r in recs],
+            [r.split_id for r in recs],
+            np.array([r.score for r in recs], dtype=float),
+        )
+
+    @classmethod
+    def _from_columns(cls, *columns, **options) -> "PerformanceTable":
+        table = cls.__new__(cls)
+        table._build(*columns, **options)
+        return table
+
+    def _build(self, datasets, models, algorithms, splits, score, clean=None, source=None):
+        """Code the id columns and run each check once over the whole table.
+
+        `clean` normalizes raw ids (the CSV strips them). `source`, given by
+        the CSV parser, supplies error line numbers and raw score fields.
+        """
+        self._datasets, dataset = _factorize(datasets, clean)
+        self._models, model = _factorize(models, clean)
+        self._algorithms, algorithm = _factorize(algorithms, clean)
+        self._splits, split = _factorize(splits, clean)
+        n_rows = len(score)
+
+        bad = np.flatnonzero(~np.isfinite(score))
+        if len(bad):
+            i = int(bad[0])
+            if source is not None:
                 raise TableParseError(
-                    f"non-finite score {rec.score!r} for "
-                    f"({rec.dataset_id}, {rec.model_id}, {rec.split_id})"
+                    f"non-finite score {source.raw_score(i)!r}", source.line(i)
                 )
-            prev_alg = algorithm_of.setdefault(rec.model_id, rec.algorithm)
-            if prev_alg != rec.algorithm:
+            raise TableParseError(
+                f"non-finite score {float(score[i])!r} for ({self._datasets[dataset[i]]}, "
+                f"{self._models[model[i]]}, {self._splits[split[i]]})"
+            )
+
+        # Group rows by (dataset, model); `group[r]` numbers row r's group.
+        pair = dataset * len(self._models) + model
+        order = np.argsort(pair, kind="stable")
+        new_group = np.ones(n_rows, dtype=bool)
+        new_group[1:] = pair[order[1:]] != pair[order[:-1]]
+        starts = np.flatnonzero(new_group)
+        group = np.empty(n_rows, dtype=np.intp)
+        group[order] = np.cumsum(new_group) - 1
+
+        # A triple seen before: the later rows of each run of equal keys.
+        key = group * len(self._splits) + split
+        by_key = np.argsort(key, kind="stable")
+        repeats = by_key[1:][key[by_key[1:]] == key[by_key[:-1]]]
+        if len(repeats):
+            i = int(repeats.min())
+            ids = (self._datasets[dataset[i]], self._models[model[i]], self._splits[split[i]])
+            if source is not None:
                 raise TableParseError(
-                    f"model {rec.model_id!r} labeled with two algorithms: "
-                    f"{prev_alg!r} and {rec.algorithm!r}"
+                    f"duplicate record for (dataset, model, split) = {ids}", source.line(i)
                 )
-            by_model = index.setdefault(rec.dataset_id, {})
-            by_split = by_model.setdefault(rec.model_id, {})
-            if rec.split_id in by_split:
-                raise TableParseError(
-                    "duplicate record for (dataset, model, split) = "
-                    f"({rec.dataset_id}, {rec.model_id}, {rec.split_id})"
-                )
-            by_split[rec.split_id] = rec.score
-        self._records = recs
-        self._index = index
-        self._algorithm_of = algorithm_of
+            raise TableParseError(
+                "duplicate record for (dataset, model, split) = "
+                f"({ids[0]}, {ids[1]}, {ids[2]})"
+            )
+
+        # Each model's algorithm is the one on its first row.
+        _, first_row = np.unique(model, return_index=True)
+        first_algorithm = algorithm[first_row]
+        conflicts = np.flatnonzero(algorithm != first_algorithm[model])
+        if len(conflicts):
+            i = int(conflicts[0])
+            raise TableParseError(
+                f"model {self._models[model[i]]!r} labeled with two algorithms: "
+                f"{self._algorithms[first_algorithm[model[i]]]!r} and "
+                f"{self._algorithms[algorithm[i]]!r}"
+            )
+
+        self._dataset, self._model, self._algorithm, self._split = dataset, model, algorithm, split
+        self._score = score
+        self._order = order
+        self._bounds = np.append(starts, n_rows)  # group g: order[bounds[g]:bounds[g + 1]]
+        self._group_dataset = dataset[order[starts]]
+        self._group_model = model[order[starts]]
+        self._dataset_code = {d: k for k, d in enumerate(self._datasets)}
+        self._model_algorithm = dict(
+            zip(self._models, self._labels(self._algorithms, first_algorithm))
+        )
+        self._group_of = None  # (dataset, model) -> group, built on first use
+        self._means = None  # per group, built on first use
 
     @property
     def records(self) -> tuple[ScoreRecord, ...]:
-        return self._records
-
-    @property
-    def index(self):
-        return self._index
+        """The rows as :class:`ScoreRecord`, in table order (built per call)."""
+        return tuple(itertools.starmap(ScoreRecord, self._rows()))
 
     @property
     def algorithm_of(self) -> dict[str, str]:
         """Mapping model id -> algorithm label."""
-        return dict(self._algorithm_of)
+        return dict(self._model_algorithm)
 
     def datasets(self) -> list[str]:
-        return sorted(self._index)
+        return list(self._datasets)
 
     def models(self, dataset_id: str) -> list[str]:
-        return sorted(self._index[dataset_id])
+        return list(self.block(dataset_id).models)
+
+    def block(self, dataset_id: str) -> DatasetBlock:
+        """The dataset's rows grouped by model (see :class:`DatasetBlock`)."""
+        try:
+            d = self._dataset_code[dataset_id]
+        except KeyError:
+            raise KeyError(f"unknown dataset {dataset_id!r}") from None
+        g_lo, g_hi = np.searchsorted(self._group_dataset, [d, d + 1])
+        rows = self._order[self._bounds[g_lo]:self._bounds[g_hi]]
+        return DatasetBlock(
+            models=tuple(self._labels(self._models, self._group_model[g_lo:g_hi])),
+            sizes=np.diff(self._bounds[g_lo:g_hi + 1]),
+            score=self._score[rows],
+            split=self._split[rows],
+            split_ids=self._splits,
+        )
 
     def splits(self, dataset_id: str, model_id: str) -> dict[str, float]:
-        return dict(self._index[dataset_id][model_id])
+        """Split id -> score for one model, in table order."""
+        g = self._group(dataset_id, model_id)
+        rows = self._order[self._bounds[g]:self._bounds[g + 1]]
+        return dict(
+            zip(self._labels(self._splits, self._split[rows]), self._score[rows].tolist())
+        )
 
     def score(self, dataset_id: str, model_id: str, split_id: str) -> float:
-        return self._index[dataset_id][model_id][split_id]
+        return self.splits(dataset_id, model_id)[split_id]
 
     def mean_score(self, dataset_id: str, model_id: str) -> float:
-        vals = self._index[dataset_id][model_id]
-        return sum(vals.values()) / len(vals)
+        """The model's scores summed in table order by `sum`, over their count."""
+        if self._means is None:
+            values = self._score[self._order].tolist()
+            bounds = self._bounds.tolist()
+            self._means = [
+                sum(values[lo:hi]) / (hi - lo) for lo, hi in zip(bounds, bounds[1:])
+            ]
+        return self._means[self._group(dataset_id, model_id)]
 
     def negated(self) -> "PerformanceTable":
         """Table with every score negated (lower-is-better measures)."""
-        return PerformanceTable(
-            ScoreRecord(r.dataset_id, r.model_id, r.algorithm, r.split_id, -r.score)
-            for r in self._records
-        )
+        twin = copy.copy(self)
+        twin._score = -self._score
+        twin._means = None
+        return twin
+
+    def _group(self, dataset_id: str, model_id: str) -> int:
+        if self._group_of is None:
+            keys = zip(
+                self._labels(self._datasets, self._group_dataset),
+                self._labels(self._models, self._group_model),
+            )
+            self._group_of = {key: g for g, key in enumerate(keys)}
+        return self._group_of[dataset_id, model_id]
+
+    @staticmethod
+    def _labels(labels: tuple[str, ...], codes: np.ndarray) -> list[str]:
+        return list(map(labels.__getitem__, codes.tolist()))
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._score)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PerformanceTable):
             return NotImplemented
-        return self._index == other._index
+        return self._scores_by_triple() == other._scores_by_triple()
+
+    def _scores_by_triple(self) -> dict[tuple[str, str, str], float]:
+        return {(d, m, s): score for d, m, _, s, score in self._rows()}
+
+    def _rows(self):
+        """(dataset, model, algorithm, split, score) per row, in table order."""
+        return zip(
+            self._labels(self._datasets, self._dataset),
+            self._labels(self._models, self._model),
+            self._labels(self._algorithms, self._algorithm),
+            self._labels(self._splits, self._split),
+            self._score.tolist(),
+        )
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(SCORES_HEADER)
-        for r in self._records:
-            writer.writerow(
-                [r.dataset_id, r.model_id, r.algorithm, r.split_id, repr(r.score)]
-            )
+        writer.writerows(
+            (d, m, a, s, repr(score)) for d, m, a, s, score in self._rows()
+        )
         return buf.getvalue()
 
     def to_json_text(self) -> str:
         rows = [
-            {
-                "dataset": r.dataset_id,
-                "model": r.model_id,
-                "algorithm": r.algorithm,
-                "split": r.split_id,
-                "score": r.score,
-            }
-            for r in self._records
+            {"dataset": d, "model": m, "algorithm": a, "split": s, "score": score}
+            for d, m, a, s, score in self._rows()
         ]
         return json.dumps({"records": rows}, indent=2) + "\n"
+
+
+def _factorize(values: list, clean=None) -> tuple[tuple[str, ...], np.ndarray]:
+    """(sorted distinct labels, code of each value into them).
+
+    `clean` is applied once per distinct raw value, not once per row.
+    """
+    raw = dict.fromkeys(values)
+    label = {v: clean(v) for v in raw} if clean else {v: v for v in raw}
+    labels = tuple(sorted(set(label.values())))
+    rank = {lab: k for k, lab in enumerate(labels)}
+    code = {v: rank[lab] for v, lab in label.items()}
+    return labels, np.fromiter(map(code.__getitem__, values), np.intp, len(values))
 
 
 def _as_text(data) -> str:
@@ -140,24 +288,37 @@ def _as_text(data) -> str:
     else:
         text = data
     # Normalize platform line endings; csv handles the rest.
-    return text.replace("\r\n", "\n").replace("\r", "\n").lstrip("﻿")
+    return text.replace("\r\n", "\n").replace("\r", "\n").lstrip("\ufeff")
 
 
-def _parse_score_field(raw: str, line: int) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise TableParseError(f"cannot parse score {raw!r}", line) from None
-    if not math.isfinite(value):
-        raise TableParseError(f"non-finite score {raw!r}", line)
-    return value
+class _CsvSource:
+    """Error details for the rows of a scores CSV, looked up only on error."""
+
+    def __init__(self, text: str, raw_scores: list[str]):
+        self._text = text
+        self._raw_scores = raw_scores
+
+    def raw_score(self, i: int) -> str:
+        return self._raw_scores[i].strip()
+
+    def line(self, i: int) -> int:
+        """1-based line on which data row i (blank lines skipped) ends."""
+        reader = csv.reader(io.StringIO(self._text))
+        next(reader)
+        for row in reader:
+            if row:
+                if i == 0:
+                    return reader.line_num
+                i -= 1
+        raise IndexError(i)
 
 
 def parse_scores_csv(data) -> PerformanceTable:
     """Parse a scores CSV (str or UTF-8 bytes) into a :class:`PerformanceTable`.
 
     Raises :class:`TableParseError` with a 1-based line number for malformed
-    rows, unparsable scores, and duplicated (dataset, model, split) triples.
+    rows, unparsable or non-finite scores, and duplicated (dataset, model,
+    split) triples.
     """
     text = _as_text(data)
     reader = csv.reader(io.StringIO(text))
@@ -169,44 +330,58 @@ def parse_scores_csv(data) -> PerformanceTable:
         raise TableParseError(
             f"expected header {','.join(SCORES_HEADER)!r}, got {','.join(header)!r}", 1
         )
-    records = []
-    seen: set[tuple[str, str, str]] = set()
+    # Five flat lists of str: no per-row object outlives its loop iteration.
+    datasets, models, algorithms, splits, raw_scores = [], [], [], [], []
+    add_dataset, add_model, add_algorithm, add_split, add_score = (
+        datasets.append, models.append, algorithms.append, splits.append, raw_scores.append
+    )
     for row in reader:
-        line = reader.line_num
-        if not row:
-            continue
         if len(row) != 5:
-            raise TableParseError(f"expected 5 columns, got {len(row)}", line)
-        dataset_id, model_id, algorithm, split_id = (f.strip() for f in row[:4])
-        score = _parse_score_field(row[4].strip(), line)
-        key = (dataset_id, model_id, split_id)
-        if key in seen:
-            raise TableParseError(
-                f"duplicate record for (dataset, model, split) = {key}", line
-            )
-        seen.add(key)
-        records.append(ScoreRecord(dataset_id, model_id, algorithm, split_id, score))
-    return PerformanceTable(records)
+            if row:
+                raise TableParseError(f"expected 5 columns, got {len(row)}", reader.line_num)
+            continue
+        dataset_id, model_id, algorithm, split_id, raw = row
+        add_dataset(dataset_id)
+        add_model(model_id)
+        add_algorithm(algorithm)
+        add_split(split_id)
+        add_score(raw)
+    source = _CsvSource(text, raw_scores)
+    try:
+        score = np.fromiter(
+            map(float, map(str.strip, raw_scores)), dtype=float, count=len(raw_scores)
+        )
+    except ValueError:
+        for i, raw in enumerate(map(str.strip, raw_scores)):
+            try:
+                float(raw)
+            except ValueError:
+                raise TableParseError(f"cannot parse score {raw!r}", source.line(i)) from None
+        raise
+    return PerformanceTable._from_columns(
+        datasets, models, algorithms, splits, score, clean=str.strip, source=source
+    )
 
 
 def parse_scores_json(data) -> PerformanceTable:
     """Parse the JSON mirror of the scores CSV."""
     obj = json.loads(_as_text(data))
-    records = []
+    columns: tuple[list, ...] = ([], [], [], [], [])
     for i, row in enumerate(obj["records"]):
         try:
-            records.append(
-                ScoreRecord(
-                    str(row["dataset"]),
-                    str(row["model"]),
-                    str(row["algorithm"]),
-                    str(row["split"]),
-                    float(row["score"]),
-                )
+            values = (
+                str(row["dataset"]),
+                str(row["model"]),
+                str(row["algorithm"]),
+                str(row["split"]),
+                float(row["score"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise TableParseError(f"bad record #{i}: {exc}") from None
-    return PerformanceTable(records)
+        for column, value in zip(columns, values):
+            column.append(value)
+    *ids, scores = columns
+    return PerformanceTable._from_columns(*ids, np.array(scores, dtype=float))
 
 
 def _missing_splits_warning(ds: str, model: str, absent: tuple[str, ...]) -> str:
@@ -260,42 +435,53 @@ class ValidationReport:
         return not self.warnings
 
 
+def _equal_pairs(*keys: np.ndarray) -> int:
+    """Number of row pairs that are equal on every key array."""
+    n = len(keys[0])
+    order = np.lexsort(keys)
+    same = np.ones(max(n - 1, 0), dtype=bool)
+    for key in keys:
+        ranked = key[order]
+        same &= ranked[1:] == ranked[:-1]
+    runs = np.diff(np.flatnonzero(np.concatenate(([True], ~same, [True]))))
+    return int((runs * (runs - 1) // 2).sum())
+
+
 def validate(table: PerformanceTable) -> ValidationReport:
     """Report-only validation: split coverage, constant models, exact ties."""
     summaries = []
     for ds in table.datasets():
-        by_model = table.index[ds]
-        all_splits: set[str] = set()
-        for splits in by_model.values():
-            all_splits.update(splits)
-        split_ids = tuple(sorted(all_splits))
+        block = table.block(ds)
+        models, sizes, score = block.models, block.sizes, block.score
+        split_codes, column = block.split_columns()
+        split_ids = tuple(block.split_ids[c] for c in split_codes.tolist())
+        model_of_row = np.repeat(np.arange(len(models)), sizes)
+        present = np.zeros((len(models), len(split_codes)), dtype=bool)
+        present[model_of_row, column] = True
+        starts = np.cumsum(sizes) - sizes
+        constant = (sizes > 1) & (
+            np.minimum.reduceat(score, starts) == np.maximum.reduceat(score, starts)
+        )
         warnings: list[str] = []
         missing: dict[str, tuple[str, ...]] = {}
-        constant: list[str] = []
-        score_counter: Counter[float] = Counter()
-        within_model_pairs = 0
-        for model in sorted(by_model):
-            splits = by_model[model]
-            absent = tuple(sorted(all_splits - set(splits)))
+        constant_models: list[str] = []
+        for k in np.flatnonzero(~present.all(axis=1) | constant).tolist():
+            model = models[k]
+            absent = tuple(split_ids[j] for j in np.flatnonzero(~present[k]).tolist())
             if absent:
                 missing[model] = absent
                 warnings.append(_missing_splits_warning(ds, model, absent))
-            if len(set(splits.values())) == 1 and len(splits) > 1:
-                constant.append(model)
+            if constant[k]:
+                constant_models.append(model)
                 warnings.append(
                     f"dataset {ds!r}: model {model!r} has a constant score "
-                    f"across {len(splits)} splits"
+                    f"across {int(sizes[k])} splits"
                 )
-            score_counter.update(splits.values())
-            per_model = Counter(splits.values())
-            within_model_pairs += sum(
-                c * (c - 1) // 2 for c in per_model.values() if c > 1
-            )
         # Bit-identical scores on different models are potential tie matches;
         # reported but never modified here (same-model duplicates are not,
-        # since a model never plays itself).
-        all_pairs = sum(c * (c - 1) // 2 for c in score_counter.values() if c > 1)
-        tie_pairs = all_pairs - within_model_pairs
+        # since a model never plays itself). Equality is float equality, so
+        # -0.0 and 0.0 are equal.
+        tie_pairs = _equal_pairs(score) - _equal_pairs(model_of_row, score)
         if tie_pairs:
             warnings.append(
                 f"dataset {ds!r}: {tie_pairs} pairs of exactly equal scores "
@@ -304,10 +490,10 @@ def validate(table: PerformanceTable) -> ValidationReport:
         summaries.append(
             DatasetValidation(
                 dataset_id=ds,
-                n_models=len(by_model),
+                n_models=len(models),
                 split_ids=split_ids,
                 missing_splits=missing,
-                constant_models=tuple(constant),
+                constant_models=tuple(constant_models),
                 exact_tie_pairs=tie_pairs,
                 warnings=tuple(warnings),
             )

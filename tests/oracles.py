@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from eppscore.errors import TableParseError
+
 
 def naive_pairwise_counts(score_lists, paired, half_ties):
     """Match counting by explicit double loop over split pairs.
@@ -150,3 +152,118 @@ def mann_whitney_u_bruteforce(a, b):
             elif x == y:
                 u += 0.5
     return u
+
+
+class RowwiseTable:
+    """Reference scores table: parsed row by row into nested dicts.
+
+    This is the parser the columnar table replaced. The CSV parser's `seen`
+    set catches duplicate triples row by row; this constructor then walks
+    the rows again, checking scores, each model's algorithm and (for rows
+    given directly) duplicates. `index` maps dataset -> model -> split ->
+    score, each dict in file order; `rows` holds (dataset, model, algorithm,
+    split, score) tuples in file order.
+    """
+
+    def __init__(self, rows):
+        self.rows = list(rows)
+        self.index = {}
+        self.algorithm_of = {}
+        for dataset, model, algorithm, split, score in self.rows:
+            if not math.isfinite(score):
+                raise TableParseError(
+                    f"non-finite score {score!r} for ({dataset}, {model}, {split})"
+                )
+            first = self.algorithm_of.setdefault(model, algorithm)
+            if first != algorithm:
+                raise TableParseError(
+                    f"model {model!r} labeled with two algorithms: {first!r} and {algorithm!r}"
+                )
+            by_split = self.index.setdefault(dataset, {}).setdefault(model, {})
+            if split in by_split:
+                raise TableParseError(
+                    f"duplicate record for (dataset, model, split) = ({dataset}, {model}, {split})"
+                )
+            by_split[split] = score
+
+    def mean_score(self, dataset, model):
+        values = self.index[dataset][model]
+        return sum(values.values()) / len(values)
+
+
+def rowwise_parse_scores_csv(text):
+    """Parse a scores CSV one row at a time (see :class:`RowwiseTable`)."""
+    import csv
+    import io
+
+    text = text.replace("\r\n", "\n").replace("\r", "\n").lstrip("﻿")
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader)
+    expected = ["dataset", "model", "algorithm", "split", "score"]
+    if [h.strip() for h in header] != expected:
+        raise TableParseError(
+            f"expected header {','.join(expected)!r}, got {','.join(header)!r}", 1
+        )
+    rows = []
+    seen = set()
+    for row in reader:
+        line = reader.line_num
+        if not row:
+            continue
+        if len(row) != 5:
+            raise TableParseError(f"expected 5 columns, got {len(row)}", line)
+        dataset, model, algorithm, split, raw = (f.strip() for f in row)
+        try:
+            score = float(raw)
+        except ValueError:
+            raise TableParseError(f"cannot parse score {raw!r}", line) from None
+        if not math.isfinite(score):
+            raise TableParseError(f"non-finite score {raw!r}", line)
+        key = (dataset, model, split)
+        if key in seen:
+            raise TableParseError(f"duplicate record for (dataset, model, split) = {key}", line)
+        seen.add(key)
+        rows.append((dataset, model, algorithm, split, score))
+    return RowwiseTable(rows)
+
+
+def rowwise_validate(table):
+    """Per-dataset validation fields from the nested dicts, with sets and
+    Counters: (dataset, n_models, split_ids, missing, constant, tie_pairs,
+    warnings), datasets sorted."""
+    from collections import Counter
+
+    out = []
+    for ds in sorted(table.index):
+        by_model = table.index[ds]
+        all_splits = set()
+        for splits in by_model.values():
+            all_splits.update(splits)
+        warnings, missing, constant = [], {}, []
+        everything, within = Counter(), 0
+        for model in sorted(by_model):
+            splits = by_model[model]
+            absent = tuple(sorted(all_splits - set(splits)))
+            if absent:
+                missing[model] = absent
+                warnings.append(
+                    f"dataset {ds!r}: model {model!r} missing splits {', '.join(absent)}"
+                )
+            if len(set(splits.values())) == 1 and len(splits) > 1:
+                constant.append(model)
+                warnings.append(
+                    f"dataset {ds!r}: model {model!r} has a constant score "
+                    f"across {len(splits)} splits"
+                )
+            everything.update(splits.values())
+            within += sum(c * (c - 1) // 2 for c in Counter(splits.values()).values())
+        ties = sum(c * (c - 1) // 2 for c in everything.values()) - within
+        if ties:
+            warnings.append(
+                f"dataset {ds!r}: {ties} pairs of exactly equal scores (potential ties)"
+            )
+        out.append(
+            (ds, len(by_model), tuple(sorted(all_splits)), missing, tuple(constant), ties,
+             tuple(warnings))
+        )
+    return out

@@ -428,6 +428,42 @@ class TestElo:
         assert rc == 2
         assert "winner,loser" in capsys.readouterr().err
 
+    def test_short_row(self, tmp_path, capsys):
+        bad = tmp_path / "matches.csv"
+        bad.write_text("winner,loser\na,b\n\na\n")
+        rc = main(["elo", "--input", str(bad), "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {bad}: line 4: expected 2 columns, got 1\n"
+        assert not (tmp_path / "elo_ratings.csv").exists()
+
+
+class TestRecoveryInput:
+    @pytest.fixture()
+    def fit_file(self, tmp_path):
+        main(["simulate", "--models", "3", "--splits", "10", "--seed", "1",
+              "--out-dir", str(tmp_path)])
+        main(["fit", str(tmp_path / "scores.csv"), "--out-dir", str(tmp_path)])
+        return tmp_path / "epp_synthetic.json"
+
+    @pytest.mark.parametrize(
+        "truth, message",
+        [
+            ("model,skill\nsim1,0.5\nsim2,high\n", "line 3: cannot parse skill 'high'"),
+            ("model,skill\nsim1, \n", "line 2: cannot parse skill ''"),
+            ("model,skill\nsim1,0.5\r\nsim2\r\n", "line 3: expected 2 columns, got 1"),
+        ],
+        ids=["non-numeric", "blank", "short-row"],
+    )
+    def test_malformed_truth_exits_2(self, fit_file, tmp_path, capsys, truth, message):
+        path = tmp_path / "truth_bad.csv"
+        path.write_bytes(truth.encode())
+        capsys.readouterr()
+        rc = main(["recovery", "--fit", str(fit_file), "--truth", str(path),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestConfigFile:
     def test_round_trip(self):

@@ -1,13 +1,19 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import naive_pairwise_counts, rowwise_parse_scores_csv, rowwise_validate
 
 from eppscore import (
+    PairedSplitsMismatchError,
     TableParseError,
     parse_hyperparams_csv,
     parse_scores_csv,
     parse_scores_json,
     validate,
 )
-from eppscore.perf_table import PerformanceTable, ScoreRecord
+from eppscore.match_engine import PairingMode, TiePolicy, build_matches
+from eppscore.perf_table import DatasetValidation, PerformanceTable, ScoreRecord
 
 
 def make_csv(rows):
@@ -88,6 +94,179 @@ class TestParseScoresCsv:
     def test_negated(self):
         table = parse_scores_csv(make_csv(["d1,m1,gbm,s1,0.5"]))
         assert table.negated().score("d1", "m1", "s1") == -0.5
+
+
+class TestRecordsConstructor:
+    """`PerformanceTable(records)` reports faults without line numbers."""
+
+    def test_non_finite(self):
+        with pytest.raises(TableParseError) as err:
+            PerformanceTable([ScoreRecord("d1", "m1", "gbm", "s1", float("inf"))])
+        assert str(err.value) == "non-finite score inf for (d1, m1, s1)"
+        assert err.value.line is None
+
+    def test_duplicate(self):
+        rows = [
+            ScoreRecord("d1", "m1", "gbm", "s1", 0.5),
+            ScoreRecord("d1", "m1", "gbm", "s1", 0.6),
+        ]
+        with pytest.raises(TableParseError) as err:
+            PerformanceTable(rows)
+        assert str(err.value) == "duplicate record for (dataset, model, split) = (d1, m1, s1)"
+
+    def test_two_algorithms(self):
+        rows = [
+            ScoreRecord("d1", "m1", "gbm", "s1", 0.5),
+            ScoreRecord("d2", "m1", "rf", "s1", 0.6),
+        ]
+        with pytest.raises(TableParseError) as err:
+            PerformanceTable(rows)
+        assert str(err.value) == "model 'm1' labeled with two algorithms: 'gbm' and 'rf'"
+
+    def test_records_view_round_trips(self):
+        table = parse_scores_csv(make_csv(["d1,m2,rf,s1,0.5", "d1,m1,gbm,s1,-0.0"]))
+        assert table.records == (
+            ScoreRecord("d1", "m2", "rf", "s1", 0.5),
+            ScoreRecord("d1", "m1", "gbm", "s1", -0.0),
+        )
+        assert PerformanceTable(table.records) == table
+        assert not hasattr(table, "index")
+
+
+def _csv_field(text):
+    if any(c in text for c in ',"\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+# Raw ids: quoted commas, an embedded newline, padding. Each pool's ids stay
+# distinct after stripping, so faults arise only where they are injected.
+_DATASETS = ["d1", "d,1", " d2 ", "d 3"]
+_MODELS = ["m1", " m2", "m,3", "m\n4", "mod 5 ", "m6"]
+_ALGORITHMS = ["gbm", "rf, fast", " glm "]
+_SPLITS = ["s1", " s2", "s,3", "s4 ", "s5", "s6", "s7", "s8", "s9", "s10"]
+# float() parses "\x1c1.5" only after str.strip(), as the parser has always done.
+_VALUES = [
+    "0.5", " 0.25 ", "\x1c1.5", "-0.0", "0.0", "+0.0", "1e-3", "0.1", "0.7", "-2.2", "1_0", "3",
+    "0.5000",
+]
+_FAULTS = [None, "columns", "unparsable", "non-finite", "duplicate", "algorithm"]
+
+
+@st.composite
+def _scores_csv(draw):
+    """(text, fault): a scores CSV with at most one injected fault."""
+    rows = []
+    for dataset in draw(st.lists(st.sampled_from(_DATASETS), min_size=1, max_size=3, unique=True)):
+        equal = draw(st.booleans())
+        split_pool = draw(st.lists(st.sampled_from(_SPLITS), min_size=1, max_size=10, unique=True))
+        for model in draw(st.lists(st.sampled_from(_MODELS), min_size=1, max_size=4, unique=True)):
+            algorithm = _ALGORITHMS[_MODELS.index(model) % len(_ALGORITHMS)]
+            splits = split_pool if equal else draw(
+                st.lists(st.sampled_from(split_pool), min_size=1, unique=True)
+            )
+            for split in splits:
+                rows.append([dataset, model, algorithm, split, draw(st.sampled_from(_VALUES))])
+    rows = draw(st.permutations(rows))
+    fault = draw(st.sampled_from(_FAULTS))
+    k = draw(st.integers(0, len(rows) - 1))
+    if fault == "columns":
+        rows[k] = rows[k][:4] if draw(st.booleans()) else rows[k] + ["x"]
+    elif fault == "unparsable":
+        rows[k][4] = draw(st.sampled_from(["abc", "", "1.2.3", "0,5"]))
+    elif fault == "non-finite":
+        rows[k][4] = draw(st.sampled_from(["nan", " inf", "-Infinity", "NaN "]))
+    elif fault == "duplicate":
+        j = draw(st.integers(k, len(rows)))
+        twin = list(rows[k])
+        twin[1] = f" {twin[1]} "  # the same id once stripped
+        rows.insert(j + 1, twin[:4] + ["0.125"])
+    elif fault == "algorithm":
+        dataset, model, algorithm = rows[k][:3]
+        other = next(a for a in _ALGORITHMS if a.strip() != algorithm.strip())
+        rows.insert(draw(st.integers(0, len(rows))), [dataset, model, other, "s99", "0.5"])
+    lines = ["dataset,model,algorithm,split,score"]
+    for row in rows:
+        if draw(st.booleans()) and draw(st.booleans()):
+            lines.append("")
+        lines.append(",".join(map(_csv_field, row)))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + eol.join(lines) + eol, fault
+
+
+def _bits(values):
+    return np.array(list(values), dtype=float).view(np.int64)
+
+
+class TestColumnarMatchesRowwiseOracle:
+    @settings(deadline=None, max_examples=300)
+    @given(case=_scores_csv(), as_bytes=st.booleans())
+    def test_property(self, case, as_bytes):
+        text, fault = case
+        data = text.encode("utf-8") if as_bytes else text
+        try:
+            ref = rowwise_parse_scores_csv(text)
+        except TableParseError as exc:
+            with pytest.raises(TableParseError) as err:
+                parse_scores_csv(data)
+            assert (str(err.value), err.value.line) == (str(exc), exc.line)
+            return
+        assert fault is None
+        table = parse_scores_csv(data)
+        assert len(table) == len(ref.rows)
+        assert table.algorithm_of == ref.algorithm_of
+        got_rows = [(r.dataset_id, r.model_id, r.algorithm, r.split_id) for r in table.records]
+        assert got_rows == [row[:4] for row in ref.rows]
+        assert np.array_equal(_bits(r.score for r in table.records), _bits(r[4] for r in ref.rows))
+        assert table.datasets() == sorted(ref.index)
+        for ds in table.datasets():
+            assert table.models(ds) == sorted(ref.index[ds])
+            for model in table.models(ds):
+                expected = ref.index[ds][model]
+                got = table.splits(ds, model)
+                assert list(got) == list(expected)
+                assert np.array_equal(_bits(got.values()), _bits(expected.values()))
+                assert _bits([table.mean_score(ds, model)]) == _bits(
+                    [sum(expected.values()) / len(expected)]
+                )
+        negated = table.negated()  # after the means above were computed
+        for ds in table.datasets():
+            for model, expected in ref.index[ds].items():
+                flipped = [-v for v in expected.values()]
+                assert np.array_equal(_bits(negated.splits(ds, model).values()), _bits(flipped))
+                assert _bits([negated.mean_score(ds, model)]) == _bits(
+                    [sum(flipped) / len(flipped)]
+                )
+        for got, expected in zip(validate(table).datasets, rowwise_validate(ref), strict=True):
+            expected = DatasetValidation(*expected)
+            assert got == expected
+            assert got.folded_warnings() == expected.folded_warnings()
+        self._check_matches(table, ref)
+
+    @staticmethod
+    def _check_matches(table, ref):
+        for ds in table.datasets():
+            models = sorted(ref.index[ds])
+            by_model = [ref.index[ds][m] for m in models]
+            for half in (True, False):
+                ties = TiePolicy.HALF if half else TiePolicy.DROP
+                counts = build_matches(table, ds, PairingMode.CROSS, ties)
+                w, n = naive_pairwise_counts([list(s.values()) for s in by_model], False, half)
+                assert np.array_equal(counts.w.view(np.int64), w.view(np.int64))
+                assert np.array_equal(counts.n.view(np.int64), n.view(np.int64))
+                every = set().union(*by_model)
+                offending = [m for m, s in zip(models, by_model) if set(s) != every]
+                if offending:
+                    with pytest.raises(PairedSplitsMismatchError) as err:
+                        build_matches(table, ds, PairingMode.PAIRED, ties)
+                    assert err.value.models == offending
+                    continue
+                counts = build_matches(table, ds, PairingMode.PAIRED, ties)
+                aligned = [[s[k] for k in sorted(every)] for s in by_model]
+                w, n = naive_pairwise_counts(aligned, True, half)
+                assert np.array_equal(counts.w.view(np.int64), w.view(np.int64))
+                assert np.array_equal(counts.n.view(np.int64), n.view(np.int64))
 
 
 class TestValidate:
