@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, baselines, svg
-from .errors import ConfigError, EppError, FileFormatError
+from .errors import ConfigError, EppError, FileFormatError, TableParseError
 from .match_engine import PairingMode, PairwiseCounts, TiePolicy, build_matches
 from .perf_table import parse_hyperparams_csv, parse_scores_csv, validate
 from .solver import EppScores, FitAlgorithm, FitConfig, fit_epp
@@ -160,6 +160,15 @@ def _load_json_file(path: str, parse):
         raise FileFormatError(f"{path}: {exc}") from None
 
 
+def _load_csv_file(path: str, parse):
+    """`parse` applied to a scores or hyperparameters CSV's bytes; errors,
+    a file that is not UTF-8 included, name the file."""
+    try:
+        return parse(Path(path).read_bytes())
+    except (TableParseError, UnicodeDecodeError) as exc:
+        raise TableParseError(f"{path}: {exc}") from None
+
+
 def _load_fit_files(paths) -> list[EppScores]:
     return [_load_json_file(p, EppScores.from_json_text) for p in paths]
 
@@ -185,7 +194,7 @@ def _check_output_names(dataset_ids) -> None:
 def _algorithm_map(results: list[EppScores], scores_path: str | None) -> dict[str, str]:
     mapping: dict[str, str] = {}
     if scores_path:
-        table = parse_scores_csv(Path(scores_path).read_bytes())
+        table = _load_csv_file(scores_path, parse_scores_csv)
         mapping.update(table.algorithm_of)
     for r in results:
         for model, alg in r.algorithms.items():
@@ -218,7 +227,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         if not args.scores:
             print("fit: provide a scores CSV or --counts files", file=sys.stderr)
             return 2
-        table = parse_scores_csv(Path(args.scores).read_bytes())
+        table = _load_csv_file(args.scores, parse_scores_csv)
         _check_output_names(table.datasets())
         if cfg.lower_is_better:
             table = table.negated()
@@ -267,7 +276,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 def _cmd_leaderboard(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
     out_dir = Path(cfg.out_dir)
-    table = parse_scores_csv(Path(args.scores).read_bytes())
+    table = _load_csv_file(args.scores, parse_scores_csv)
     if cfg.lower_is_better:
         table = table.negated()
     for result in _load_fit_files(args.fit):
@@ -319,7 +328,7 @@ def _cmd_tunability(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
     results = _load_fit_files(args.fit)
     mapping = _algorithm_map(results, args.scores)
-    hyper = parse_hyperparams_csv(Path(args.hyperparams).read_bytes())
+    hyper = _load_csv_file(args.hyperparams, parse_hyperparams_csv)
     rows = analysis.tunability_report(results, hyper, mapping, cfg.spread)
     out = Path(cfg.out_dir)
     if cfg.format == OutputFormat.CSV:
@@ -365,7 +374,10 @@ def _read_two_column_csv(path: str, header: tuple[str, str]):
     A wrong header, or a row with fewer than two fields, raises an error
     naming the file (and the line).
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise EppError(f"{path}: {exc}") from None
     reader = csv.reader(io.StringIO(text.replace("\r\n", "\n")))
     found = next(reader, None)
     if found is None or [h.strip() for h in found] != list(header):

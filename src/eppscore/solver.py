@@ -70,11 +70,13 @@ class FitConfig:
 class EppScores:
     """Fitted scores for one dataset with diagnostics.
 
-    `beta` is mean-centered; `covariance` is the pseudo-inverse of the
-    negative Hessian at the optimum projected onto the mean-zero subspace,
-    so its rows sum to ~0. `log_likelihood` is the unpenalized value at
-    `beta`. Models that won or lost every match are flagged: their
-    magnitudes depend on the ridge penalty, not the data alone.
+    `beta` is mean-centered. `covariance` is, per connected component, the
+    inverse of the gauge-augmented negative Hessian ``H + c 11^T`` at the
+    optimum, double-centered: H's inverse on the mean-zero subspace, rows
+    summing to ~0 (older files held a pseudo-inverse form, off by up to a unit
+    in the 6th `se` digit). `log_likelihood` is the unpenalized value at `beta`.
+    Models that won or lost every match are flagged: their magnitudes depend
+    on the ridge penalty, not the data alone.
 
     Solver diagnostics: `grad_norm` is the penalized-gradient max-norm of
     the last stop test (the largest over components), `rescue_steps` counts
@@ -177,23 +179,22 @@ class EppScores:
             raise FileFormatError(f"malformed fit file ({exc})") from None
 
 
-def _loglik(w: np.ndarray, n: np.ndarray, beta: np.ndarray, lam: float) -> float:
-    diff = beta[:, None] - beta[None, :]
-    p = sigmoid(diff)
-    iu = np.triu_indices(len(beta), k=1)
-    pu = np.clip(p[iu], 1e-300, 1.0)
-    pl = np.clip(1.0 - p[iu], 1e-300, 1.0)
-    wu = w[iu]
-    wl = w.T[iu]
-    value = float(np.dot(wu, np.log(pu)) + np.dot(wl, np.log(pl)))
-    if lam > 0.0:
-        value -= 0.5 * lam * float(beta @ beta)
-    return value
-
-
-def _grad(w: np.ndarray, n: np.ndarray, beta: np.ndarray, lam: float) -> np.ndarray:
+def _evaluate(w: np.ndarray, beta: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
+    """``p[i, j] = sigmoid(beta_i - beta_j)`` (zero diagonal) and the penalized
+    log-likelihood ``sum_ij w_ij log p_ij``: all the solvers need at one iterate."""
     p = sigmoid(beta[:, None] - beta[None, :])
     np.fill_diagonal(p, 0.0)
+    terms = np.maximum(p, 1e-300)
+    np.log(terms, out=terms)
+    terms *= w
+    value = float(terms.sum())
+    if lam > 0.0:
+        value -= 0.5 * lam * float(beta @ beta)
+    return p, value
+
+
+def _gradient(w, n, p, beta, lam) -> np.ndarray:
+    """Penalized gradient at `beta`, whose probabilities are `p`."""
     g = (w - n * p).sum(axis=1)
     if lam > 0.0:
         g = g - lam * beta
@@ -206,7 +207,7 @@ def log_likelihood(counts: PairwiseCounts, beta, ridge_lambda: float = 0.0) -> f
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (counts.n_models,):
         raise ValueError(f"beta must have length {counts.n_models}")
-    return _loglik(counts.w, counts.n, beta, ridge_lambda)
+    return _evaluate(counts.w, beta, ridge_lambda)[1]
 
 
 def gradient(counts: PairwiseCounts, beta, ridge_lambda: float = 0.0) -> np.ndarray:
@@ -214,7 +215,8 @@ def gradient(counts: PairwiseCounts, beta, ridge_lambda: float = 0.0) -> np.ndar
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (counts.n_models,):
         raise ValueError(f"beta must have length {counts.n_models}")
-    return _grad(counts.w, counts.n, beta, ridge_lambda)
+    p, _ = _evaluate(counts.w, beta, ridge_lambda)
+    return _gradient(counts.w, counts.n, p, beta, ridge_lambda)
 
 
 def two_model_closed_form(w: float, n: float) -> tuple[float, float]:
@@ -233,84 +235,74 @@ def two_model_closed_form(w: float, n: float) -> tuple[float, float]:
 
 def detect_separation(counts: PairwiseCounts) -> tuple[SeparationFlag, ...]:
     """Flag models that won or lost every match they played."""
-    flags = []
     w, n = counts.w, counts.n
-    for i in range(counts.n_models):
-        played = n[i] > 0
-        if not played.any():
-            flags.append(SeparationFlag.NONE)
-        elif np.all(w[i, played] == n[i, played]):
-            flags.append(SeparationFlag.ALL_WINS)
-        elif np.all(w[i, played] == 0.0):
-            flags.append(SeparationFlag.ALL_LOSSES)
-        else:
-            flags.append(SeparationFlag.NONE)
-    return tuple(flags)
+    unplayed = ~(n > 0)
+    played_any = ~unplayed.all(axis=1)
+    wins = played_any & ((w == n) | unplayed).all(axis=1)
+    losses = played_any & ((w == 0.0) | unplayed).all(axis=1)
+    flag_of = (SeparationFlag.NONE, SeparationFlag.ALL_WINS, SeparationFlag.ALL_LOSSES)
+    return tuple(flag_of[k] for k in (wins + 2 * losses).tolist())
 
 
 def _connected_components(n: np.ndarray) -> list[np.ndarray]:
-    m = n.shape[0]
-    seen = np.zeros(m, dtype=bool)
-    components = []
-    for start in range(m):
-        if seen[start]:
+    """Components of the graph ``n > 0`` as sorted index arrays, ordered by
+    smallest member, which labels each. The label spreads a whole frontier
+    per step and reads each member's row once: O(m^2) for any graph shape."""
+    adj = n > 0
+    label = np.arange(len(n))
+    unseen = adj.any(axis=1)
+    for start in np.flatnonzero(unseen).tolist():
+        if not unseen[start]:
             continue
-        stack = [start]
-        seen[start] = True
-        members = [start]
-        while stack:
-            node = stack.pop()
-            for nxt in np.nonzero(n[node] > 0)[0]:
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append(nxt)
-                    members.append(nxt)
-        components.append(np.array(sorted(members)))
-    return components
+        unseen[start] = False
+        frontier = [start]
+        while len(frontier):
+            frontier = np.flatnonzero(adj[frontier].any(axis=0) & unseen)
+            unseen[frontier] = False
+            label[frontier] = start
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
-def _neg_hessian(n, beta, lam):
-    """Negative Hessian of the log-likelihood: curvature Laplacian plus ridge."""
-    p = sigmoid(beta[:, None] - beta[None, :])
-    np.fill_diagonal(p, 0.0)
-    curv = n * p * (1.0 - p)
-    return np.diag(curv.sum(axis=1)) - curv + lam * np.identity(len(beta))
+def _gauged_neg_hessian(n, p, lam):
+    """Negative Hessian (curvature Laplacian plus ridge) at probabilities `p`,
+    plus ``(trace of the Laplacian / m^2) * 11^T``. That gauge term keeps it
+    nonsingular when lam == 0 and moves only the all-ones eigenvalue."""
+    m = len(p)
+    h = n * p
+    h *= 1.0 - p
+    degree = h.sum(axis=1)
+    gauge = max(float(degree.sum()), 1.0) / m / m
+    np.negative(h, out=h)
+    h += gauge
+    np.fill_diagonal(h, degree + lam + gauge)
+    return h
 
 
-def _newton_direction(w, n, beta, lam, g):
-    m = len(beta)
-    lap = _neg_hessian(n, beta, 0.0)
-    # Gauge term acts only along the all-ones direction, which the centered
-    # gradient never has; it keeps the system nonsingular when lam == 0. Its
-    # scale is the ridge-free Laplacian's trace, so the ridge is added here.
-    gauge = (max(np.trace(lap), 1.0) / m / m) * np.ones((m, m))
-    h = lap + lam * np.identity(m) + gauge
+def _solve(h, rhs):
     try:
-        return np.linalg.solve(h, g)
+        return np.linalg.solve(h, rhs)
     except np.linalg.LinAlgError:
-        return np.linalg.lstsq(h, g, rcond=None)[0]
+        return np.linalg.lstsq(h, rhs, rcond=None)[0]
 
 
-def _newton_step(w, n, beta, lam, g):
-    """One ascent-guaranteed Newton step from `beta`, whose penalized
-    gradient is `g`: Armijo backtracking, centered."""
-    direction = _newton_direction(w, n, beta, lam, g)
-    f0 = _loglik(w, n, beta, lam)
+def _newton_step(w, n, beta, lam, p, f0, g):
+    """One ascent-guaranteed Newton step from `beta`, whose probabilities,
+    penalized log-likelihood and gradient are `p`, `f0`, `g`: Armijo
+    backtracking over clipped, centered trials. Returns (beta, p, f) after it."""
+    direction = _solve(_gauged_neg_hessian(n, p, lam), g)
     slope = float(g @ direction)
     # Below float-noise level the Armijo test is meaningless; take the step.
-    if abs(slope) <= 1e-10 * (1.0 + abs(f0)):
-        candidate = beta + direction
-    else:
-        t = 1.0
-        candidate = beta
-        while t > 1e-13:
-            trial = beta + t * direction
-            if _loglik(w, n, trial, lam) >= f0 + 1e-4 * t * slope:
-                candidate = trial
-                break
-            t *= 0.5
-    candidate = np.clip(candidate, -_BETA_CLAMP, _BETA_CLAMP)
-    return candidate - candidate.mean()
+    take_any = abs(slope) <= 1e-10 * (1.0 + abs(f0))
+    t = 1.0
+    while t > 1e-13:
+        trial = np.clip(beta + t * direction, -_BETA_CLAMP, _BETA_CLAMP)
+        trial -= trial.mean()
+        p_trial, f_trial = _evaluate(w, trial, lam)
+        if take_any or f_trial >= f0 + 1e-4 * t * slope:
+            return trial, p_trial, f_trial
+        t *= 0.5
+    return beta, p, f0
 
 
 def _gradient_noise_floor(n: np.ndarray) -> float:
@@ -334,16 +326,17 @@ def _fit_newton(w, n, cfg: FitConfig, trace=None) -> _Fit:
     beta = np.zeros(n.shape[0])
     lam = cfg.ridge_lambda
     noise = _gradient_noise_floor(n)
+    p, f = _evaluate(w, beta, lam)
     if trace is not None:
-        trace.append(_loglik(w, n, beta, lam))
-    g = _grad(w, n, beta, lam)
+        trace.append(f)
+    g = _gradient(w, n, p, beta, lam)
     for it in range(1, cfg.max_iter + 1):
-        new_beta = _newton_step(w, n, beta, lam, g)
+        new_beta, p, f = _newton_step(w, n, beta, lam, p, f, g)
         delta = float(np.max(np.abs(new_beta - beta)))
         beta = new_beta
         if trace is not None:
-            trace.append(_loglik(w, n, beta, lam))
-        g = _grad(w, n, beta, lam)  # also the next step's gradient
+            trace.append(f)
+        g = _gradient(w, n, p, beta, lam)  # also the next step's gradient
         gnorm = float(np.max(np.abs(g)))
         if (delta <= cfg.tol and gnorm <= 10.0 * cfg.tol) or gnorm <= noise:
             return _Fit(beta, it, True, gnorm, 0)
@@ -359,7 +352,7 @@ def _mm_sums(n, beta):
 
 
 def _mm_grad(wins, pi, rate, beta, lam):
-    """:func:`_grad` from the MM sums in O(m): since
+    """:func:`_gradient` from the MM sums in O(m): since
     ``sigmoid(beta_i - beta_j) = pi_i / (pi_i + pi_j)``, the expected wins
     ``sum_j n_ij * sigmoid(beta_i - beta_j)`` equal ``pi_i * rate_i``."""
     g = wins - pi * rate
@@ -385,7 +378,7 @@ def _fit_mm(w, n, cfg: FitConfig, trace=None) -> _Fit:
     wins = w.sum(axis=1)
     noise = _gradient_noise_floor(n)
     if trace is not None:
-        trace.append(_loglik(w, n, beta, lam))
+        trace.append(_evaluate(w, beta, lam)[1])
     pi, rate = _mm_sums(n, beta)
     stall_reference = np.inf
     rescues = 0
@@ -408,7 +401,7 @@ def _fit_mm(w, n, cfg: FitConfig, trace=None) -> _Fit:
         delta = float(np.max(np.abs(new_beta - beta)))
         beta = new_beta
         if trace is not None:
-            trace.append(_loglik(w, n, beta, lam))
+            trace.append(_evaluate(w, beta, lam)[1])
         pi, rate = _mm_sums(n, beta)
         gnorm = float(np.max(np.abs(_mm_grad(wins, pi, rate, beta, lam))))
         if (delta <= cfg.tol and gnorm <= 10.0 * cfg.tol) or gnorm <= noise:
@@ -417,21 +410,27 @@ def _fit_mm(w, n, cfg: FitConfig, trace=None) -> _Fit:
             if gnorm > 0.5 * stall_reference:
                 # The rescue takes the sigmoid-form gradient, so a rescued
                 # iterate does not depend on the sums' last-ulp rounding.
-                beta = _newton_step(w, n, beta, lam, _grad(w, n, beta, lam))
+                p, f = _evaluate(w, beta, lam)
+                beta, _, f = _newton_step(w, n, beta, lam, p, f, _gradient(w, n, p, beta, lam))
                 rescues += 1
                 if trace is not None:
-                    trace.append(_loglik(w, n, beta, lam))
+                    trace.append(f)
                 pi, rate = _mm_sums(n, beta)
             stall_reference = gnorm
     return _Fit(beta, cfg.max_iter, False, gnorm, rescues)
 
 
-def _component_covariance(w, n, beta, lam):
-    m = len(beta)
-    cov = np.linalg.pinv(_neg_hessian(n, beta, lam), hermitian=True)
-    proj = np.identity(m) - np.full((m, m), 1.0 / m)
-    cov = proj @ cov @ proj
-    return (cov + cov.T) / 2.0
+def _covariance(n, p, lam):
+    """Inverse of the negative Hessian on the mean-zero subspace: the gauged
+    matrix's inverse, double-centered in O(m^2). No eigenvalue is inverted
+    only to be cancelled, as the ridge's would be by a pseudo-inverse."""
+    inv = _solve(_gauged_neg_hessian(n, p, lam), np.identity(len(p)))
+    cov = inv + inv.T
+    cov *= 0.5
+    mean = cov.mean(axis=1)
+    cov -= mean[:, None] + mean[None, :]
+    cov += mean.mean()
+    return cov
 
 
 def fit_epp(counts: PairwiseCounts, cfg: FitConfig | None = None) -> EppScores:
@@ -463,25 +462,26 @@ def fit_epp(counts: PairwiseCounts, cfg: FitConfig | None = None) -> EppScores:
         if len(comp) == 1:
             per_component.append(0)
             continue  # isolated model keeps beta 0 and zero variance
-        wc = w[np.ix_(comp, comp)]
-        nc = n[np.ix_(comp, comp)]
-        fit = fitter(wc, nc, cfg)
-        beta_c = fit.beta - fit.beta.mean()
-        beta[comp] = beta_c
-        covariance[np.ix_(comp, comp)] = _component_covariance(
-            wc, nc, beta_c, cfg.ridge_lambda
-        )
+        block = np.ix_(comp, comp)
+        fit = fitter(w[block], n[block], cfg)
+        beta[comp] = fit.beta - fit.beta.mean()
         converged = converged and fit.converged
         grad_norm = max(grad_norm, fit.grad_norm)
         rescue_steps += fit.rescue_steps
         per_component.append(fit.iterations)
+    # Each component's block of p is its own probabilities at its scores.
+    p, loglik = _evaluate(w, beta, 0.0)
+    for comp in components:
+        if len(comp) > 1:
+            block = np.ix_(comp, comp)
+            covariance[block] = _covariance(n[block], p[block], cfg.ridge_lambda)
     return EppScores(
         dataset_id=counts.dataset_id,
         models=counts.models,
         beta=beta,
         converged=converged,
         iterations=max(per_component, default=0),
-        log_likelihood=_loglik(w, n, beta, 0.0),
+        log_likelihood=loglik,
         covariance=covariance,
         separation_flags=detect_separation(counts),
         n_components=len(components),

@@ -33,11 +33,14 @@ def sigmoid(x):
         z = float(np.exp(x))
         return z / (1.0 + z)
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    z = np.exp(x[~pos])
-    out[~pos] = z / (1.0 + z)
+    # e = exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere, so the
+    # quotient is bit for bit the scalar path's, with no masked gathers.
+    e = np.abs(x, out=np.empty_like(x))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 

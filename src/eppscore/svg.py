@@ -7,7 +7,6 @@ can be diffed and asserted in tests.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 from .analysis import EmbeddingPoint
 
@@ -24,6 +23,12 @@ _PALETTE = (
 
 _WIDTH, _HEIGHT = 720, 480
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 150, 36, 48
+
+
+def escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for XML character data (the bytes of
+    ``xml.sax.saxutils.escape``, whose import pulls in ``urllib.request``)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:

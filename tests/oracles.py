@@ -267,3 +267,153 @@ def rowwise_validate(table):
              tuple(warnings))
         )
     return out
+
+
+# ---------------------------------------------------------------------------
+# The solver's former per-iterate passes, kept as oracles for the fused
+# evaluation, the vectorized graph helpers and the covariance.
+
+
+def _logistic(d):
+    """Plain two-branch logistic on an array (its own code, not the library's)."""
+    d = np.asarray(d, dtype=float)
+    with np.errstate(over="ignore"):
+        return np.where(d >= 0, 1.0 / (1.0 + np.exp(-d)), np.exp(d) / (1.0 + np.exp(d)))
+
+
+def triu_loglik(w, n, beta, lam=0.0):
+    """Log-likelihood over the upper triangle, the loss side as ``1 - p``."""
+    beta = np.asarray(beta, dtype=float)
+    p = _logistic(beta[:, None] - beta[None, :])
+    iu = np.triu_indices(len(beta), k=1)
+    pu = np.clip(p[iu], 1e-300, 1.0)
+    pl = np.clip(1.0 - p[iu], 1e-300, 1.0)
+    value = float(np.dot(w[iu], np.log(pu)) + np.dot(w.T[iu], np.log(pl)))
+    if lam > 0.0:
+        value -= 0.5 * lam * float(beta @ beta)
+    return value
+
+
+def sigmoid_gradient(w, n, beta, lam=0.0):
+    """Penalized gradient ``sum_j (w_ij - n_ij p_ij) - lam beta_i``."""
+    beta = np.asarray(beta, dtype=float)
+    p = _logistic(beta[:, None] - beta[None, :])
+    np.fill_diagonal(p, 0.0)
+    return (w - n * p).sum(axis=1) - lam * beta
+
+
+def neg_hessian(n, beta, lam=0.0):
+    """Curvature Laplacian ``diag(sum_j c_ij) - c`` with ``c = n p (1 - p)``, plus ridge."""
+    beta = np.asarray(beta, dtype=float)
+    p = _logistic(beta[:, None] - beta[None, :])
+    np.fill_diagonal(p, 0.0)
+    curv = n * p * (1.0 - p)
+    return np.diag(curv.sum(axis=1)) - curv + lam * np.identity(len(beta))
+
+
+def pinv_covariance(n, beta, lam):
+    """Pseudo-inverse of the negative Hessian, projected onto the mean-zero
+    subspace. With a ridge the pseudo-inverse inverts the 1/lam eigenvalue
+    along the all-ones direction, and the projection cancels it back out,
+    which costs about lam^-1 ulps of accuracy."""
+    m = len(beta)
+    cov = np.linalg.pinv(neg_hessian(n, beta, lam), hermitian=True)
+    proj = np.identity(m) - np.full((m, m), 1.0 / m)
+    cov = proj @ cov @ proj
+    return (cov + cov.T) / 2.0
+
+
+def subspace_covariance(h):
+    """``Q (Q^T H Q)^-1 Q^T`` for an orthonormal basis Q of the mean-zero
+    subspace: the exact inverse of `h` restricted to that subspace."""
+    m = len(h)
+    centered = np.identity(m) - np.full((m, m), 1.0 / m)
+    q = np.linalg.qr(centered[:, : m - 1])[0]
+    return q @ np.linalg.inv(q.T @ h @ q) @ q.T
+
+
+def newton_fit(w, n, lam, tol=1e-9, max_iter=10_000, clamp=350.0):
+    """Damped Newton from zero, each pass recomputed in full: gauged
+    Newton direction, Armijo backtracking on the unclipped trial, then clip
+    and center; stops like the library (step and gradient below tol, or
+    gradient below the noise floor). Returns (beta, iterations)."""
+    m = len(w)
+    beta = np.zeros(m)
+    noise = max(1.0, float(n.sum(axis=1).max())) * 2.0**-46
+    for it in range(1, max_iter + 1):
+        g = sigmoid_gradient(w, n, beta, lam)
+        lap = neg_hessian(n, beta, 0.0)
+        gauge = max(np.trace(lap), 1.0) / m / m
+        direction = np.linalg.solve(lap + lam * np.identity(m) + gauge, g)
+        f0 = triu_loglik(w, n, beta, lam)
+        slope = float(g @ direction)
+        if abs(slope) <= 1e-10 * (1.0 + abs(f0)):
+            candidate = beta + direction
+        else:
+            t, candidate = 1.0, beta
+            while t > 1e-13:
+                trial = beta + t * direction
+                if triu_loglik(w, n, trial, lam) >= f0 + 1e-4 * t * slope:
+                    candidate = trial
+                    break
+                t *= 0.5
+        candidate = np.clip(candidate, -clamp, clamp)
+        new_beta = candidate - candidate.mean()
+        delta = float(np.max(np.abs(new_beta - beta)))
+        beta = new_beta
+        gnorm = float(np.max(np.abs(sigmoid_gradient(w, n, beta, lam))))
+        if (delta <= tol and gnorm <= 10.0 * tol) or gnorm <= noise:
+            return beta, it
+    return beta, max_iter
+
+
+def bfs_components(n):
+    """Connected components of ``n > 0`` by a node-at-a-time depth-first
+    search, each a sorted array, in the order of their smallest members."""
+    m = n.shape[0]
+    seen = np.zeros(m, dtype=bool)
+    components = []
+    for start in range(m):
+        if seen[start]:
+            continue
+        stack = [start]
+        seen[start] = True
+        members = [start]
+        while stack:
+            node = stack.pop()
+            for nxt in np.nonzero(n[node] > 0)[0]:
+                if not seen[nxt]:
+                    seen[nxt] = True
+                    stack.append(nxt)
+                    members.append(nxt)
+        components.append(np.array(sorted(members)))
+    return components
+
+
+def loop_separation(w, n):
+    """Per model: 'all_wins' / 'all_losses' when it won / lost every match
+    it played, else 'none' (also for a model with no matches)."""
+    flags = []
+    for i in range(len(n)):
+        played = n[i] > 0
+        if not played.any():
+            flags.append("none")
+        elif np.all(w[i, played] == n[i, played]):
+            flags.append("all_wins")
+        elif np.all(w[i, played] == 0.0):
+            flags.append("all_losses")
+        else:
+            flags.append("none")
+    return tuple(flags)
+
+
+def component_covariance(n, beta, lam, covariance_of):
+    """Block-diagonal covariance: `covariance_of(n_c, beta_c, lam)` on each
+    component of :func:`bfs_components`, zero elsewhere and for lone models."""
+    m = len(beta)
+    cov = np.zeros((m, m))
+    for comp in bfs_components(n):
+        if len(comp) > 1:
+            block = np.ix_(comp, comp)
+            cov[block] = covariance_of(n[block], beta[comp], lam)
+    return cov

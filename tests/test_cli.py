@@ -290,6 +290,77 @@ class TestMalformedFiles:
         assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
 
 
+class TestMalformedCsvInputs:
+    """A bad scores or hyperparameters CSV exits 2 with one line naming the
+    file, whichever command reads it."""
+
+    @pytest.fixture()
+    def fitted(self, tmp_path):
+        scores = write_scores(tmp_path / "scores.csv")
+        main(["fit", str(scores), "--out-dir", str(tmp_path)])
+        hp = tmp_path / "hp.csv"
+        hp.write_text("model,parameter,value\n" + "".join(
+            f"m{k},depth,{k + 1}\n" for k in range(4)
+        ))
+        return scores, tmp_path / "epp_d1.json", hp
+
+    @staticmethod
+    def _argv(command, fitted, scores=None, hp=None):
+        good_scores, fit_json, good_hp = fitted
+        scores, hp = scores or good_scores, hp or good_hp
+        return {
+            "fit": ["fit", str(scores)],
+            "leaderboard": ["leaderboard", "--fit", str(fit_json), "--scores", str(scores)],
+            "embed": ["embed", "--fit", str(fit_json), "--scores", str(scores)],
+            "tunability": ["tunability", "--fit", str(fit_json), "--hyperparams", str(hp),
+                           "--scores", str(scores)],
+        }[command]
+
+    def _run(self, argv, tmp_path, capsys):
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main([*argv, "--out-dir", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("command", ["fit", "leaderboard", "embed", "tunability"])
+    @pytest.mark.parametrize("data, message", [
+        (b"dataset,model,algorithm,split,score\nd1,m\xff,gbm,s1,0.5\n",
+         "'utf-8' codec can't decode byte 0xff in position 40"),
+        (b"dataset,model,algorithm,split,score\nd1,m0,gbm,s1,0.5\nd1,m1,gbm,s1,x\n",
+         "line 3: cannot parse score 'x'"),
+        (b"dataset,model,split,score\n", "line 1: expected header"),
+    ], ids=["not_utf8", "bad_score", "bad_header"])
+    def test_bad_scores_csv(self, fitted, tmp_path, capsys, command, data, message):
+        bad = tmp_path / "bad_scores.csv"
+        bad.write_bytes(data)
+        err = self._run(self._argv(command, fitted, scores=bad), tmp_path, capsys)
+        assert err.startswith(f"error: {bad}: {message}")
+
+    @pytest.mark.parametrize("data, message", [
+        (b"model,parameter,value\nm0,depth,1\nm\xff,depth,2\n",
+         "'utf-8' codec can't decode byte 0xff in position 34"),
+        (b"model,parameter,value\nm0,depth,1\nm1,depth\n", "line 3: expected 3 columns, got 2"),
+    ], ids=["not_utf8", "short_row"])
+    def test_bad_hyperparams_csv(self, fitted, tmp_path, capsys, data, message):
+        bad = tmp_path / "bad_hp.csv"
+        bad.write_bytes(data)
+        err = self._run(self._argv("tunability", fitted, hp=bad), tmp_path, capsys)
+        assert err.startswith(f"error: {bad}: {message}")
+
+    @pytest.mark.parametrize("command", ["elo", "recovery"])
+    def test_not_utf8_two_column_csv(self, fitted, tmp_path, capsys, command):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"winner,loser\na\xff,b\n" if command == "elo"
+                        else b"model,skill\nm\xff,1.0\n")
+        argv = (["elo", "--input", str(bad)] if command == "elo"
+                else ["recovery", "--fit", str(fitted[1]), "--truth", str(bad)])
+        err = self._run(argv, tmp_path, capsys)
+        assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
+
+
 class TestReports:
     @pytest.fixture()
     def fitted(self, tmp_path):

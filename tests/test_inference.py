@@ -21,7 +21,13 @@ from eppscore import (
     wald_test_vs_average,
     win_probability,
 )
-from eppscore.special import betainc_reg, chi2_sf_1df, norm_cdf, t_sf_two_sided
+from eppscore.special import (
+    betainc_reg,
+    chi2_sf_1df,
+    norm_cdf,
+    sigmoid,
+    t_sf_two_sided,
+)
 from oracles import (
     exact_binomial_two_sided,
     mann_whitney_u_bruteforce,
@@ -38,6 +44,18 @@ def counts_2model(w=264.0, n=400.0):
 
 
 class TestSpecialFunctions:
+    def test_sigmoid_array_path_is_the_scalar_path_bitwise(self):
+        rng = np.random.default_rng(8)
+        x = np.concatenate([
+            rng.normal(scale=40.0, size=2000),
+            [0.0, -0.0, np.inf, -np.inf, 36.7, -36.7, 709.0, -709.0, 745.2, -745.2,
+             5e-324, -5e-324, 1e-300, -1e-300],
+        ])
+        expected = np.array([sigmoid(float(v)) for v in x])
+        assert np.array_equal(sigmoid(x).view(np.int64), expected.view(np.int64))
+        assert np.array_equal(sigmoid(x.reshape(-1, 2)), expected.reshape(-1, 2))
+        assert sigmoid(np.array(-2.0)).shape == ()
+
     def test_norm_cdf_against_scipy(self):
         for x in np.linspace(-8, 8, 161):
             assert norm_cdf(float(x)) == pytest.approx(

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from eppscore import (
     two_model_closed_form,
 )
 from eppscore.solver import (
+    _connected_components,
     _fit_mm,
     _fit_newton,
     _gradient_noise_floor,
@@ -26,10 +28,19 @@ from eppscore.solver import (
     _mm_sums,
 )
 from oracles import (
+    bfs_components,
+    component_covariance,
     finite_diff_gradient,
     golden_section_max,
     loglik_plain,
+    loop_separation,
+    neg_hessian,
+    newton_fit,
+    pinv_covariance,
     projected_gradient_fit,
+    sigmoid_gradient,
+    subspace_covariance,
+    triu_loglik,
 )
 
 
@@ -393,6 +404,13 @@ class TestFitEpp:
         assert scores.converged
 
 
+def separated_counts():
+    """Model a wins all 20 of its matches; b and c split theirs 5-5."""
+    w = np.array([[0, 10, 10], [0, 0, 5], [0, 5, 0]], float)
+    n = np.array([[0, 10, 10], [10, 0, 10], [10, 10, 0]], float)
+    return PairwiseCounts("d", ("a", "b", "c"), w, n)
+
+
 def _counts_from(rng, m, half_ties):
     iu = np.triu_indices(m, 1)
     n = np.zeros((m, m))
@@ -432,18 +450,13 @@ class TestMMStopTest:
         bound = 1e-12 * max(1.0, float(counts.n.sum()))
         assert np.max(np.abs(fast - oracle)) <= bound
 
-    def _separated(self):
-        w = np.array([[0, 10, 10], [0, 0, 5], [0, 5, 0]], float)
-        n = np.array([[0, 10, 10], [10, 0, 10], [10, 10, 0]], float)
-        return PairwiseCounts("d", ("a", "b", "c"), w, n)
-
     @pytest.mark.parametrize("instance", ["random", "separated", "fractional_ties"])
     @pytest.mark.parametrize("lam", [0.0, 1e-6])
     def test_returned_optimum_passes_stop_test_by_oracle(self, instance, lam):
         if instance == "random":
             counts = random_counts(np.random.default_rng(31), 6)
         elif instance == "separated":
-            counts = self._separated()
+            counts = separated_counts()
         else:
             counts = _counts_from(np.random.default_rng(32), 6, half_ties=True)
         cfg = FitConfig(ridge_lambda=lam)
@@ -465,3 +478,177 @@ class TestMMStopTest:
         assert fit.grad_norm == float(
             np.max(np.abs(gradient(counts, fit.beta, cfg.ridge_lambda)))
         )
+
+
+def _graph_counts(seed, m, shape, separated):
+    """A ledger on a random comparison graph.
+
+    `shape` is "random" (each pair compared with probability 0.3, so lone
+    models and islands occur), "islands" (pairs compared only within one of
+    three groups) or "path" (a single path through the models in shuffled
+    order, the graph of largest diameter). `separated` models win every
+    match they play.
+    """
+    rng = np.random.default_rng(seed)
+    iu = np.triu_indices(m, 1)
+    if shape == "path":
+        order = rng.permutation(m)
+        edge = np.zeros((m, m), bool)
+        edge[order[:-1], order[1:]] = True
+        edge = (edge | edge.T)[iu]
+    elif shape == "islands":
+        group = rng.integers(0, 3, m)
+        edge = (group[:, None] == group[None, :])[iu]
+    else:
+        edge = rng.random(len(iu[0])) < 0.3
+    n_up = np.where(edge, rng.integers(1, 12, len(iu[0])), 0).astype(float)
+    w_up = rng.integers(0, n_up + 1).astype(float)
+    n = np.zeros((m, m))
+    w = np.zeros((m, m))
+    n[iu] = n_up
+    n.T[iu] = n_up
+    w[iu] = w_up
+    w.T[iu] = n_up - w_up
+    for k in separated:
+        if k < m:
+            w[k, :] = n[k, :]
+            w[:, k] = 0.0
+    return PairwiseCounts("d", tuple(f"m{i}" for i in range(m)), w, n)
+
+
+class TestGraphHelpers:
+    """Components and separation flags against the former node-by-node
+    search and per-model loop."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 40),
+        shape=st.sampled_from(["random", "islands", "path"]),
+        separated=st.lists(st.integers(0, 39), max_size=3),
+    )
+    def test_components_and_flags_match_oracles(self, seed, m, shape, separated):
+        counts = _graph_counts(seed, m, shape, separated)
+        found = _connected_components(counts.n)
+        expected = bfs_components(counts.n)
+        assert [c.tolist() for c in found] == [c.tolist() for c in expected]
+        flags = detect_separation(counts)
+        assert tuple(f.value for f in flags) == loop_separation(counts.w, counts.n)
+
+    def test_isolated_models_and_long_shuffled_path(self):
+        m = 300
+        order = np.random.default_rng(3).permutation(m)
+        n = np.zeros((m, m))
+        n[order[:-1], order[1:]] = 1.0
+        n += n.T
+        assert [c.tolist() for c in _connected_components(n)] == [list(range(m))]
+        lone = np.zeros((4, 4))
+        assert [c.tolist() for c in _connected_components(lone)] == [[0], [1], [2], [3]]
+        n[order[150], :] = 0.0  # cut the path in two, leaving a lone model
+        n[:, order[150]] = 0.0
+        found = _connected_components(n)
+        assert [c.tolist() for c in found] == [c.tolist() for c in bfs_components(n)]
+        assert sorted(len(c) for c in found) == [1, 149, 150]
+
+
+class TestEvaluation:
+    """The one-pass log-likelihood and gradient against the former
+    upper-triangle and sigmoid-form passes."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 12),
+        half_ties=st.booleans(),
+        lam=st.sampled_from([0.0, 1e-6, 0.3]),
+        # |beta_i - beta_j| <= 8 keeps the oracle's own `1 - p` rounding,
+        # about 1e-16 / (1 - p) relative, below the bound
+        beta=st.lists(st.floats(-4.0, 4.0), min_size=12, max_size=12),
+    )
+    def test_loglik_and_gradient_match_oracles(self, seed, m, half_ties, lam, beta):
+        counts = _counts_from(np.random.default_rng(seed), m, half_ties)
+        beta = np.array(beta[:m])
+        bound = 1e-12 * max(1.0, float(counts.n.sum()))
+        value = log_likelihood(counts, beta, lam)
+        assert abs(value - triu_loglik(counts.w, counts.n, beta, lam)) <= bound
+        g = gradient(counts, beta, lam)
+        assert np.max(np.abs(g - sigmoid_gradient(counts.w, counts.n, beta, lam))) <= bound
+
+    def test_loglik_exact_where_one_minus_p_rounds(self):
+        # At a score gap of 30, 1 - sigmoid(30) keeps only ~3 significant
+        # digits; the loss side is taken as sigmoid(-30) instead.
+        counts = counts_2model(w=3.0, n=10.0)
+        beta = np.array([15.0, -15.0])
+        exact = -3.0 * math.log1p(math.exp(-30.0)) - 7.0 * (30.0 + math.log1p(math.exp(-30.0)))
+        assert log_likelihood(counts, beta) == pytest.approx(exact, rel=1e-15)
+        assert abs(triu_loglik(counts.w, counts.n, beta) - exact) > 1e-6
+
+    @pytest.mark.parametrize("instance", ["random", "fractional_ties", "separated", "ragged"])
+    @pytest.mark.parametrize("lam", [0.0, 1e-6])
+    def test_newton_matches_oracle_newton(self, instance, lam):
+        if instance == "random":
+            counts = random_counts(np.random.default_rng(41), 8)
+        elif instance == "fractional_ties":
+            counts = _counts_from(np.random.default_rng(42), 8, half_ties=True)
+        elif instance == "separated":
+            counts = separated_counts()
+        else:
+            counts = _graph_counts(43, 8, "path", [])
+        cfg = FitConfig(algorithm="newton", ridge_lambda=lam)
+        fit = _fit_newton(counts.w, counts.n, cfg)
+        beta, iterations = newton_fit(counts.w, counts.n, lam, cfg.tol, cfg.max_iter)
+        assert fit.iterations == iterations
+        assert np.max(np.abs(fit.beta - beta)) <= 1e-12
+
+
+def _subspace_covariance(n, beta, lam):
+    return subspace_covariance(neg_hessian(n, beta, lam))
+
+
+class TestCovariance:
+    """The covariance is the exact inverse of the negative Hessian on the
+    mean-zero subspace of each component."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 9),
+        instance=st.sampled_from(["random", "ragged", "disconnected", "separated"]),
+        algorithm=st.sampled_from(["mm", "newton"]),
+        heavy=st.booleans(),
+    )
+    def test_matches_subspace_inverse(self, seed, m, instance, algorithm, heavy):
+        rng = np.random.default_rng(seed)
+        if instance == "random":
+            # with 500x the matches the SEs shrink against the 1/ridge-sized
+            # error a pseudo-inverse form would carry
+            counts = random_counts(rng, m, n_max=25000 if heavy else 50)
+        elif instance == "ragged":
+            counts = _counts_from(rng, m, half_ties=True)
+        elif instance == "disconnected":
+            counts = _graph_counts(seed, m, "islands", [])
+        else:
+            counts = _graph_counts(seed, m, "random", [0])
+        cfg = FitConfig(algorithm=algorithm)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FitWarning)
+            scores = fit_epp(counts, cfg)
+        expected = component_covariance(
+            counts.n, scores.beta, cfg.ridge_lambda, _subspace_covariance
+        )
+        scale = float(np.max(np.abs(expected), initial=0.0))
+        assert np.allclose(scores.covariance, expected, rtol=1e-9, atol=1e-9 * scale)
+        assert np.array_equal(scores.covariance, scores.covariance.T)
+
+    def test_csv_se_is_the_exact_value_where_pinv_rounds_it(self):
+        # Many matches per pair make the SEs small against the pseudo-inverse
+        # form's error, which scales with 1/ridge: here it moves 2 of the 12
+        # six-digit SEs (and every SE by about 1e-7 relative).
+        counts = random_counts(np.random.default_rng(0), 12, n_max=20000)
+        scores = fit_epp(counts)
+        exact = np.sqrt(np.diag(_subspace_covariance(counts.n, scores.beta, 1e-6)))
+        pinv = np.sqrt(np.diag(pinv_covariance(counts.n, scores.beta, 1e-6)))
+        assert np.max(np.abs(scores.standard_errors() / exact - 1.0)) <= 1e-12
+        csv_se = [line.split(",")[2] for line in scores.to_csv_text().splitlines()[1:]]
+        assert csv_se == [f"{s:.6g}" for s in exact]
+        assert csv_se != [f"{s:.6g}" for s in pinv]
