@@ -25,7 +25,7 @@ from . import analysis, baselines, svg
 from .errors import ConfigError, EppError, FileFormatError, TableParseError
 from .match_engine import PairingMode, PairwiseCounts, TiePolicy, build_matches
 from .perf_table import parse_hyperparams_csv, parse_scores_csv, validate
-from .solver import EppScores, FitAlgorithm, FitConfig, fit_epp
+from .solver import EppScores, FitAlgorithm, FitConfig, SeparationFlag, fit_epp
 
 
 class OutputFormat(str, Enum):
@@ -107,7 +107,10 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config-file values, and explicit flags (flags win)."""
     file_values: dict = {}
     if getattr(args, "config", None):
-        file_values = parse_config_text(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            file_values = parse_config_text(Path(args.config).read_text(encoding="utf-8"))
+        except (ConfigError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{args.config}: {exc}") from None
 
     def pick(flag_name: str, key: str, convert, default):
         flag = getattr(args, flag_name, None)
@@ -169,6 +172,16 @@ def _load_csv_file(path: str, parse):
         raise TableParseError(f"{path}: {exc}") from None
 
 
+def _parse_counts(text: str) -> PairwiseCounts:
+    """A counts file's ledger, its accounting identities checked."""
+    counts = PairwiseCounts.from_json_text(text)
+    try:
+        counts.check_invariants()
+    except ValueError as exc:
+        raise FileFormatError(str(exc)) from None
+    return counts
+
+
 def _load_fit_files(paths) -> list[EppScores]:
     return [_load_json_file(p, EppScores.from_json_text) for p in paths]
 
@@ -220,7 +233,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
     out_dir = Path(cfg.out_dir)
     if args.counts:
-        ledgers = [_load_json_file(p, PairwiseCounts.from_json_text) for p in args.counts]
+        ledgers = [_load_json_file(p, _parse_counts) for p in args.counts]
         _check_output_names(c.dataset_id for c in ledgers)
         table = None
     else:
@@ -248,6 +261,14 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             _write_atomic(
                 out_dir / f"counts_{_safe_name(counts.dataset_id)}.json",
                 counts.to_json_text(),
+            )
+        flagged = sum(f != SeparationFlag.NONE for f in scores.separation_flags)
+        if flagged and cfg.fit.ridge_lambda == 0.0:
+            print(
+                f"warning: dataset {counts.dataset_id!r}: {flagged} "
+                f"model{'s' if flagged > 1 else ''} won or lost every match; with "
+                "--ridge-lambda 0 their scores are unbounded and depend on --algorithm",
+                file=sys.stderr,
             )
         if not scores.converged:
             print(

@@ -417,3 +417,24 @@ def component_covariance(n, beta, lam, covariance_of):
             block = np.ix_(comp, comp)
             cov[block] = covariance_of(n[block], beta[comp], lam)
     return cov
+
+
+def finite_maximum(w):
+    """Whether a connected ledger's unpenalized likelihood attains its
+    maximum (Zermelo 1929; Ford 1957): every model reaches every other by a
+    chain of wins ``w[i, j] > 0``, that is the win graph is strongly
+    connected. Two depth-first searches from model 0, along and against the
+    wins."""
+    m = len(w)
+    for beats in (np.asarray(w) > 0, np.asarray(w).T > 0):
+        seen = {0}
+        stack = [0]
+        while stack:
+            node = stack.pop()
+            for nxt in range(m):
+                if beats[node, nxt] and nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        if len(seen) < m:
+            return False
+    return True

@@ -1,11 +1,16 @@
 import base64
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eppscore import EppScores
+import eppscore
+from eppscore import EppScores, PairwiseCounts
 from eppscore.cli import RunConfig, build_run_config, main, parse_config_text
 
 SUBCOMMANDS = [
@@ -210,6 +215,59 @@ class TestFit:
         assert not (tmp_path / "out").exists()
 
 
+    def test_ridge_zero_warns_once_per_separated_dataset(self, tmp_path, capsys):
+        # a wins all 20 of its matches; b and c split theirs
+        w = [[0, 10, 10], [0, 0, 5], [0, 5, 0]]
+        n = [[0, 10, 10], [10, 0, 10], [10, 10, 0]]
+        counts = tmp_path / "counts.json"
+        counts.write_text(json.dumps({"dataset": "d", "models": ["a", "b", "c"], "w": w, "n": n}))
+        for algorithm in ("mm", "newton"):
+            capsys.readouterr()
+            rc = main(["fit", "--counts", str(counts), "--ridge-lambda", "0",
+                       "--algorithm", algorithm, "--out-dir", str(tmp_path / algorithm)])
+            assert rc == 0
+            assert capsys.readouterr().err == (
+                "warning: dataset 'd': 1 model won or lost every match; with "
+                "--ridge-lambda 0 their scores are unbounded and depend on --algorithm\n"
+            )
+        main(["fit", "--counts", str(counts), "--out-dir", str(tmp_path / "ridge")])
+        assert capsys.readouterr().err == ""
+
+    def test_mm_beta_bit_identical_across_blas_threads(self, tmp_path):
+        # The MM path calls no BLAS routine, so its scores keep their bits
+        # whatever the BLAS thread count (the covariance may not).
+        m = 400
+        rng = np.random.default_rng(4)
+        skill = rng.normal(0.0, 1.0, m)
+        iu = np.triu_indices(m, 1)
+        n_up = rng.integers(5, 40, len(iu[0])).astype(float)
+        w_up = rng.binomial(n_up.astype(int), 1.0 / (1.0 + np.exp(skill[iu[1]] - skill[iu[0]])))
+        w = np.zeros((m, m))
+        n = np.zeros((m, m))
+        n[iu] = n_up
+        n.T[iu] = n_up
+        w[iu] = w_up
+        w.T[iu] = n_up - w_up
+        counts = tmp_path / "counts.json"
+        models = tuple(f"m{k:03d}" for k in range(m))
+        counts.write_text(PairwiseCounts("big", models, w, n).to_json_text())
+        src = str(Path(eppscore.__file__).resolve().parents[1])
+        fits = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+            out = tmp_path / threads
+            subprocess.run(
+                [sys.executable, "-m", "eppscore.cli", "fit", "--counts", str(counts),
+                 "--out-dir", str(out)],
+                env=env, check=True,
+            )
+            fits.append(json.loads((out / "epp_big.json").read_text()))
+        for fit in fits:
+            assert fit["converged"] and fit["rescue_steps"] == 0
+        assert fits[0]["beta"] == fits[1]["beta"]
+
+
 class TestMalformedFiles:
     """A bad fit or counts file exits 2 with one line naming the file."""
 
@@ -288,6 +346,18 @@ class TestMalformedFiles:
         capsys.readouterr()
         assert main(["fit", "--counts", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+
+
+    def test_counts_file_breaking_ledger_identities(self, tmp_path, capsys):
+        # fitted as is, this ledger ran all 10,000 iterations and exited 0
+        bad = tmp_path / "bad_counts.json"
+        bad.write_text(json.dumps({
+            "dataset": "d", "models": ["a", "b"],
+            "w": [[3, 12], [1, 0]], "n": [[5, 10], [10, 0]],
+        }))
+        assert main(["fit", "--counts", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: diagonal of w and n must be zero\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestMalformedCsvInputs:
@@ -582,3 +652,14 @@ class TestConfigFile:
         rc = main(["fit", str(scores), "--config", str(cfg_file)])
         assert rc == 0
         assert (tmp_path / "cfgout" / "epp_d1.csv").exists()
+
+    def test_config_file_not_utf8_exits_2(self, tmp_path, capsys):
+        scores = write_scores(tmp_path / "scores.csv", n_models=2, n_splits=4)
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_bytes(b"\xff = 1\n")
+        rc = main(["fit", str(scores), "--config", str(cfg_file), "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg_file}: 'utf-8' codec can't decode byte 0xff")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()

@@ -13,10 +13,12 @@ from eppscore import (
     PairwiseCounts,
     SeparationError,
     SeparationFlag,
+    build_matches,
     detect_separation,
     fit_epp,
     gradient,
     log_likelihood,
+    parse_scores_csv,
     two_model_closed_form,
 )
 from eppscore.solver import (
@@ -26,11 +28,13 @@ from eppscore.solver import (
     _gradient_noise_floor,
     _mm_grad,
     _mm_sums,
+    _newman_sums,
 )
 from oracles import (
     bfs_components,
     component_covariance,
     finite_diff_gradient,
+    finite_maximum,
     golden_section_max,
     loglik_plain,
     loop_separation,
@@ -427,8 +431,9 @@ def _counts_from(rng, m, half_ties):
 
 
 class TestMMStopTest:
-    """The MM sweep's stop test takes its gradient from the rate sums
-    ``pi_i * sum_j n_ij / (pi_i + pi_j)``; the public sigmoid-form
+    """The MM path's stop test takes its gradient from the rate sums
+    ``pi_i * sum_j n_ij / (pi_i + pi_j)``, of a plain MM sweep's pass or of
+    Newman's pass over ``w_ij / (pi_i + pi_j)``; the public sigmoid-form
     :func:`gradient` is the oracle."""
 
     @settings(deadline=None, max_examples=200)
@@ -445,9 +450,13 @@ class TestMMStopTest:
         counts = _counts_from(np.random.default_rng(seed), m, half_ties)
         beta = np.array(beta[:m])
         pi, rate = _mm_sums(counts.n, beta)
-        fast = _mm_grad(counts.w.sum(axis=1), pi, rate, beta, lam)
+        wins = counts.w.sum(axis=1)
+        fast = _mm_grad(wins, pi, rate, beta, lam)
         oracle = gradient(counts, beta, lam)
         bound = 1e-12 * max(1.0, float(counts.n.sum()))
+        assert np.max(np.abs(fast - oracle)) <= bound
+        sums = _newman_sums(counts.w, wins, beta, lam, *np.empty((2, m, m)))
+        fast = _mm_grad(wins, sums.pi, sums.rate, beta, lam)
         assert np.max(np.abs(fast - oracle)) <= bound
 
     @pytest.mark.parametrize("instance", ["random", "separated", "fractional_ties"])
@@ -642,9 +651,11 @@ class TestCovariance:
 
     def test_csv_se_is_the_exact_value_where_pinv_rounds_it(self):
         # Many matches per pair make the SEs small against the pseudo-inverse
-        # form's error, which scales with 1/ridge: here it moves 2 of the 12
-        # six-digit SEs (and every SE by about 1e-7 relative).
-        counts = random_counts(np.random.default_rng(0), 12, n_max=20000)
+        # form's error, which scales with 1/ridge: here it moves every SE by
+        # about 2e-5 relative and 10-12 of the 12 six-digit SEs. (At 1e-7
+        # relative, with 100x fewer matches, which digits move depended on
+        # the fitted scores' last bits.)
+        counts = random_counts(np.random.default_rng(0), 12, n_max=2_000_000)
         scores = fit_epp(counts)
         exact = np.sqrt(np.diag(_subspace_covariance(counts.n, scores.beta, 1e-6)))
         pinv = np.sqrt(np.diag(pinv_covariance(counts.n, scores.beta, 1e-6)))
@@ -652,3 +663,90 @@ class TestCovariance:
         csv_se = [line.split(",")[2] for line in scores.to_csv_text().splitlines()[1:]]
         assert csv_se == [f"{s:.6g}" for s in exact]
         assert csv_se != [f"{s:.6g}" for s in pinv]
+
+
+def chain_counts():
+    """The two ledgers of a 12-model table whose scores rise with the model
+    index in every split: each model beats every lower one in every match,
+    so the scores separate along a chain. 11 models miss split s0 (and in
+    d2 also m05 misses s1)."""
+    lines = ["dataset,model,algorithm,split,score"]
+    for ds in ("d1", "d2"):
+        for k in range(12):
+            for s in range(3):
+                if s == 0 and k > 0 or ds == "d2" and s == 1 and k == 5:
+                    continue
+                lines.append(f"{ds},m{k:02d},alg,s{s},{0.1 * k + 0.01 * s!r}")
+    table = parse_scores_csv(("\n".join(lines) + "\n").encode())
+    return [build_matches(table, ds) for ds in ("d1", "d2")]
+
+
+class TestNewmanPath:
+    """The MM path's Newman proposals under the likelihood guard: the fit
+    against the oracle Newton fit, and the penalized log-likelihood trace."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 8),
+        half_ties=st.booleans(),
+        lam=st.sampled_from([0.0, 1e-6]),
+        instance=st.sampled_from(["ledger", "separated", "disconnected"]),
+    )
+    def test_matches_oracle_newton_and_ascends(self, seed, m, half_ties, lam, instance):
+        if instance == "ledger":  # pairs unplayed, won or lost outright occur too
+            counts = _counts_from(np.random.default_rng(seed), m, half_ties)
+        elif instance == "separated":
+            counts = _graph_counts(seed, m, "random", [0])
+        else:
+            counts = _graph_counts(seed, m, "islands", [])
+        # At the default tol the stop test certifies a gradient of 1e-8,
+        # which leaves scores up to ~2e-8 from the optimum where the
+        # curvature is ~0.3; a tighter tol pins them to it.
+        cfg = FitConfig(ridge_lambda=lam, tol=1e-11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FitWarning)
+            scores = fit_epp(counts, cfg)
+        for comp in bfs_components(counts.n):
+            if len(comp) < 2:
+                continue
+            block = np.ix_(comp, comp)
+            w, n = counts.w[block], counts.n[block]
+            finite = finite_maximum(w)
+            if lam == 0.0 and not finite:
+                continue  # no maximum: the scores run off to the clamp
+            trace = []
+            fit = _fit_mm(w, n, cfg, trace=trace)
+            assert fit.converged
+            assert np.all(np.diff(np.array(trace)) >= -1e-9)
+            assert np.array_equal(scores.beta[comp], fit.beta - fit.beta.mean())
+            beta, _ = newton_fit(w, n, lam, cfg.tol, cfg.max_iter)
+            if finite:
+                assert np.max(np.abs(fit.beta - beta)) <= 1e-8
+            else:
+                # Only the ridge bounds the separated direction, whose
+                # curvature is ~lam: the scores agree to about
+                # tol / lam there, the penalized maxima far closer.
+                assert triu_loglik(w, n, fit.beta, lam) == pytest.approx(
+                    triu_loglik(w, n, beta, lam), abs=1e-9
+                )
+
+    def test_guard_stops_the_two_cycle(self):
+        # Newman's update alone 2-cycles here, and some of its steps lower
+        # the likelihood; the guard turns those proposals into MM sweeps.
+        counts = random_counts(np.random.default_rng(27), 3)
+        trace = []
+        fit = _fit_mm(counts.w, counts.n, FitConfig(), trace=trace)
+        assert fit.converged
+        assert np.all(np.diff(np.array(trace)) >= -1e-9)
+        beta, _ = newton_fit(counts.w, counts.n, 1e-6)
+        assert np.max(np.abs(fit.beta - beta)) <= 1e-8
+
+    def test_separated_chain_converges_within_mm_iterations(self):
+        # MM sweeps alone needed 522 iterations on each ledger; Newman's
+        # proposals, kept past the first rescue, ran to max_iter.
+        for counts in chain_counts():
+            scores = fit_epp(counts)
+            assert scores.converged
+            assert scores.iterations <= 522
+            assert scores.rescue_steps > 0
