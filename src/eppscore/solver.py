@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .blas import single_thread
 from .errors import FileFormatError, FitWarning, SeparationError
 from .jsonio import decode_array, encode_array, load_object
 from .match_engine import PairwiseCounts
@@ -82,8 +83,10 @@ class EppScores:
     the last stop test (the largest over components), `rescue_steps` counts
     the Newton steps the MM path interleaved on stalls (0 for Newton), and
     `iterations_per_component` lists each connected component's iterations
-    (0 for an isolated model). They are None when read from a file written
-    before they existed.
+    (0 for an isolated model). `blas_threads` is the OpenBLAS thread count
+    the fit's linear algebra ran on: 1, or None where the BLAS library
+    offers no thread control (see :mod:`eppscore.blas`). They are None when
+    read from a file written before they existed.
     """
 
     dataset_id: str
@@ -99,6 +102,7 @@ class EppScores:
     grad_norm: float | None = None
     rescue_steps: int | None = None
     iterations_per_component: tuple[int, ...] | None = None
+    blas_threads: int | None = None
 
     def model_index(self, model_id: str) -> int:
         try:
@@ -138,6 +142,7 @@ class EppScores:
             ),
             "grad_norm": self.grad_norm,
             "rescue_steps": self.rescue_steps,
+            "blas_threads": self.blas_threads,
             "log_likelihood": self.log_likelihood,
             "covariance": encode_array(self.covariance),
             "n_components": self.n_components,
@@ -169,6 +174,7 @@ class EppScores:
                 algorithms=dict(obj.get("algorithms", {})),
                 grad_norm=obj.get("grad_norm"),
                 rescue_steps=obj.get("rescue_steps"),
+                blas_threads=obj.get("blas_threads"),
                 iterations_per_component=(
                     None if per_component is None else tuple(per_component)
                 ),
@@ -396,9 +402,18 @@ def _newman_sums(w, wins, beta, lam, pair, scratch) -> _Sums:
 
 def _ridge_update(c, d, lam):
     """Per model, the centered, clipped solution u of ``c e^u + lam u = d``
-    (exactly ``log(d / c)`` when lam == 0); convex scalar Newton."""
+    (exactly ``log(d / c)`` when lam == 0); convex scalar Newton.
+
+    Where d == 0 the root solves ``u = log(lam / c) + log(-u)``. Newton
+    starts there from that map applied once to ``log(lam / c)`` (with
+    ``-u`` at least 1), which lies at or just above the root, so the convex
+    iteration descends to it in a few steps."""
     u = np.log(np.maximum(d, 1e-300)) - np.log(c)
     if lam > 0.0:
+        no_wins = d <= 0.0
+        if no_wins.any():
+            log_ratio = np.log(c[no_wins] / lam)
+            u[no_wins] = np.log(np.maximum(log_ratio, 1.0)) - log_ratio
         for _ in range(100):
             eu = np.exp(np.clip(u, -_BETA_CLAMP, _BETA_CLAMP))
             resid = c * eu + lam * u - d
@@ -531,23 +546,24 @@ def fit_epp(counts: PairwiseCounts, cfg: FitConfig | None = None) -> EppScores:
     grad_norm = 0.0
     rescue_steps = 0
     per_component = []
-    for comp in components:
-        if len(comp) == 1:
-            per_component.append(0)
-            continue  # isolated model keeps beta 0 and zero variance
-        block = np.ix_(comp, comp)
-        fit = fitter(w[block], n[block], cfg)
-        beta[comp] = fit.beta - fit.beta.mean()
-        converged = converged and fit.converged
-        grad_norm = max(grad_norm, fit.grad_norm)
-        rescue_steps += fit.rescue_steps
-        per_component.append(fit.iterations)
-    # Each component's block of p is its own probabilities at its scores.
-    p, loglik = _evaluate(w, beta, 0.0)
-    for comp in components:
-        if len(comp) > 1:
+    with single_thread() as blas_threads:
+        for comp in components:
+            if len(comp) == 1:
+                per_component.append(0)
+                continue  # isolated model keeps beta 0 and zero variance
             block = np.ix_(comp, comp)
-            covariance[block] = _covariance(n[block], p[block], cfg.ridge_lambda)
+            fit = fitter(w[block], n[block], cfg)
+            beta[comp] = fit.beta - fit.beta.mean()
+            converged = converged and fit.converged
+            grad_norm = max(grad_norm, fit.grad_norm)
+            rescue_steps += fit.rescue_steps
+            per_component.append(fit.iterations)
+        # Each component's block of p is its own probabilities at its scores.
+        p, loglik = _evaluate(w, beta, 0.0)
+        for comp in components:
+            if len(comp) > 1:
+                block = np.ix_(comp, comp)
+                covariance[block] = _covariance(n[block], p[block], cfg.ridge_lambda)
     return EppScores(
         dataset_id=counts.dataset_id,
         models=counts.models,
@@ -561,4 +577,5 @@ def fit_epp(counts: PairwiseCounts, cfg: FitConfig | None = None) -> EppScores:
         grad_norm=grad_norm,
         rescue_steps=rescue_steps,
         iterations_per_component=tuple(per_component),
+        blas_threads=blas_threads,
     )

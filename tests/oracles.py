@@ -86,6 +86,17 @@ def golden_section_max(f, lo, hi, iters=200):
     return 0.5 * (a + b)
 
 
+def bisect_root(f, lo, hi, iters=200):
+    """Root of an increasing function on [lo, hi] by bisection."""
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def grid_search_2model(w, n, lo=-5.0, hi=5.0, steps=200001):
     """Argmax over a dense grid of the two-model likelihood in the difference."""
 

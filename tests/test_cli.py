@@ -233,9 +233,10 @@ class TestFit:
         main(["fit", "--counts", str(counts), "--out-dir", str(tmp_path / "ridge")])
         assert capsys.readouterr().err == ""
 
-    def test_mm_beta_bit_identical_across_blas_threads(self, tmp_path):
-        # The MM path calls no BLAS routine, so its scores keep their bits
-        # whatever the BLAS thread count (the covariance may not).
+    def test_fit_files_bit_identical_across_blas_threads(self, tmp_path):
+        # OpenBLAS splits a solve differently on 2 threads, which moves the
+        # last bits of Newton's scores and of every covariance unless the
+        # fit pins one thread.
         m = 400
         rng = np.random.default_rng(4)
         skill = rng.normal(0.0, 1.0, m)
@@ -252,20 +253,23 @@ class TestFit:
         models = tuple(f"m{k:03d}" for k in range(m))
         counts.write_text(PairwiseCounts("big", models, w, n).to_json_text())
         src = str(Path(eppscore.__file__).resolve().parents[1])
-        fits = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-            out = tmp_path / threads
-            subprocess.run(
-                [sys.executable, "-m", "eppscore.cli", "fit", "--counts", str(counts),
-                 "--out-dir", str(out)],
-                env=env, check=True,
-            )
-            fits.append(json.loads((out / "epp_big.json").read_text()))
-        for fit in fits:
+        for algorithm in ("newton", "mm"):
+            files = []
+            for threads in ("1", "2"):
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+                env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+                out = tmp_path / f"{algorithm}{threads}"
+                subprocess.run(
+                    [sys.executable, "-m", "eppscore.cli", "fit", "--counts", str(counts),
+                     "--algorithm", algorithm, "--out-dir", str(out)],
+                    env=env, check=True,
+                )
+                files.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+            assert sorted(files[0]) == ["epp_big.csv", "epp_big.json"]
+            fit = json.loads(files[0]["epp_big.json"])
             assert fit["converged"] and fit["rescue_steps"] == 0
-        assert fits[0]["beta"] == fits[1]["beta"]
+            for name in files[0]:
+                assert files[0][name] == files[1][name], (algorithm, name)
 
 
 class TestMalformedFiles:

@@ -1,6 +1,8 @@
 import json
 import math
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from eppscore import (
     PairwiseCounts,
     SeparationError,
     SeparationFlag,
+    blas,
     build_matches,
     detect_separation,
     fit_epp,
@@ -29,9 +32,11 @@ from eppscore.solver import (
     _mm_grad,
     _mm_sums,
     _newman_sums,
+    _ridge_update,
 )
 from oracles import (
     bfs_components,
+    bisect_root,
     component_covariance,
     finite_diff_gradient,
     finite_maximum,
@@ -364,14 +369,16 @@ class TestFitEpp:
         assert again.grad_norm == scores.grad_norm
         assert again.rescue_steps == scores.rescue_steps
         assert again.iterations_per_component == scores.iterations_per_component
+        assert again.blas_threads == scores.blas_threads
 
     def test_json_without_diagnostics_still_loads(self):
         from eppscore import EppScores
 
         obj = json.loads(fit_epp(random_counts(np.random.default_rng(19), 3)).to_json_text())
-        for key in ("grad_norm", "rescue_steps", "iterations_per_component"):
+        for key in ("grad_norm", "rescue_steps", "iterations_per_component", "blas_threads"):
             del obj[key]
         again = EppScores.from_json_text(json.dumps(obj))
+        assert again.blas_threads is None
         assert again.grad_norm is None
         assert again.rescue_steps is None
         assert again.iterations_per_component is None
@@ -731,6 +738,19 @@ class TestNewmanPath:
                     triu_loglik(w, n, beta, lam), abs=1e-9
                 )
 
+    @pytest.mark.parametrize("lam", [1e-6, 1e-2, 5.0])
+    def test_ridge_update_matches_bisection(self, lam):
+        # Half the models have no wins (d == 0), which start from their
+        # own guess; every model must land on its root.
+        rng = np.random.default_rng(8)
+        c = 10.0 ** rng.uniform(-3.0, 6.0, 60)
+        d = np.where(rng.random(60) < 0.5, 0.0, 10.0 ** rng.uniform(-3.0, 3.0, 60))
+        roots = np.array([
+            bisect_root(lambda u: ci * math.exp(u) + lam * u - di, -400.0, 400.0)
+            for ci, di in zip(c, d)
+        ])
+        assert np.max(np.abs(_ridge_update(c, d, lam) - (roots - roots.mean()))) <= 1e-12
+
     def test_guard_stops_the_two_cycle(self):
         # Newman's update alone 2-cycles here, and some of its steps lower
         # the likelihood; the guard turns those proposals into MM sweeps.
@@ -750,3 +770,43 @@ class TestNewmanPath:
             assert scores.converged
             assert scores.iterations <= 522
             assert scores.rescue_steps > 0
+
+
+class TestBlasThreads:
+    """`fit_epp` pins OpenBLAS to one thread and restores the count after."""
+
+    def test_concurrent_fits_restore_the_thread_count(self):
+        controls = blas._find_controls()
+        if controls is None:
+            pytest.skip("this BLAS build has no thread-count control")
+        get, set_ = controls
+        before = get()
+        interval = sys.getswitchinterval()
+        ledgers = [random_counts(np.random.default_rng(seed), 40) for seed in range(16)]
+        try:
+            set_(2)
+            sys.setswitchinterval(1e-6)
+            # Four workers and a short switch interval: a lost update of the
+            # shared counter would leave the count at 1 or restore it while
+            # a fit runs.
+            for algorithm in ("mm", "newton"):
+                cfg = FitConfig(algorithm=algorithm)
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    futures = [pool.submit(fit_epp, counts, cfg) for counts in ledgers]
+                    fits = [f.result(timeout=60) for f in futures]
+                assert all(fit.converged and fit.blas_threads == 1 for fit in fits)
+                assert get() == 2
+                assert blas._active == 0
+        finally:
+            sys.setswitchinterval(interval)
+            set_(before)
+
+    def test_fit_without_thread_control(self, monkeypatch):
+        counts = random_counts(np.random.default_rng(5), 6)
+        pinned = fit_epp(counts)
+        monkeypatch.setattr(blas, "_find_controls", lambda: None)
+        scores = fit_epp(counts)
+        assert scores.converged and scores.blas_threads is None
+        assert np.array_equal(scores.beta, pinned.beta)  # MM calls no BLAS
+        assert json.loads(scores.to_json_text())["blas_threads"] is None
+        assert blas._active == 0
