@@ -4,146 +4,68 @@ Scores are fitted by maximum likelihood on pairwise match outcomes built
 from per-split performance tables; differences of scores are log-odds of
 one model outscoring another, and sigmoid(score) is the probability of
 beating an average model, which is comparable across datasets.
+
+The public names below are exported lazily (PEP 562): `import eppscore`
+loads no submodule and not numpy, and the first use of a name imports its
+submodule and caches the name here. So `eppscore.cli` can choose how numpy
+starts before anything imports it (see `eppscore.blas`).
 """
 
-from .analysis import (
-    ComparisonTable,
-    EmbeddingPoint,
-    LeaderboardRow,
-    SpreadKind,
-    TunabilityRow,
-    TunabilityTarget,
-    aggregate_across_datasets,
-    cross_dataset_compare,
-    embed,
-    leaderboard,
-    tunability_report,
-    win_matrix,
-)
-from .baselines import (
-    EloConfig,
-    NoiseKind,
-    SyntheticSpec,
-    recovery_error,
-    recovery_from_truth,
-    sequential_elo,
-    simulate_scores,
-)
-from .errors import (
-    AnalysisWarning,
-    ConfigError,
-    ConstantInputError,
-    DegenerateVarianceError,
-    EppError,
-    FileFormatError,
-    FitWarning,
-    PairedSplitsMismatchError,
-    SeparationError,
-    TableParseError,
-    UndefinedWinRateError,
-)
-from .inference import (
-    TestMethod,
-    TestResult,
-    lr_test_difference,
-    mann_whitney,
-    prob_vs_average,
-    spearman,
-    stars_for,
-    wald_test_difference,
-    wald_test_vs_average,
-    win_probability,
-)
-from .match_engine import (
-    PairingMode,
-    PairwiseCounts,
-    TiePolicy,
-    build_matches,
-    empirical_win_rate,
-)
-from .perf_table import (
-    HyperparamTable,
-    PerformanceTable,
-    ScoreRecord,
-    parse_hyperparams_csv,
-    parse_scores_csv,
-    parse_scores_json,
-    validate,
-)
-from .solver import (
-    EppScores,
-    FitAlgorithm,
-    FitConfig,
-    SeparationFlag,
-    detect_separation,
-    fit_epp,
-    gradient,
-    log_likelihood,
-    two_model_closed_form,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisWarning",
-    "ComparisonTable",
-    "ConfigError",
-    "ConstantInputError",
-    "DegenerateVarianceError",
-    "EloConfig",
-    "EmbeddingPoint",
-    "EppError",
-    "EppScores",
-    "FileFormatError",
-    "FitAlgorithm",
-    "FitConfig",
-    "FitWarning",
-    "HyperparamTable",
-    "LeaderboardRow",
-    "NoiseKind",
-    "PairedSplitsMismatchError",
-    "PairingMode",
-    "PairwiseCounts",
-    "PerformanceTable",
-    "ScoreRecord",
-    "SeparationError",
-    "SeparationFlag",
-    "SpreadKind",
-    "SyntheticSpec",
-    "TableParseError",
-    "TestMethod",
-    "TestResult",
-    "TiePolicy",
-    "TunabilityRow",
-    "TunabilityTarget",
-    "UndefinedWinRateError",
-    "aggregate_across_datasets",
-    "build_matches",
-    "cross_dataset_compare",
-    "detect_separation",
-    "embed",
-    "empirical_win_rate",
-    "fit_epp",
-    "gradient",
-    "leaderboard",
-    "log_likelihood",
-    "lr_test_difference",
-    "mann_whitney",
-    "parse_hyperparams_csv",
-    "parse_scores_csv",
-    "parse_scores_json",
-    "prob_vs_average",
-    "recovery_error",
-    "recovery_from_truth",
-    "sequential_elo",
-    "simulate_scores",
-    "spearman",
-    "stars_for",
-    "tunability_report",
-    "two_model_closed_form",
-    "validate",
-    "wald_test_difference",
-    "wald_test_vs_average",
-    "win_matrix",
-    "win_probability",
-]
+_EXPORTS = {
+    "analysis": (
+        "ComparisonTable", "EmbeddingPoint", "LeaderboardRow", "SpreadKind",
+        "TunabilityRow", "TunabilityTarget", "aggregate_across_datasets",
+        "cross_dataset_compare", "embed", "leaderboard", "tunability_report",
+        "win_matrix",
+    ),
+    "baselines": (
+        "EloConfig", "NoiseKind", "SyntheticSpec", "recovery_error",
+        "recovery_from_truth", "sequential_elo", "simulate_scores",
+    ),
+    "errors": (
+        "AnalysisWarning", "ConfigError", "ConstantInputError",
+        "DegenerateVarianceError", "EppError", "FileFormatError", "FitWarning",
+        "PairedSplitsMismatchError", "SeparationError", "TableParseError",
+        "UndefinedWinRateError",
+    ),
+    "inference": (
+        "TestMethod", "TestResult", "lr_test_difference", "mann_whitney",
+        "prob_vs_average", "spearman", "stars_for", "wald_test_difference",
+        "wald_test_vs_average", "win_probability",
+    ),
+    "match_engine": (
+        "PairingMode", "PairwiseCounts", "TiePolicy", "build_matches",
+        "empirical_win_rate",
+    ),
+    "perf_table": (
+        "HyperparamTable", "PerformanceTable", "ScoreRecord",
+        "parse_hyperparams_csv", "parse_scores_csv", "parse_scores_json",
+        "validate",
+    ),
+    "solver": (
+        "EppScores", "FitAlgorithm", "FitConfig", "SeparationFlag",
+        "detect_separation", "fit_epp", "gradient", "log_likelihood",
+        "two_model_closed_form",
+    ),
+}
+_SUBMODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SUBMODULE_OF)
+
+
+def __getattr__(name):
+    try:
+        submodule = _SUBMODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{submodule}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -6,6 +6,11 @@ busy-wait for more work. A fit pins the count to 1 for its duration. The
 count is process-wide, so the state below is too: concurrent fits share one
 saved value, the first to enter saves it and sets 1, the last to leave
 restores it.
+
+The `epp` command goes further: `eppscore.cli` loads numpy with
+OPENBLAS_NUM_THREADS=1 unless the caller set it, so OpenBLAS never starts
+its worker pool, and a fit there pins 1 to 1. Library callers keep
+OpenBLAS's default pool, which is why fits still pin the count here.
 """
 
 from __future__ import annotations

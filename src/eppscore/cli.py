@@ -14,12 +14,23 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-import numpy as np
+# OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it. Fits pin one
+# thread anyway (eppscore.blas), so unless the caller chose a count, load it
+# with one: its worker pool, about 0.06 s of CPU per start-up on 2 CPUs, is
+# then never started. The environment is restored right after, so in-process
+# callers of main() and their child processes see no change.
+if "OPENBLAS_NUM_THREADS" in os.environ:
+    import numpy as np
+else:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as np
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from . import analysis, baselines, svg
 from .errors import ConfigError, EppError, FileFormatError, TableParseError
@@ -45,6 +56,10 @@ class RunConfig:
     out_dir: str = "."
     jobs: int = 1
     lower_is_better: bool = False
+
+    def __post_init__(self):
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
     def to_text(self) -> str:
         lines = [
@@ -286,6 +301,10 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             for ds in table.datasets()
         ]
     if cfg.jobs > 1 and len(ledgers) > 1:
+        # Imported here: concurrent.futures loads logging, about 10 ms of a
+        # start-up that serial runs and report commands need not pay.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
             list(pool.map(fit_one, ledgers))
     else:

@@ -11,6 +11,7 @@ unchanged, making the objective a quasi-likelihood in that case.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -59,10 +60,11 @@ class FitConfig:
 
     def __post_init__(self):
         self.algorithm = FitAlgorithm(self.algorithm)
-        if self.ridge_lambda < 0:
-            raise ValueError("ridge_lambda must be >= 0")
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
+        # Written so that NaN fails too: every comparison with NaN is false.
+        if not 0 <= self.ridge_lambda < math.inf:
+            raise ValueError(f"ridge_lambda must be finite and >= 0, got {self.ridge_lambda!r}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 

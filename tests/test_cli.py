@@ -233,6 +233,19 @@ class TestFit:
         main(["fit", "--counts", str(counts), "--out-dir", str(tmp_path / "ridge")])
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--ridge-lambda", "nan", "ridge_lambda must be finite and >= 0, got nan"),
+        ("--ridge-lambda", "inf", "ridge_lambda must be finite and >= 0, got inf"),
+        ("--tol", "inf", "tol must be finite and > 0, got inf"),
+        ("--tol", "nan", "tol must be finite and > 0, got nan"),
+    ], ids=["ridge-nan", "ridge-inf", "tol-inf", "tol-nan"])
+    def test_non_finite_fit_setting_exits_2(self, tmp_path, capsys, flag, value, message):
+        scores = write_scores(tmp_path / "scores.csv", n_models=3)
+        out = tmp_path / "out"
+        assert main(["fit", str(scores), flag, value, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_fit_files_bit_identical_across_blas_threads(self, tmp_path):
         # OpenBLAS splits a solve differently on 2 threads, which moves the
         # last bits of Newton's scores and of every covariance unless the
@@ -656,6 +669,22 @@ class TestConfigFile:
         rc = main(["fit", str(scores), "--config", str(cfg_file)])
         assert rc == 0
         assert (tmp_path / "cfgout" / "epp_d1.csv").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_jobs_below_one_exits_2(self, tmp_path, capsys, jobs, source):
+        scores = write_scores(tmp_path / "scores.csv", n_models=2, n_splits=4)
+        out = tmp_path / "o"
+        argv = ["fit", str(scores), "--out-dir", str(out)]
+        if source == "flag":
+            argv += ["--jobs", jobs]
+        else:
+            cfg_file = tmp_path / "run.cfg"
+            cfg_file.write_text(f"jobs = {jobs}\n")
+            argv += ["--config", str(cfg_file)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: jobs must be >= 1, got {jobs}\n"
+        assert not out.exists()
 
     def test_config_file_not_utf8_exits_2(self, tmp_path, capsys):
         scores = write_scores(tmp_path / "scores.csv", n_models=2, n_splits=4)
