@@ -26,7 +26,7 @@ from .match_engine import PairwiseCounts
 from .special import sigmoid
 
 _BETA_CLAMP = 350.0  # keeps exp(beta) finite when an unpenalized fit separates
-_MM_STALL_CHECK = 20  # sweeps between stall checks; see _fit_mm
+_MM_STALL_CHECK = 20  # iterations between stall checks; see _fit_mm
 _FIT_KEYS = (
     "dataset", "models", "beta", "separation", "converged", "iterations",
     "log_likelihood", "covariance",
@@ -83,7 +83,8 @@ class EppScores:
 
     Solver diagnostics: `grad_norm` is the penalized-gradient max-norm of
     the last stop test (the largest over components), `rescue_steps` counts
-    the Newton steps the MM path interleaved on stalls (0 for Newton), and
+    the Newton steps the MM path took after handing a refused or stalled
+    component to Newton's method (0 for Newton), and
     `iterations_per_component` lists each connected component's iterations
     (0 for an isolated model). `blas_threads` is the OpenBLAS thread count
     the fit's linear algebra ran on: 1, or None where the BLAS library
@@ -297,7 +298,8 @@ def _solve(h, rhs):
 def _newton_step(w, n, beta, lam, p, f0, g):
     """One ascent-guaranteed Newton step from `beta`, whose probabilities,
     penalized log-likelihood and gradient are `p`, `f0`, `g`: Armijo
-    backtracking over clipped, centered trials. Returns (beta, p, f) after it."""
+    backtracking over clipped, centered trials. Returns (beta, p, f) after
+    it, or the inputs unchanged when no trial ascends."""
     direction = _solve(_gauged_neg_hessian(n, p, lam), g)
     slope = float(g @ direction)
     # Below float-noise level the Armijo test is meaningless; take the step.
@@ -330,15 +332,22 @@ class _Fit(NamedTuple):
     rescue_steps: int
 
 
-def _fit_newton(w, n, cfg: FitConfig, trace=None) -> _Fit:
-    beta = np.zeros(n.shape[0])
+def _fit_newton(w, n, cfg: FitConfig, trace=None, beta=None, spent=0) -> _Fit:
+    """Newton's method from `beta` (zero by default), with the `spent`
+    iterations already made counted against ``cfg.max_iter``.
+
+    A step that leaves the scores unchanged (no trial of its line search
+    ascends) ends an unconverged fit at once: every later step would start
+    from the same inputs and repeat it."""
+    beta = np.zeros(n.shape[0]) if beta is None else beta
     lam = cfg.ridge_lambda
     noise = _gradient_noise_floor(n)
     p, f = _evaluate(w, beta, lam)
     if trace is not None:
         trace.append(f)
     g = _gradient(w, n, p, beta, lam)
-    for it in range(1, cfg.max_iter + 1):
+    gnorm = float(np.max(np.abs(g)))
+    for it in range(spent + 1, cfg.max_iter + 1):
         new_beta, p, f = _newton_step(w, n, beta, lam, p, f, g)
         delta = float(np.max(np.abs(new_beta - beta)))
         beta = new_beta
@@ -348,19 +357,13 @@ def _fit_newton(w, n, cfg: FitConfig, trace=None) -> _Fit:
         gnorm = float(np.max(np.abs(g)))
         if (delta <= cfg.tol and gnorm <= 10.0 * cfg.tol) or gnorm <= noise:
             return _Fit(beta, it, True, gnorm, 0)
+        if delta == 0.0:
+            return _Fit(beta, it, False, gnorm, 0)
     return _Fit(beta, cfg.max_iter, False, gnorm, 0)
 
 
-def _mm_sums(n, beta):
-    """``pi = exp(beta)`` and the MM rate ``rate_i = sum_j n_ij / (pi_i + pi_j)``."""
-    pi = np.exp(beta)
-    pair_sum = pi[:, None] + pi[None, :]
-    np.fill_diagonal(pair_sum, 1.0)
-    return pi, (n / pair_sum).sum(axis=1)
-
-
 def _mm_grad(wins, pi, rate, beta, lam):
-    """:func:`_gradient` from the MM sums in O(m): since
+    """:func:`_gradient` from the sums in O(m): since
     ``sigmoid(beta_i - beta_j) = pi_i / (pi_i + pi_j)``, the expected wins
     ``sum_j n_ij * sigmoid(beta_i - beta_j)`` equal ``pi_i * rate_i``."""
     g = wins - pi * rate
@@ -376,7 +379,7 @@ class _Sums(NamedTuple):
     pi: np.ndarray
     a: np.ndarray  # Newman's numerators, sum_j s_ij pi_j
     b: np.ndarray  # Newman's denominators, sum_j s_ji
-    rate: np.ndarray  # MM's rates, as from _mm_sums
+    rate: np.ndarray  # MM's rates, sum_j n_ij / (pi_i + pi_j)
     value: float  # penalized log-likelihood
 
 
@@ -404,18 +407,9 @@ def _newman_sums(w, wins, beta, lam, pair, scratch) -> _Sums:
 
 def _ridge_update(c, d, lam):
     """Per model, the centered, clipped solution u of ``c e^u + lam u = d``
-    (exactly ``log(d / c)`` when lam == 0); convex scalar Newton.
-
-    Where d == 0 the root solves ``u = log(lam / c) + log(-u)``. Newton
-    starts there from that map applied once to ``log(lam / c)`` (with
-    ``-u`` at least 1), which lies at or just above the root, so the convex
-    iteration descends to it in a few steps."""
+    (exactly ``log(d / c)`` when lam == 0); convex scalar Newton."""
     u = np.log(np.maximum(d, 1e-300)) - np.log(c)
     if lam > 0.0:
-        no_wins = d <= 0.0
-        if no_wins.any():
-            log_ratio = np.log(c[no_wins] / lam)
-            u[no_wins] = np.log(np.maximum(log_ratio, 1.0)) - log_ratio
         for _ in range(100):
             eu = np.exp(np.clip(u, -_BETA_CLAMP, _BETA_CLAMP))
             resid = c * eu + lam * u - d
@@ -430,32 +424,26 @@ def _ridge_update(c, d, lam):
 
 
 def _fit_mm(w, n, cfg: FitConfig, trace=None) -> _Fit:
-    """Newman's iteration under a likelihood guard, with MM sweeps as its
-    fallback, on aggregated counts.
+    """Newman's iteration under a likelihood guard, on aggregated counts,
+    handing a refused or stalled component to Newton's method.
 
     Newman's update (JMLR 24, 2023) sets ``pi_i = a_i / b_i``; with the ridge
     it solves ``b_i e^u + lam u = a_i``, the stationarity condition with the
-    sums frozen. A model without wins or without losses (``a_i`` or ``b_i``
-    zero) takes the MM coordinate instead. The proposal is kept unless it
-    lowers the penalized log-likelihood by more than rounding; otherwise
-    the iterate takes the MM sweep (Hunter, Ann. Stat. 2004) from the same
-    sums, which maximizes a separable minorizer and so never lowers it.
-    Newman's update alone 2-cycles with growing amplitude on some ledgers.
+    sums frozen. A model without wins or without losses, where the ratio
+    is undefined (``a_i`` or ``b_i`` zero), takes the MM coordinate (Hunter,
+    Ann. Stat. 2004) instead. An iterate makes one m x m pass: the sums at
+    the proposal give its log-likelihood, its stop-test gradient and the
+    next proposal.
 
-    An iterate makes one m x m pass (two when the proposal is refused):
-    the sums at the new iterate give its stop-test gradient, its
-    log-likelihood and the next proposal. When the gradient norm stalls, a
-    safeguarded Newton step is interleaved, and from that first rescue on
-    the component takes plain MM sweeps, whose pass needs only the rates:
-    near separation Newman's proposals crawl, and kept on they ran a
-    separated 12-model chain to `max_iter`.
+    Newman's update alone 2-cycles with growing amplitude on some ledgers,
+    and near separation it crawls. So at the first proposal that lowers the
+    penalized log-likelihood by more than rounding, or the first time the
+    gradient norm fails to halve over `_MM_STALL_CHECK` iterations, the fit
+    goes on as :func:`_fit_newton` from the last accepted iterate. The
+    iterations made count against `max_iter`, and the Newton steps are the
+    result's `rescue_steps`.
 
-    The benchmark's ledgers take 16-19 iterations where MM sweeps alone
-    took 158-234. Dense near-separated ledgers (400 matches per pair,
-    skills spread over +-5 or +-6) take 134-198, against MM's 161-181 plus
-    3-4 rescues, and a pass here costs about two sweeps': those fits run
-    1.2-1.5x slower than MM sweeps did, and ``--algorithm newton`` (8
-    steps) is 2-4x faster than either.
+    The benchmark's ledgers take 16-19 iterations and never hand off.
     """
     m = n.shape[0]
     lam = cfg.ridge_lambda
@@ -468,46 +456,33 @@ def _fit_mm(w, n, cfg: FitConfig, trace=None) -> _Fit:
     if trace is not None:
         trace.append(_evaluate(w, beta, lam)[1])
     sums = _newman_sums(w, wins, beta, lam, pair, scratch)
-    pi, rate = sums.pi, sums.rate
     stall_reference = np.inf
-    rescues = 0
     for it in range(1, cfg.max_iter + 1):
-        if sums is None:  # plain MM sweeps since the first rescue
-            new_beta = _ridge_update(rate, wins, lam)
-            pi, rate = _mm_sums(n, new_beta)
-        else:
-            mm_coordinate = (sums.a <= 0.0) | (sums.b <= 0.0)
-            new_beta = _ridge_update(
-                np.where(mm_coordinate, rate, sums.b),
-                np.where(mm_coordinate, wins, sums.a),
-                lam,
-            )
-            proposed = _newman_sums(w, wins, new_beta, lam, pair, scratch)
-            if proposed.value < sums.value - slack:  # refused: MM sweep instead
-                new_beta = _ridge_update(rate, wins, lam)
-                proposed = _newman_sums(w, wins, new_beta, lam, pair, scratch)
-            sums = proposed
-            pi, rate = sums.pi, sums.rate
+        mm_coordinate = (sums.a <= 0.0) | (sums.b <= 0.0)
+        new_beta = _ridge_update(
+            np.where(mm_coordinate, sums.rate, sums.b),
+            np.where(mm_coordinate, wins, sums.a),
+            lam,
+        )
+        proposed = _newman_sums(w, wins, new_beta, lam, pair, scratch)
+        if proposed.value < sums.value - slack:
+            break  # refused
+        sums = proposed
         delta = float(np.max(np.abs(new_beta - beta)))
         beta = new_beta
         if trace is not None:
             trace.append(_evaluate(w, beta, lam)[1])
-        gnorm = float(np.max(np.abs(_mm_grad(wins, pi, rate, beta, lam))))
+        gnorm = float(np.max(np.abs(_mm_grad(wins, sums.pi, sums.rate, beta, lam))))
         if (delta <= cfg.tol and gnorm <= 10.0 * cfg.tol) or gnorm <= noise:
-            return _Fit(beta, it, True, gnorm, rescues)
+            return _Fit(beta, it, True, gnorm, 0)
         if it % _MM_STALL_CHECK == 0:
             if gnorm > 0.5 * stall_reference:
-                # The rescue takes the sigmoid-form gradient, so a rescued
-                # iterate does not depend on the sums' last-ulp rounding.
-                p, f = _evaluate(w, beta, lam)
-                beta, _, f = _newton_step(w, n, beta, lam, p, f, _gradient(w, n, p, beta, lam))
-                rescues += 1
-                if trace is not None:
-                    trace.append(f)
-                sums = None
-                pi, rate = _mm_sums(n, beta)
+                break  # stalled
             stall_reference = gnorm
-    return _Fit(beta, cfg.max_iter, False, gnorm, rescues)
+    else:
+        return _Fit(beta, cfg.max_iter, False, gnorm, 0)
+    fit = _fit_newton(w, n, cfg, trace, beta, spent=it)
+    return fit._replace(rescue_steps=fit.iterations - it)
 
 
 def _covariance(n, p, lam):

@@ -30,7 +30,6 @@ from eppscore.solver import (
     _fit_newton,
     _gradient_noise_floor,
     _mm_grad,
-    _mm_sums,
     _newman_sums,
     _ridge_update,
 )
@@ -385,8 +384,9 @@ class TestFitEpp:
         assert again.iterations == obj["iterations"]
 
     def test_diagnostics_per_component(self):
-        # a separated 3-model island (a wins every match, so MM needs Newton
-        # rescues there), a 2-model island and an isolated model
+        # a separated 3-model island (a wins every match, so the MM path
+        # stalls there and hands it to Newton), a 2-model island and an
+        # isolated model
         w = np.zeros((6, 6))
         n = np.zeros((6, 6))
         n[:3, :3] = 10.0 - 10.0 * np.identity(3)
@@ -439,9 +439,9 @@ def _counts_from(rng, m, half_ties):
 
 class TestMMStopTest:
     """The MM path's stop test takes its gradient from the rate sums
-    ``pi_i * sum_j n_ij / (pi_i + pi_j)``, of a plain MM sweep's pass or of
-    Newman's pass over ``w_ij / (pi_i + pi_j)``; the public sigmoid-form
-    :func:`gradient` is the oracle."""
+    ``pi_i * sum_j n_ij / (pi_i + pi_j)`` of Newman's pass over
+    ``w_ij / (pi_i + pi_j)``; the public sigmoid-form :func:`gradient` is
+    the oracle."""
 
     @settings(deadline=None, max_examples=200)
     @given(
@@ -456,14 +456,11 @@ class TestMMStopTest:
     def test_sums_gradient_matches_sigmoid_form(self, seed, m, half_ties, lam, beta):
         counts = _counts_from(np.random.default_rng(seed), m, half_ties)
         beta = np.array(beta[:m])
-        pi, rate = _mm_sums(counts.n, beta)
         wins = counts.w.sum(axis=1)
-        fast = _mm_grad(wins, pi, rate, beta, lam)
-        oracle = gradient(counts, beta, lam)
-        bound = 1e-12 * max(1.0, float(counts.n.sum()))
-        assert np.max(np.abs(fast - oracle)) <= bound
         sums = _newman_sums(counts.w, wins, beta, lam, *np.empty((2, m, m)))
         fast = _mm_grad(wins, sums.pi, sums.rate, beta, lam)
+        oracle = gradient(counts, beta, lam)
+        bound = 1e-12 * max(1.0, float(counts.n.sum()))
         assert np.max(np.abs(fast - oracle)) <= bound
 
     @pytest.mark.parametrize("instance", ["random", "separated", "fractional_ties"])
@@ -740,8 +737,9 @@ class TestNewmanPath:
 
     @pytest.mark.parametrize("lam", [1e-6, 1e-2, 5.0])
     def test_ridge_update_matches_bisection(self, lam):
-        # Half the models have no wins (d == 0), which start from their
-        # own guess; every model must land on its root.
+        # Half the models have no wins (d == 0), whose start
+        # log(1e-300 / c) lies far below the root; every model must land
+        # on its root.
         rng = np.random.default_rng(8)
         c = 10.0 ** rng.uniform(-3.0, 6.0, 60)
         d = np.where(rng.random(60) < 0.5, 0.0, 10.0 ** rng.uniform(-3.0, 3.0, 60))
@@ -753,7 +751,8 @@ class TestNewmanPath:
 
     def test_guard_stops_the_two_cycle(self):
         # Newman's update alone 2-cycles here, and some of its steps lower
-        # the likelihood; the guard turns those proposals into MM sweeps.
+        # the likelihood; the guard hands the fit to Newton's method at the
+        # first such proposal.
         counts = random_counts(np.random.default_rng(27), 3)
         trace = []
         fit = _fit_mm(counts.w, counts.n, FitConfig(), trace=trace)
@@ -763,13 +762,43 @@ class TestNewmanPath:
         assert np.max(np.abs(fit.beta - beta)) <= 1e-8
 
     def test_separated_chain_converges_within_mm_iterations(self):
-        # MM sweeps alone needed 522 iterations on each ledger; Newman's
-        # proposals, kept past the first rescue, ran to max_iter.
+        # Newman's proposals stall on these separated ledgers, and Newton's
+        # method finishes them; MM sweeps took 521-522 iterations.
         for counts in chain_counts():
             scores = fit_epp(counts)
             assert scores.converged
-            assert scores.iterations <= 522
+            assert scores.iterations <= 40
             assert scores.rescue_steps > 0
+
+    def test_unpenalized_separated_ledger_converges(self):
+        # Clipped MM sweeps at lambda == 0 once lowered the likelihood here
+        # and ran to max_iter; the hand-off to Newton converges.
+        counts = _graph_counts(2540284273, 7, "random", [0])
+        cfg = FitConfig(ridge_lambda=0.0)
+        for comp in bfs_components(counts.n):
+            if len(comp) < 2:
+                continue
+            block = np.ix_(comp, comp)
+            trace = []
+            fit = _fit_mm(counts.w[block], counts.n[block], cfg, trace=trace)
+            assert fit.converged
+            assert fit.iterations <= 200
+            assert np.all(np.diff(np.array(trace)) >= -1e-9)
+
+    def test_newton_ends_when_no_trial_ascends(self):
+        # a and b beat c and d in every match and sit above the clamp, c
+        # and d below it, so every trial clips both pairs' gaps away and
+        # lowers the likelihood: the step leaves the scores as they are,
+        # and a repeat from the same inputs could do no better.
+        w = np.array([[0, 8, 10, 10], [2, 0, 10, 10], [0, 0, 0, 8], [0, 0, 2, 0]], float)
+        n = 10.0 - 10.0 * np.identity(4)
+        start = np.array([361.0, 359.0, -359.0, -361.0])
+        trace = []
+        fit = _fit_newton(w, n, FitConfig(ridge_lambda=0.0), trace, start)
+        assert not fit.converged
+        assert fit.iterations == 1
+        assert np.array_equal(fit.beta, start)
+        assert trace[0] == trace[1]
 
 
 class TestBlasThreads:
