@@ -14,7 +14,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
@@ -46,7 +46,9 @@ class OutputFormat(str, Enum):
 
 @dataclass
 class RunConfig:
-    """Full run configuration; every field round-trips through a config file."""
+    """Full run configuration; every field round-trips through a config file.
+    These defaults and `FitConfig`'s are the only statement of the run's
+    defaults: config keys, flag conversion and help text are read from them."""
 
     pairing: PairingMode = PairingMode.CROSS
     ties: TiePolicy = TiePolicy.HALF
@@ -62,35 +64,29 @@ class RunConfig:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
     def to_text(self) -> str:
-        lines = [
-            f"pairing = {self.pairing.value}",
-            f"ties = {self.ties.value}",
-            f"algorithm = {self.fit.algorithm.value}",
-            f"ridge_lambda = {self.fit.ridge_lambda!r}",
-            f"tol = {self.fit.tol!r}",
-            f"max_iter = {self.fit.max_iter}",
-            f"spread = {self.spread.value}",
-            f"format = {self.format.value}",
-            f"out_dir = {self.out_dir}",
-            f"jobs = {self.jobs}",
-            f"lower_is_better = {str(self.lower_is_better).lower()}",
-        ]
-        return "\n".join(lines) + "\n"
+        return "".join(f"{key} = {_setting_text(value)}\n" for key, value in _settings(self))
 
 
-_CONFIG_KEYS = {
-    "pairing",
-    "ties",
-    "algorithm",
-    "ridge_lambda",
-    "tol",
-    "max_iter",
-    "spread",
-    "format",
-    "out_dir",
-    "jobs",
-    "lower_is_better",
-}
+def _settings(cfg: RunConfig):
+    """(key, value) for each setting of `cfg` in config-file order, with
+    `FitConfig`'s fields in place of `fit`."""
+    for f in fields(cfg):
+        if f.name == "fit":
+            yield from ((g.name, getattr(cfg.fit, g.name)) for g in fields(cfg.fit))
+        else:
+            yield f.name, getattr(cfg, f.name)
+
+
+def _setting_text(value) -> str:
+    """A setting as the config file spells it."""
+    if isinstance(value, Enum):
+        return value.value
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+_DEFAULTS = dict(_settings(RunConfig()))
+_DEFAULT_TEXT = {key: _setting_text(value) for key, value in _DEFAULTS.items()}
+_FIT_KEYS = {f.name for f in fields(FitConfig)}
 
 
 def parse_config_text(text: str) -> dict:
@@ -103,7 +99,7 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected 'key = value'")
         key, _, value = (part.strip() for part in line.partition("="))
-        if key not in _CONFIG_KEYS:
+        if key not in _DEFAULTS:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
         values[key] = value
     return values
@@ -119,7 +115,11 @@ def _parse_bool(value: str) -> bool:
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, config-file values, and explicit flags (flags win)."""
+    """Merge defaults, config-file values, and explicit flags (flags win).
+
+    A string value is converted by the type of the setting's default; a
+    setting given neither way keeps its dataclass default.
+    """
     file_values: dict = {}
     if getattr(args, "config", None):
         try:
@@ -127,43 +127,39 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         except (ConfigError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{args.config}: {exc}") from None
 
-    def pick(flag_name: str, key: str, convert, default):
-        flag = getattr(args, flag_name, None)
-        if flag is not None:
-            return flag if not isinstance(flag, str) else convert(flag)
-        if key in file_values:
-            return convert(file_values[key])
-        return default
-
+    fit_part: dict = {}
+    rest: dict = {}
     try:
-        fit_cfg = FitConfig(
-            algorithm=pick("algorithm", "algorithm", FitAlgorithm, FitAlgorithm.MM),
-            ridge_lambda=pick("ridge_lambda", "ridge_lambda", float, 1e-6),
-            tol=pick("tol", "tol", float, 1e-9),
-            max_iter=pick("max_iter", "max_iter", int, 10_000),
-        )
-        cfg = RunConfig(
-            pairing=pick("pairing", "pairing", PairingMode, PairingMode.CROSS),
-            ties=pick("ties", "ties", TiePolicy, TiePolicy.HALF),
-            fit=fit_cfg,
-            spread=pick("spread", "spread", analysis.SpreadKind, analysis.SpreadKind.MEDIAN),
-            format=pick("format", "format", OutputFormat, OutputFormat.CSV),
-            out_dir=pick("out_dir", "out_dir", str, "."),
-            jobs=pick("jobs", "jobs", int, 1),
-            lower_is_better=bool(
-                pick("lower_is_better", "lower_is_better", _parse_bool, False)
-            ),
-        )
+        for key, default in _DEFAULTS.items():
+            value = getattr(args, key, None)
+            if value is None:
+                value = file_values.get(key)
+            if value is None:
+                continue
+            if isinstance(value, str):
+                value = (_parse_bool if isinstance(default, bool) else type(default))(value)
+            (fit_part if key in _FIT_KEYS else rest)[key] = value
+        return RunConfig(fit=FitConfig(**fit_part), **rest)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return cfg
 
 
 def _write_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_report(cfg: RunConfig, stem: str, to_csv, to_json, *args) -> None:
+    """`<out_dir>/<stem>.csv` from `to_csv(*args)`, or `.json` from
+    `to_json(*args)`, as `cfg.format` asks."""
+    emit = to_csv if cfg.format == OutputFormat.CSV else to_json
+    _write_atomic(Path(cfg.out_dir) / f"{stem}.{cfg.format.value}", emit(*args))
 
 
 def _safe_name(name: str) -> str:
@@ -315,17 +311,13 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 def _cmd_leaderboard(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
-    out_dir = Path(cfg.out_dir)
     table = _load_csv_file(args.scores, parse_scores_csv)
     if cfg.lower_is_better:
         table = table.negated()
     for result in _load_fit_files(args.fit):
         rows = analysis.leaderboard(result, table, top_k=args.top)
-        stem = f"leaderboard_{_safe_name(result.dataset_id)}"
-        if cfg.format == OutputFormat.CSV:
-            _write_atomic(out_dir / f"{stem}.csv", analysis.leaderboard_csv_text(rows))
-        else:
-            _write_atomic(out_dir / f"{stem}.json", analysis.leaderboard_json_text(rows))
+        _write_report(cfg, f"leaderboard_{_safe_name(result.dataset_id)}",
+                      analysis.leaderboard_csv_text, analysis.leaderboard_json_text, rows)
         for row in rows:
             if row.note:
                 print(f"note: {result.dataset_id}: {row.model_id}: {row.note}")
@@ -337,11 +329,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     results = _load_fit_files(args.fit)
     model_ids = args.models.split(",") if args.models else None
     comparison = analysis.cross_dataset_compare(results, model_ids)
-    out = Path(cfg.out_dir)
-    if cfg.format == OutputFormat.CSV:
-        _write_atomic(out / "compare.csv", comparison.to_csv_text())
-    else:
-        _write_atomic(out / "compare.json", comparison.to_json_text())
+    _write_report(cfg, "compare", comparison.to_csv_text, comparison.to_json_text)
     return 0
 
 
@@ -350,11 +338,8 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     results = _load_fit_files(args.fit)
     mapping = _algorithm_map(results, args.scores)
     points = analysis.embed(results, mapping, cfg.spread)
+    _write_report(cfg, "embed", analysis.embed_csv_text, analysis.embed_json_text, points)
     out = Path(cfg.out_dir)
-    if cfg.format == OutputFormat.CSV:
-        _write_atomic(out / "embed.csv", analysis.embed_csv_text(points))
-    else:
-        _write_atomic(out / "embed.json", analysis.embed_json_text(points))
     _write_atomic(out / "embed.svg", svg.scatter_svg(points))
     if args.per_model:
         _write_atomic(
@@ -370,11 +355,8 @@ def _cmd_tunability(args: argparse.Namespace) -> int:
     mapping = _algorithm_map(results, args.scores)
     hyper = _load_csv_file(args.hyperparams, parse_hyperparams_csv)
     rows = analysis.tunability_report(results, hyper, mapping, cfg.spread)
-    out = Path(cfg.out_dir)
-    if cfg.format == OutputFormat.CSV:
-        _write_atomic(out / "tunability.csv", analysis.tunability_csv_text(rows))
-    else:
-        _write_atomic(out / "tunability.json", analysis.tunability_json_text(rows))
+    _write_report(cfg, "tunability", analysis.tunability_csv_text,
+                  analysis.tunability_json_text, rows)
     return 0
 
 
@@ -467,26 +449,10 @@ def _cmd_recovery(args: argparse.Namespace) -> int:
                 f"{args.truth}: line {line}: cannot parse skill {row[1].strip()!r}"
             ) from None
     max_abs, rho = baselines.recovery_from_truth(fitted, truth)
-    out = Path(cfg.out_dir)
-    if cfg.format == OutputFormat.CSV:
-        _write_atomic(
-            out / "recovery.csv",
-            "max_abs_error,rank_correlation,n_models\n"
-            f"{max_abs:.6g},{rho:.6g},{len(truth)}\n",
-        )
-    else:
-        _write_atomic(
-            out / "recovery.json",
-            json.dumps(
-                {
-                    "max_abs_error": max_abs,
-                    "rank_correlation": rho,
-                    "n_models": len(truth),
-                },
-                indent=2,
-            )
-            + "\n",
-        )
+    summary = {"max_abs_error": max_abs, "rank_correlation": rho, "n_models": len(truth)}
+    _write_report(cfg, "recovery",
+                  lambda: ",".join(summary) + f"\n{max_abs:.6g},{rho:.6g},{len(truth)}\n",
+                  lambda: json.dumps(summary, indent=2) + "\n")
     return 0
 
 
@@ -495,12 +461,12 @@ def _cmd_recovery(args: argparse.Namespace) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=[f.value for f in OutputFormat],
-                        default=None, help="report output format (default csv)")
+    parser.add_argument("--format", choices=[f.value for f in OutputFormat], default=None,
+                        help=f"report output format (default {_DEFAULT_TEXT['format']})")
     parser.add_argument("--out-dir", dest="out_dir", default=None,
-                        help="output directory (default .)")
+                        help=f"output directory (default {_DEFAULT_TEXT['out_dir']})")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="max concurrent datasets (default 1)")
+                        help=f"max concurrent datasets (default {_DEFAULT_TEXT['jobs']})")
     parser.add_argument("--config", default=None,
                         help="key = value config file; flags override it")
 
@@ -510,14 +476,15 @@ def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
                         default=None, help="cross: all split pairs; paired: same split only")
     parser.add_argument("--ties", choices=[t.value for t in TiePolicy], default=None,
                         help="half: ties count half a win each; drop: discard ties")
-    parser.add_argument("--algorithm", choices=[a.value for a in FitAlgorithm],
-                        default=None, help="optimizer (default mm)")
-    parser.add_argument("--ridge-lambda", dest="ridge_lambda", type=float,
-                        default=None, help="ridge penalty (default 1e-6)")
+    parser.add_argument("--algorithm", choices=[a.value for a in FitAlgorithm], default=None,
+                        help=f"optimizer (default {_DEFAULT_TEXT['algorithm']})")
+    parser.add_argument("--ridge-lambda", dest="ridge_lambda", type=float, default=None,
+                        help=f"ridge penalty (default {_DEFAULT_TEXT['ridge_lambda']})")
     parser.add_argument("--tol", type=float, default=None,
-                        help="convergence threshold on max score change (default 1e-9)")
+                        help="convergence threshold on max score change "
+                        f"(default {_DEFAULT_TEXT['tol']})")
     parser.add_argument("--max-iter", dest="max_iter", type=int, default=None,
-                        help="iteration cap (default 10000)")
+                        help=f"iteration cap (default {_DEFAULT_TEXT['max_iter']})")
     parser.add_argument("--lower-is-better", dest="lower_is_better",
                         action="store_const", const=True, default=None,
                         help="negate scores at ingest (for losses/MSE-style measures)")
@@ -617,10 +584,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EppError as exc:
+    except (OSError, EppError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

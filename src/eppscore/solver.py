@@ -302,14 +302,16 @@ def _newton_step(w, n, beta, lam, p, f0, g):
     it, or the inputs unchanged when no trial ascends."""
     direction = _solve(_gauged_neg_hessian(n, p, lam), g)
     slope = float(g @ direction)
-    # Below float-noise level the Armijo test is meaningless; take the step.
-    take_any = abs(slope) <= 1e-10 * (1.0 + abs(f0))
+    # Below float-noise level the Armijo test is meaningless: accept a trial
+    # unless it lowers the likelihood by more than rounding. A long step
+    # along a nearly flat direction can have such a slope and still fall.
+    flat = abs(slope) <= 1e-10 * (1.0 + abs(f0))
     t = 1.0
     while t > 1e-13:
         trial = np.clip(beta + t * direction, -_BETA_CLAMP, _BETA_CLAMP)
         trial -= trial.mean()
         p_trial, f_trial = _evaluate(w, trial, lam)
-        if take_any or f_trial >= f0 + 1e-4 * t * slope:
+        if f_trial >= (f0 - 1e-12 * (1.0 + abs(f0)) if flat else f0 + 1e-4 * t * slope):
             return trial, p_trial, f_trial
         t *= 0.5
     return beta, p, f0

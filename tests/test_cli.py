@@ -1,6 +1,7 @@
 import base64
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -10,8 +11,23 @@ import numpy as np
 import pytest
 
 import eppscore
-from eppscore import EppScores, PairwiseCounts
-from eppscore.cli import RunConfig, build_run_config, main, parse_config_text
+from eppscore import (
+    EppScores,
+    FitAlgorithm,
+    FitConfig,
+    PairingMode,
+    PairwiseCounts,
+    SpreadKind,
+    TiePolicy,
+)
+from eppscore.cli import (
+    OutputFormat,
+    RunConfig,
+    build_parser,
+    build_run_config,
+    main,
+    parse_config_text,
+)
 
 SUBCOMMANDS = [
     "fit",
@@ -46,7 +62,23 @@ class TestHelp:
         with pytest.raises(SystemExit) as exc:
             main([subcommand, "--help"])
         assert exc.value.code == 0
-        assert subcommand in capsys.readouterr().out or True
+        assert capsys.readouterr().out.startswith(f"usage: epp {subcommand} ")
+
+    def test_fit_help_states_the_dataclass_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["fit", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        fit, run = FitConfig(), RunConfig()
+        for flag, default in [
+            ("--algorithm", fit.algorithm.value),
+            ("--ridge-lambda", repr(fit.ridge_lambda)),
+            ("--tol", repr(fit.tol)),
+            ("--max-iter", str(fit.max_iter)),
+            ("--format", run.format.value),
+            ("--out-dir", run.out_dir),
+            ("--jobs", str(run.jobs)),
+        ]:
+            assert re.search(rf"{flag} [^-]*\(default {re.escape(default)}\)", out), flag
 
 
 class TestFit:
@@ -199,6 +231,23 @@ class TestFit:
         assert len(err) == 1
         assert err[0].startswith("error: ") and "'a b'" in err[0] and "'a_b'" in err[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_output_write_exits_2_without_temp_files(self, tmp_path, capsys, jobs):
+        write_scores(tmp_path / "one.csv", n_models=3, dataset="a")
+        write_scores(tmp_path / "two.csv", n_models=3, dataset="b", seed=1)
+        scores = tmp_path / "scores.csv"
+        scores.write_text(
+            (tmp_path / "one.csv").read_text()
+            + "".join((tmp_path / "two.csv").read_text().splitlines(True)[1:])
+        )
+        out = tmp_path / "out"
+        (out / "epp_a.json").mkdir(parents=True)  # no file can replace it
+        rc = main(["fit", str(scores), "--jobs", jobs, "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not list(out.glob("*.tmp*"))
 
     def test_colliding_counts_files_exit_2(self, tmp_path, capsys):
         counts = []
@@ -630,6 +679,34 @@ class TestConfigFile:
         assert values["pairing"] == "cross"
         assert values["ties"] == "half"
         assert values["max_iter"] == "10000"
+
+    def test_every_setting_round_trips_and_each_flag_beats_the_file(self, tmp_path):
+        away = RunConfig(
+            pairing=PairingMode.PAIRED,
+            ties=TiePolicy.DROP,
+            fit=FitConfig(algorithm=FitAlgorithm.NEWTON, ridge_lambda=0.25, tol=3e-7, max_iter=77),
+            spread=SpreadKind.MEAN,
+            format=OutputFormat.JSON,
+            out_dir="elsewhere",
+            jobs=3,
+            lower_is_better=True,
+        )
+        default_text = parse_config_text(RunConfig().to_text())
+        away_text = parse_config_text(away.to_text())
+        assert all(away_text[key] != text for key, text in default_text.items())
+        away_file = tmp_path / "away.cfg"
+        away_file.write_text(away.to_text())
+        default_file = tmp_path / "default.cfg"
+        default_file.write_text(RunConfig().to_text())
+        parser = build_parser()
+        assert build_run_config(parser.parse_args(["fit", "--config", str(away_file)])) == away
+        for key, text in away_text.items():
+            flag = ["--" + key.replace("_", "-")] + ([] if key == "lower_is_better" else [text])
+            command = ["embed", "--fit", "x.json"] if key == "spread" else ["fit"]
+            args = parser.parse_args([*command, "--config", str(default_file), *flag])
+            assert parse_config_text(build_run_config(args).to_text()) == {
+                **default_text, key: text
+            }
 
     def test_unknown_key_rejected(self):
         with pytest.raises(Exception, match="unknown key"):

@@ -785,6 +785,18 @@ class TestNewmanPath:
             assert fit.iterations <= 200
             assert np.all(np.diff(np.array(trace)) >= -1e-9)
 
+    def test_flat_newton_step_keeps_the_likelihood(self):
+        # After the hand-off, one Newton direction here runs far along a
+        # nearly flat direction with a slope below the Armijo test's noise
+        # level; taken whole, that step lowered the likelihood by 1,874
+        # and the fit ended unconverged.
+        counts = _graph_counts(678686996, 8, "random", [0])
+        trace = []
+        fit = _fit_mm(counts.w, counts.n, FitConfig(ridge_lambda=0.0), trace=trace)
+        assert fit.converged
+        assert fit.rescue_steps > 0
+        assert np.all(np.diff(np.array(trace)) >= -1e-9)
+
     def test_newton_ends_when_no_trial_ascends(self):
         # a and b beat c and d in every match and sit above the clamp, c
         # and d below it, so every trial clips both pairs' gaps away and
