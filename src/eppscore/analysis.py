@@ -59,21 +59,27 @@ class LeaderboardRow:
 
 
 def leaderboard(
-    scores: EppScores, table: PerformanceTable, top_k: int | None = None
+    scores: EppScores, table: PerformanceTable | None, top_k: int | None = None
 ) -> list[LeaderboardRow]:
     """Rows sorted by beta descending (ties broken by model id), annotated
     with the Wald test against the next row and with a note whenever the
-    mean-raw-score ordering disagrees with the fitted ordering."""
+    mean-raw-score ordering disagrees with the fitted ordering.
+
+    Mean scores come from `table`, or, when it is None, from the means the
+    fit recorded (``scores.mean_score``).
+    """
+    if table is not None:
+        means = [table.mean_score(scores.dataset_id, model) for model in scores.models]
+    elif scores.mean_score is not None:
+        means = scores.mean_score.tolist()
+    else:
+        raise ValueError(
+            f"fit of dataset {scores.dataset_id!r} records no mean scores; pass a table"
+        )
     order = sorted(
         range(len(scores.models)), key=lambda k: (-scores.beta[k], scores.models[k])
     )
-    score_order = sorted(
-        order,
-        key=lambda k: (
-            -table.mean_score(scores.dataset_id, scores.models[k]),
-            scores.models[k],
-        ),
-    )
+    score_order = sorted(order, key=lambda k: (-means[k], scores.models[k]))
     mean_rank = {k: r + 1 for r, k in enumerate(score_order)}
     rows = []
     for pos, k in enumerate(order):
@@ -87,7 +93,7 @@ def leaderboard(
                 model_id=scores.models[k],
                 beta=float(scores.beta[k]),
                 prob_vs_average=prob_vs_average(float(scores.beta[k])),
-                mean_score=table.mean_score(scores.dataset_id, scores.models[k]),
+                mean_score=means[k],
                 significance_vs_next=(
                     wald_test_difference(scores, k, nxt) if nxt is not None else None
                 ),

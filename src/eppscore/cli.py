@@ -35,7 +35,7 @@ else:
 from . import analysis, baselines, svg
 from .errors import ConfigError, EppError, FileFormatError, TableParseError
 from .match_engine import PairingMode, PairwiseCounts, TiePolicy, build_matches
-from .perf_table import parse_hyperparams_csv, parse_scores_csv, validate
+from .perf_table import parse_hyperparams_csv, parse_scores_csv, sha256_of, validate
 from .solver import EppScores, FitAlgorithm, FitConfig, SeparationFlag, fit_epp
 
 
@@ -150,8 +150,11 @@ def _write_atomic(path: Path, text: str) -> None:
     try:
         tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            # The error would name the temp file, which is gone: name the output.
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
 
 
@@ -177,8 +180,14 @@ def _load_json_file(path: str, parse):
 def _load_csv_file(path: str, parse):
     """`parse` applied to a scores or hyperparameters CSV's bytes; errors,
     a file that is not UTF-8 included, name the file."""
+    return _parse_csv_bytes(path, Path(path).read_bytes(), parse)
+
+
+def _parse_csv_bytes(path: str, data: bytes, parse):
+    """`parse(data)`, `data` being the bytes of the CSV at `path`; errors
+    name the file, as in :func:`_load_csv_file`."""
     try:
-        return parse(Path(path).read_bytes())
+        return parse(data)
     except (TableParseError, UnicodeDecodeError) as exc:
         raise TableParseError(f"{path}: {exc}") from None
 
@@ -311,17 +320,42 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 def _cmd_leaderboard(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
-    table = _load_csv_file(args.scores, parse_scores_csv)
-    if cfg.lower_is_better:
-        table = table.negated()
+    data = Path(args.scores).read_bytes()
+    given = (sha256_of(data), cfg.lower_is_better)
+    table = None  # parsed on first need
     for result in _load_fit_files(args.fit):
-        rows = analysis.leaderboard(result, table, top_k=args.top)
+        source = result.source or {}
+        made_from = (source.get("sha256"), source.get("lower_is_better"))
+        if made_from == given and result.mean_score is not None:
+            means_from = None  # the fit's recorded means are those of --scores
+        else:
+            if table is None:
+                table = _parse_csv_bytes(args.scores, data, parse_scores_csv)
+                if cfg.lower_is_better:
+                    table = table.negated()
+            means_from = table
+            if made_from[0] is not None and made_from != given:
+                print(f"warning: dataset {result.dataset_id!r}: "
+                      f"{_source_mismatch(made_from, given)}; "
+                      "mean scores come from --scores", file=sys.stderr)
+        rows = analysis.leaderboard(result, means_from, top_k=args.top)
         _write_report(cfg, f"leaderboard_{_safe_name(result.dataset_id)}",
                       analysis.leaderboard_csv_text, analysis.leaderboard_json_text, rows)
         for row in rows:
             if row.note:
                 print(f"note: {result.dataset_id}: {row.model_id}: {row.note}")
     return 0
+
+
+def _source_mismatch(made_from: tuple, given: tuple[str, bool]) -> str:
+    """How a fit's recorded (sha256, lower_is_better) differs from the
+    leaderboard's."""
+    (made_digest, made_lower), (digest, lower) = made_from, given
+    if made_digest != digest:
+        return (f"fit was made from scores sha256 {str(made_digest)[:12]}, "
+                f"--scores is {digest[:12]}")
+    return (f"fit was made {'with' if made_lower else 'without'} --lower-is-better, "
+            f"the leaderboard is run {'with' if lower else 'without'} it")
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:

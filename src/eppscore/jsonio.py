@@ -7,6 +7,8 @@ it then costs no per-float text conversion, and the decoded array is
 bit-identical to the encoded one (NaN, infinities and ``-0.0`` included).
 Files written before this encoding hold nested lists instead; they still
 load. Malformed files raise ``FileFormatError`` naming the problem.
+Both kinds of file end with the `source` and `mean_score` of their data
+when these are known (:func:`add_provenance`).
 """
 
 from __future__ import annotations
@@ -74,3 +76,24 @@ def load_object(text: str, keys: tuple[str, ...]) -> dict:
         if key not in obj:
             raise FileFormatError(f"missing key {key!r}")
     return obj
+
+
+def add_provenance(obj: dict, source: dict | None, mean_score: np.ndarray | None) -> None:
+    """Add a ledger's or fit's `source` and `mean_score` to its file's JSON
+    object, each only when known."""
+    if source is not None:
+        obj["source"] = source
+    if mean_score is not None:
+        obj["mean_score"] = encode_array(mean_score)
+
+
+def read_provenance(obj: dict, m: int) -> dict:
+    """The `source` and `mean_score` (of `m` models) held by a file's JSON
+    object, as keyword arguments; None where absent, as in older files."""
+    source = obj.get("source")
+    if source is not None and not isinstance(source, dict):
+        raise FileFormatError("source: not a JSON object")
+    mean_score = obj.get("mean_score")
+    if mean_score is not None:
+        mean_score = decode_array(mean_score, (m,), "mean_score")
+    return {"source": source, "mean_score": mean_score}

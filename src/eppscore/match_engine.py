@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import FileFormatError, PairedSplitsMismatchError, UndefinedWinRateError
-from .jsonio import decode_array, encode_array, load_object
+from .jsonio import add_provenance, decode_array, encode_array, load_object, read_provenance
 from .perf_table import PerformanceTable
 
 # Cap on the elements of one chunk's temporaries. Kept small on purpose: on a
@@ -53,12 +53,20 @@ class PairwiseCounts:
     ``w[i, j]`` holds (possibly fractional) wins of model i over model j out
     of ``n[i, j]`` matches; both matrices have zero diagonals and satisfy
     ``w + w.T == n`` elementwise.
+
+    Set by :func:`build_matches` (None when not known, as in files written
+    before they existed): `source` records how the ledger was made, as
+    ``{"sha256", "lower_is_better", "pairing", "ties"}`` (the table's digest
+    and orientation, see :class:`PerformanceTable`), and ``mean_score[k]`` is
+    ``table.mean_score(dataset_id, models[k])``, bit for bit.
     """
 
     dataset_id: str
     models: tuple[str, ...]
     w: np.ndarray
     n: np.ndarray
+    source: dict | None = None
+    mean_score: np.ndarray | None = None
 
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=float)
@@ -93,6 +101,7 @@ class PairwiseCounts:
             "w": encode_array(self.w),
             "n": encode_array(self.n),
         }
+        add_provenance(obj, self.source, self.mean_score)
         return json.dumps(obj, indent=2) + "\n"
 
     @classmethod
@@ -109,6 +118,7 @@ class PairwiseCounts:
             models=models,
             w=decode_array(obj["w"], shape, "w"),
             n=decode_array(obj["n"], shape, "n"),
+            **read_provenance(obj, len(models)),
         )
 
 
@@ -167,6 +177,7 @@ def build_matches(
 
     Only score orderings matter: any strictly increasing transform of the
     scores yields identical counts. Models are indexed in sorted-id order.
+    The ledger records its `source` and the models' `mean_score`.
     """
     block = table.block(dataset_id)
     models = block.models
@@ -193,7 +204,16 @@ def build_matches(
         n = nmat - eq
     np.fill_diagonal(w, 0.0)
     np.fill_diagonal(n, 0.0)
-    counts = PairwiseCounts(dataset_id=dataset_id, models=models, w=w, n=n)
+    source = {
+        "sha256": table.sha256,
+        "lower_is_better": table.lower_is_better,
+        "pairing": PairingMode(mode).value,
+        "ties": TiePolicy(ties).value,
+    }
+    counts = PairwiseCounts(
+        dataset_id=dataset_id, models=models, w=w, n=n,
+        source=source, mean_score=table.mean_scores(dataset_id),
+    )
     counts.check_invariants()
     return counts
 

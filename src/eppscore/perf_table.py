@@ -66,7 +66,14 @@ class PerformanceTable:
     rows, and a model's within it, are contiguous slices of it. Row order
     does not affect semantics; non-finite scores, duplicated (dataset, model,
     split) triples and models labeled with two algorithms are rejected.
+
+    `sha256` is the hex digest of the input a table was parsed from (set by
+    :func:`parse_scores_csv`; None for tables built any other way), and
+    `lower_is_better` is True once :meth:`negated` has flipped the scores.
     """
+
+    sha256: str | None = None
+    lower_is_better: bool = False
 
     def __init__(self, records=()):
         recs = list(records)
@@ -176,11 +183,7 @@ class PerformanceTable:
 
     def block(self, dataset_id: str) -> DatasetBlock:
         """The dataset's rows grouped by model (see :class:`DatasetBlock`)."""
-        try:
-            d = self._dataset_code[dataset_id]
-        except KeyError:
-            raise KeyError(f"unknown dataset {dataset_id!r}") from None
-        g_lo, g_hi = np.searchsorted(self._group_dataset, [d, d + 1])
+        g_lo, g_hi = self._dataset_groups(dataset_id)
         rows = self._order[self._bounds[g_lo]:self._bounds[g_hi]]
         return DatasetBlock(
             models=tuple(self._labels(self._models, self._group_model[g_lo:g_hi])),
@@ -203,19 +206,38 @@ class PerformanceTable:
 
     def mean_score(self, dataset_id: str, model_id: str) -> float:
         """The model's scores summed in table order by `sum`, over their count."""
+        return self._group_means()[self._group(dataset_id, model_id)]
+
+    def mean_scores(self, dataset_id: str) -> np.ndarray:
+        """:meth:`mean_score` of each of the dataset's models, in the order of
+        ``block(dataset_id).models``."""
+        g_lo, g_hi = self._dataset_groups(dataset_id)
+        return np.array(self._group_means()[g_lo:g_hi], dtype=float)
+
+    def _dataset_groups(self, dataset_id: str) -> tuple[int, int]:
+        """The range of the dataset's (dataset, model) groups."""
+        try:
+            d = self._dataset_code[dataset_id]
+        except KeyError:
+            raise KeyError(f"unknown dataset {dataset_id!r}") from None
+        g_lo, g_hi = np.searchsorted(self._group_dataset, [d, d + 1]).tolist()
+        return g_lo, g_hi
+
+    def _group_means(self) -> list[float]:
         if self._means is None:
             values = self._score[self._order].tolist()
             bounds = self._bounds.tolist()
             self._means = [
                 sum(values[lo:hi]) / (hi - lo) for lo, hi in zip(bounds, bounds[1:])
             ]
-        return self._means[self._group(dataset_id, model_id)]
+        return self._means
 
     def negated(self) -> "PerformanceTable":
         """Table with every score negated (lower-is-better measures)."""
         twin = copy.copy(self)
         twin._score = -self._score
         twin._means = None
+        twin.lower_is_better = not self.lower_is_better
         return twin
 
     def _group(self, dataset_id: str, model_id: str) -> int:
@@ -282,6 +304,15 @@ def _factorize(values: list, clean=None) -> tuple[tuple[str, ...], np.ndarray]:
     return labels, np.fromiter(map(code.__getitem__, values), np.intp, len(values))
 
 
+def sha256_of(data) -> str:
+    """Hex sha256 of `data`: bytes as given, a str as its UTF-8 encoding."""
+    import hashlib  # imported on first use: about 4 ms that start-up need not pay
+
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
+
+
 def _as_text(data) -> str:
     if isinstance(data, bytes):
         text = data.decode("utf-8")
@@ -314,7 +345,8 @@ class _CsvSource:
 
 
 def parse_scores_csv(data) -> PerformanceTable:
-    """Parse a scores CSV (str or UTF-8 bytes) into a :class:`PerformanceTable`.
+    """Parse a scores CSV (str or UTF-8 bytes) into a :class:`PerformanceTable`
+    whose `sha256` is :func:`sha256_of` the input.
 
     Raises :class:`TableParseError` with a 1-based line number for malformed
     rows, unparsable or non-finite scores, and duplicated (dataset, model,
@@ -358,9 +390,11 @@ def parse_scores_csv(data) -> PerformanceTable:
             except ValueError:
                 raise TableParseError(f"cannot parse score {raw!r}", source.line(i)) from None
         raise
-    return PerformanceTable._from_columns(
+    table = PerformanceTable._from_columns(
         datasets, models, algorithms, splits, score, clean=str.strip, source=source
     )
+    table.sha256 = sha256_of(data)
+    return table
 
 
 def parse_scores_json(data) -> PerformanceTable:

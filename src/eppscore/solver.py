@@ -21,7 +21,7 @@ import numpy as np
 
 from .blas import single_thread
 from .errors import FileFormatError, FitWarning, SeparationError
-from .jsonio import decode_array, encode_array, load_object
+from .jsonio import add_provenance, decode_array, encode_array, load_object, read_provenance
 from .match_engine import PairwiseCounts
 from .special import sigmoid
 
@@ -90,6 +90,11 @@ class EppScores:
     the fit's linear algebra ran on: 1, or None where the BLAS library
     offers no thread control (see :mod:`eppscore.blas`). They are None when
     read from a file written before they existed.
+
+    Provenance, copied from the ledger by :func:`fit_epp` (None when the
+    ledger does not record it): `source` is the ledger's ``source`` plus the
+    fit's ``algorithm``, ``ridge_lambda``, ``tol`` and ``max_iter``, and
+    `mean_score` the models' mean scores (see :class:`PairwiseCounts`).
     """
 
     dataset_id: str
@@ -106,6 +111,8 @@ class EppScores:
     rescue_steps: int | None = None
     iterations_per_component: tuple[int, ...] | None = None
     blas_threads: int | None = None
+    source: dict | None = None
+    mean_score: np.ndarray | None = None
 
     def model_index(self, model_id: str) -> int:
         try:
@@ -151,6 +158,7 @@ class EppScores:
             "n_components": self.n_components,
             "algorithms": self.algorithms,
         }
+        add_provenance(obj, self.source, self.mean_score)
         return json.dumps(obj, indent=2) + "\n"
 
     @classmethod
@@ -181,6 +189,7 @@ class EppScores:
                 iterations_per_component=(
                     None if per_component is None else tuple(per_component)
                 ),
+                **read_provenance(obj, m),
             )
         except FileFormatError:
             raise
@@ -557,4 +566,12 @@ def fit_epp(counts: PairwiseCounts, cfg: FitConfig | None = None) -> EppScores:
         rescue_steps=rescue_steps,
         iterations_per_component=tuple(per_component),
         blas_threads=blas_threads,
+        source=None if counts.source is None else {
+            **counts.source,
+            "algorithm": cfg.algorithm.value,
+            "ridge_lambda": cfg.ridge_lambda,
+            "tol": cfg.tol,
+            "max_iter": cfg.max_iter,
+        },
+        mean_score=counts.mean_score,
     )

@@ -28,6 +28,7 @@ from eppscore.cli import (
     main,
     parse_config_text,
 )
+from eppscore.perf_table import sha256_of
 
 SUBCOMMANDS = [
     "fit",
@@ -127,9 +128,15 @@ class TestFit:
         main(["fit", str(scores), "--out-dir", str(tmp_path / "a")])
         main(["fit", str(negated), "--lower-is-better",
               "--out-dir", str(tmp_path / "b")])
-        assert (tmp_path / "a" / "epp_d1.json").read_bytes() == (
-            tmp_path / "b" / "epp_d1.json"
-        ).read_bytes()
+        fit_a, fit_b = (json.loads((tmp_path / d / "epp_d1.json").read_bytes()) for d in "ab")
+        # Only the provenance names another file and orientation; every
+        # other value, the recorded mean scores included, is the same bits.
+        source_a, source_b = fit_a.pop("source"), fit_b.pop("source")
+        assert json.dumps(fit_a) == json.dumps(fit_b)
+        assert source_b == {**source_a, "sha256": sha256_of(negated.read_bytes()),
+                            "lower_is_better": True}
+        assert source_a["sha256"] == sha256_of(scores.read_bytes())
+        assert not source_a["lower_is_better"]
 
     def test_byte_identical_reruns(self, tmp_path):
         scores = write_scores(tmp_path / "scores.csv", n_models=3)
@@ -247,6 +254,9 @@ class TestFit:
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        # The line names the output that could not be written, not the
+        # temp file, which is already deleted.
+        assert str(out / "epp_a.json") in err[0] and ".tmp" not in err[0]
         assert not list(out.glob("*.tmp*"))
 
     def test_colliding_counts_files_exit_2(self, tmp_path, capsys):
