@@ -37,9 +37,19 @@ class SpreadKind(str, Enum):
     MEAN = "mean"
 
 
+def _median(values: np.ndarray) -> float:
+    # np.median bit for bit, without its first call's `import numpy.ma`. Like
+    # np.median's sum, each middle starts from 0.0, so -0.0 comes out as 0.0.
+    s = np.sort(values)
+    mid = len(s) // 2
+    if len(s) % 2:
+        return float(0.0 + s[mid])
+    return float((0.0 + s[mid - 1] + s[mid]) / 2.0)
+
+
 def _spread(values: np.ndarray, kind: SpreadKind) -> float:
     if kind == SpreadKind.MEDIAN:
-        return float(np.median(np.abs(values - np.median(values))))
+        return _median(np.abs(values - _median(values)))
     return float(np.mean(np.abs(values - np.mean(values))))
 
 

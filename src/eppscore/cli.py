@@ -35,7 +35,13 @@ else:
 from . import analysis, baselines, svg
 from .errors import ConfigError, EppError, FileFormatError, TableParseError
 from .match_engine import PairingMode, PairwiseCounts, TiePolicy, build_matches
-from .perf_table import parse_hyperparams_csv, parse_scores_csv, sha256_of, validate
+from .perf_table import (
+    _as_text,
+    parse_hyperparams_csv,
+    parse_scores_csv,
+    sha256_of,
+    validate,
+)
 from .solver import EppScores, FitAlgorithm, FitConfig, SeparationFlag, fit_epp
 
 
@@ -431,10 +437,10 @@ def _read_two_column_csv(path: str, header: tuple[str, str]):
     naming the file (and the line).
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = _as_text(Path(path).read_bytes())
     except UnicodeDecodeError as exc:
         raise EppError(f"{path}: {exc}") from None
-    reader = csv.reader(io.StringIO(text.replace("\r\n", "\n")))
+    reader = csv.reader(io.StringIO(text))
     found = next(reader, None)
     if found is None or [h.strip() for h in found] != list(header):
         raise EppError(f"{path}: expected header {','.join(header)!r}")

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConstantInputError, DegenerateVarianceError
 from .match_engine import PairwiseCounts
 from .solver import EppScores, FitConfig, fit_epp, log_likelihood
-from .special import chi2_sf_1df, norm_cdf, sigmoid, t_sf_two_sided
+from .special import chi2_sf_1df, sigmoid, t_sf_two_sided
 
 
 class TestMethod(str, Enum):
@@ -107,31 +107,31 @@ def _wald_from_diff(diff: float, var: float) -> TestResult:
             f"zero variance for a nonzero difference {diff!r}"
         )
     z = diff / math.sqrt(var)
-    p = 2.0 * norm_cdf(-abs(z))
-    return TestResult.build(z, min(p, 1.0), TestMethod.WALD)
+    return TestResult.build(z, _two_sided_normal_p(z), TestMethod.WALD)
+
+
+def _two_sided_normal_p(z: float) -> float:
+    # P(|Z| > |z|) in one erfc: 2 * norm_cdf(-|z|) would halve, then double,
+    # a subnormal tail and lose its low bits.
+    return math.erfc(abs(z) / math.sqrt(2.0))
 
 
 def _merge_counts(counts: PairwiseCounts, ii: int, jj: int):
     """Collapse models ii and jj into one; self-matches between them drop out
     of the merged ledger but are accounted for separately at p = 1/2."""
-    keep = [k for k in range(counts.n_models) if k != jj]
-    w = counts.w[np.ix_(keep, keep)].copy()
-    n = counts.n[np.ix_(keep, keep)].copy()
-    pos = keep.index(ii)
-    for mpos, k in enumerate(keep):
-        if k == ii:
-            continue
-        w[pos, mpos] = counts.w[ii, k] + counts.w[jj, k]
-        w[mpos, pos] = counts.w[k, ii] + counts.w[k, jj]
-        n[pos, mpos] = counts.n[ii, k] + counts.n[jj, k]
-        n[mpos, pos] = n[pos, mpos]
-    w[pos, pos] = 0.0
-    n[pos, pos] = 0.0
+    w = counts.w.copy()
+    n = counts.n.copy()
+    w[ii] += w[jj]
+    w[:, ii] += w[:, jj]
+    n[ii] += n[jj]
+    n[:, ii] = n[ii]
+    w[ii, ii] = n[ii, ii] = 0.0
+    keep = np.arange(counts.n_models) != jj
     merged = PairwiseCounts(
         dataset_id=counts.dataset_id,
-        models=tuple(counts.models[k] for k in keep),
-        w=w,
-        n=n,
+        models=(*counts.models[:jj], *counts.models[jj + 1 :]),
+        w=w[np.ix_(keep, keep)],
+        n=n[np.ix_(keep, keep)],
     )
     dropped = float(counts.n[ii, jj])
     return merged, dropped
@@ -160,19 +160,12 @@ def lr_test_difference(
     return TestResult.build(statistic, chi2_sf_1df(statistic), TestMethod.LRT)
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """Ranks starting at 1; tied values share the mean of their ranks."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=float)
-    sorted_vals = values[order]
-    pos = 0
-    while pos < len(values):
-        end = pos
-        while end + 1 < len(values) and sorted_vals[end + 1] == sorted_vals[pos]:
-            end += 1
-        ranks[order[pos : end + 1]] = 0.5 * (pos + end) + 1.0
-        pos = end + 1
-    return ranks
+def _midranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks starting at 1, tied values sharing the mean of their ranks, and
+    the size of each run of equal values, in sorted order."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    # A run of c values ending at 1-based position e holds ranks e-c+1..e.
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse], counts
 
 
 def spearman(x, y) -> TestResult:
@@ -189,8 +182,8 @@ def spearman(x, y) -> TestResult:
         raise ValueError("need at least 3 observations")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise ConstantInputError("correlation undefined for a constant vector")
-    rx = _midranks(x)
-    ry = _midranks(y)
+    rx, _ = _midranks(x)
+    ry, _ = _midranks(y)
     rx -= rx.mean()
     ry -= ry.mean()
     rho = float(rx @ ry / math.sqrt((rx @ rx) * (ry @ ry)))
@@ -215,10 +208,9 @@ def mann_whitney(a, b) -> TestResult:
         raise ValueError("a and b must be nonempty 1-D vectors")
     na, nb = len(a), len(b)
     combined = np.concatenate([a, b])
-    ranks = _midranks(combined)
+    ranks, tie_counts = _midranks(combined)
     u_a = float(ranks[:na].sum() - na * (na + 1) / 2.0)
     total = na + nb
-    _, tie_counts = np.unique(combined, return_counts=True)
     tie_term = float(((tie_counts**3 - tie_counts).sum()) / (total * (total - 1)))
     var = na * nb / 12.0 * ((total + 1) - tie_term)
     mean = na * nb / 2.0
@@ -226,5 +218,4 @@ def mann_whitney(a, b) -> TestResult:
         return TestResult.build(u_a, 1.0, TestMethod.MANN_WHITNEY)
     shift = u_a - mean
     z = (shift - 0.5 * np.sign(shift)) / math.sqrt(var)
-    p = min(2.0 * norm_cdf(-abs(z)), 1.0)
-    return TestResult.build(u_a, p, TestMethod.MANN_WHITNEY)
+    return TestResult.build(u_a, _two_sided_normal_p(z), TestMethod.MANN_WHITNEY)

@@ -14,7 +14,6 @@ __all__ = [
     "sigmoid",
     "logit",
     "norm_cdf",
-    "norm_sf",
     "chi2_sf_1df",
     "t_sf_two_sided",
     "betainc_reg",
@@ -51,39 +50,20 @@ def logit(p: float) -> float:
     return math.log(p / (1.0 - p))
 
 
-# Hastings-type rational approximation of the standard normal CDF
-# (Abramowitz & Stegun 26.2.17); absolute error below 7.5e-8.
-_NORM_P = 0.2316419
-_NORM_B = (0.319381530, -0.356563782, 1.781477937, -1.821255978, 1.330274429)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
 def norm_cdf(x: float) -> float:
-    """Standard normal CDF, absolute error < 7.5e-8."""
-    if x < 0.0:
-        return 1.0 - norm_cdf(-x)
-    if x > 40.0:
-        return 1.0
-    t = 1.0 / (1.0 + _NORM_P * x)
-    b1, b2, b3, b4, b5 = _NORM_B
-    poly = t * (b1 + t * (b2 + t * (b3 + t * (b4 + t * b5))))
-    return 1.0 - _INV_SQRT_2PI * math.exp(-0.5 * x * x) * poly
-
-
-def norm_sf(x: float) -> float:
-    """Standard normal upper tail P(Z > x)."""
-    return norm_cdf(-x)
+    """Standard normal CDF, from `math.erfc` so the tails keep their digits."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def chi2_sf_1df(x: float) -> float:
     """Upper tail of the chi-square distribution with 1 degree of freedom.
 
-    Uses the exact identity P(X > x) = 2 P(Z > sqrt(x)) for Z standard
-    normal, so the accuracy is that of :func:`norm_cdf`.
+    Uses the exact identity P(X > x) = P(|Z| > sqrt(x)) = erfc(sqrt(x / 2))
+    for Z standard normal.
     """
     if x <= 0.0:
         return 1.0
-    return 2.0 * norm_sf(math.sqrt(x))
+    return math.erfc(math.sqrt(x / 2.0))
 
 
 def _betacf(a: float, b: float, x: float) -> float:

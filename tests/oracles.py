@@ -165,6 +165,37 @@ def mann_whitney_u_bruteforce(a, b):
     return u
 
 
+def position_midranks(values):
+    """Each value's rank: the mean 1-based position, in sorted order, of the
+    values equal to it."""
+    ordered = sorted(values)
+    ranks = []
+    for v in values:
+        positions = [pos for pos, u in enumerate(ordered, start=1) if u == v]
+        ranks.append(sum(positions) / len(positions))
+    return np.array(ranks)
+
+
+def loop_merge_counts(w, n, models, ii, jj):
+    """Models ii and jj merged into one, by a loop over the other models:
+    (w, n, models, n[ii, jj]) of the merged ledger, ii's row and column
+    holding the sums and jj's dropped."""
+    keep = [k for k in range(len(models)) if k != jj]
+    mw = w[np.ix_(keep, keep)].copy()
+    mn = n[np.ix_(keep, keep)].copy()
+    pos = keep.index(ii)
+    for mpos, k in enumerate(keep):
+        if k == ii:
+            continue
+        mw[pos, mpos] = w[ii, k] + w[jj, k]
+        mw[mpos, pos] = w[k, ii] + w[k, jj]
+        mn[pos, mpos] = n[ii, k] + n[jj, k]
+        mn[mpos, pos] = mn[pos, mpos]
+    mw[pos, pos] = 0.0
+    mn[pos, pos] = 0.0
+    return mw, mn, tuple(models[k] for k in keep), float(n[ii, jj])
+
+
 class RowwiseTable:
     """Reference scores table: parsed row by row into nested dicts.
 

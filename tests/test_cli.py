@@ -645,6 +645,16 @@ class TestElo:
         assert rc == 2
         assert "winner,loser" in capsys.readouterr().err
 
+    def test_bom_prefixed_input(self, tmp_path):
+        plain = self.write_matches(tmp_path / "matches.csv")
+        bom = tmp_path / "matches_bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes().replace(b"\n", b"\r\n"))
+        for path, out in ((plain, "plain"), (bom, "bom")):
+            assert main(["elo", "--input", str(path), "--out-dir", str(tmp_path / out)]) == 0
+        assert (tmp_path / "bom" / "elo_ratings.csv").read_bytes() == (
+            tmp_path / "plain" / "elo_ratings.csv"
+        ).read_bytes()
+
     def test_short_row(self, tmp_path, capsys):
         bad = tmp_path / "matches.csv"
         bad.write_text("winner,loser\na,b\n\na\n")
@@ -680,6 +690,18 @@ class TestRecoveryInput:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    def test_bom_prefixed_truth(self, fit_file, tmp_path):
+        truth = tmp_path / "truth.csv"
+        bom = tmp_path / "truth_bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + truth.read_bytes())
+        for path, out in ((truth, "plain"), (bom, "bom")):
+            rc = main(["recovery", "--fit", str(fit_file), "--truth", str(path),
+                       "--out-dir", str(tmp_path / out)])
+            assert rc == 0
+        assert (tmp_path / "bom" / "recovery.csv").read_bytes() == (
+            tmp_path / "plain" / "recovery.csv"
+        ).read_bytes()
 
 
 class TestConfigFile:

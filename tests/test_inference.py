@@ -4,23 +4,31 @@ import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eppscore import (
     ConstantInputError,
     DegenerateVarianceError,
     FitConfig,
+    PairingMode,
     PairwiseCounts,
+    SyntheticSpec,
     TestMethod,
+    build_matches,
     fit_epp,
+    leaderboard,
     lr_test_difference,
     mann_whitney,
     prob_vs_average,
+    simulate_scores,
     spearman,
     stars_for,
     wald_test_difference,
     wald_test_vs_average,
     win_probability,
 )
+from eppscore.inference import _merge_counts, _midranks
 from eppscore.special import (
     betainc_reg,
     chi2_sf_1df,
@@ -30,7 +38,9 @@ from eppscore.special import (
 )
 from oracles import (
     exact_binomial_two_sided,
+    loop_merge_counts,
     mann_whitney_u_bruteforce,
+    position_midranks,
     spearman_rank_formula,
 )
 
@@ -57,19 +67,22 @@ class TestSpecialFunctions:
         assert sigmoid(np.array(-2.0)).shape == ()
 
     def test_norm_cdf_against_scipy(self):
-        for x in np.linspace(-8, 8, 161):
+        # Relative error, so the far lower tail must keep its digits too;
+        # below -37.5 the CDF underflows double precision.
+        for x in np.linspace(-37.5, 8, 456):
             assert norm_cdf(float(x)) == pytest.approx(
-                scipy.stats.norm.cdf(x), abs=7.5e-8
+                scipy.stats.norm.cdf(x), rel=1e-11, abs=0.0
             )
 
     def test_norm_cdf_tabulated_quantile(self):
         assert norm_cdf(1.959964) == pytest.approx(0.975, abs=1e-4)
 
     def test_chi2_sf_against_scipy(self):
-        for x in [0.01, 0.5, 1.0, 3.84, 10.0, 30.0]:
-            # inherits twice the documented normal-CDF error (< 1.5e-7)
+        # erfc(sqrt(x / 2)) is exact to double precision up to x = 1400
+        # (tail 1.6e-306), so relative error holds there too.
+        for x in [0.0, 0.01, 0.5, 1.0, 3.84, 10.0, 30.0, 69.0, 204.19, 700.0, 1400.0]:
             assert chi2_sf_1df(x) == pytest.approx(
-                scipy.stats.chi2.sf(x, df=1), abs=2e-7
+                scipy.stats.chi2.sf(x, df=1), rel=1e-11, abs=0.0
             )
 
     def test_betainc_against_scipy(self):
@@ -225,6 +238,9 @@ class TestLikelihoodRatio:
         counts = counts_2model()
         result = lr_test_difference(counts, 0, 1, FitConfig(ridge_lambda=0.0))
         assert result.statistic == pytest.approx(self.TWO_MODEL_STAT, abs=1e-6)
+        assert result.p_value == pytest.approx(
+            scipy.stats.chi2.sf(result.statistic, df=1), rel=1e-11, abs=0.0
+        )
         assert result.method == TestMethod.LRT
         assert result.stars == "***"
 
@@ -358,6 +374,69 @@ class TestMannWhitney:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             mann_whitney([], [1.0])
+
+
+class TestLeaderboardPValues:
+    def test_far_tail_p_values_are_exact(self):
+        # |z| = 26.4 and 28.5: the tails are 1e-153 and 1e-178, which a
+        # CDF taken as 1 - (upper tail) would print as 0.
+        spec = SyntheticSpec.with_linear_skills(3, n_splits=40, seed=1)
+        counts = build_matches(simulate_scores(spec), "synthetic", PairingMode.CROSS)
+        rows = leaderboard(fit_epp(counts), None)
+        tests = [r.significance_vs_next for r in rows[:-1]]
+        assert len(tests) == 2
+        for t in tests:
+            assert 0.0 < t.p_value < 1e-100
+            assert t.p_value == pytest.approx(
+                scipy.stats.norm.sf(abs(t.statistic)) * 2, rel=1e-11, abs=0.0
+            )
+
+
+def _ledger(rng, m):
+    """A random ledger with integer matches per pair and half-win ties."""
+    n = np.triu(rng.integers(0, 6, size=(m, m)), 1).astype(float)
+    n += n.T
+    w = rng.integers(0, 2 * n + 1) / 2.0
+    w = np.triu(w, 1) + np.tril(n - w.T, -1)
+    return w, n
+
+
+class TestRankAndMergeOracles:
+    @settings(deadline=None, max_examples=300)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.integers(-3, 3).map(float),
+                st.sampled_from([0.0, -0.0]),
+                st.floats(-1e6, 1e6, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_midranks_are_mean_positions(self, values):
+        ranks, ties = _midranks(np.array(values))
+        expected = position_midranks(values)
+        assert np.array_equal(ranks.view(np.int64), expected.view(np.int64))
+        runs = {}
+        for v in values:
+            runs[v] = runs.get(v, 0) + 1  # -0.0 and 0.0 share a key
+        assert ties.tolist() == [runs[v] for v in sorted(runs)]
+
+    @settings(deadline=None, max_examples=300)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 9), data=st.data())
+    def test_merge_counts_is_the_loop(self, seed, m, data):
+        w, n = _ledger(np.random.default_rng(seed), m)
+        ii = data.draw(st.integers(0, m - 1))
+        jj = data.draw(st.integers(0, m - 1).filter(lambda k: k != ii))
+        models = tuple(f"m{k}" for k in range(m))
+        merged, dropped = _merge_counts(PairwiseCounts("d", models, w, n), ii, jj)
+        ow, on, omodels, odropped = loop_merge_counts(w, n, models, ii, jj)
+        assert np.array_equal(merged.w.view(np.int64), ow.view(np.int64))
+        assert np.array_equal(merged.n.view(np.int64), on.view(np.int64))
+        assert merged.models == omodels
+        assert dropped == odropped
+        merged.check_invariants()
 
 
 class TestResultSerialization:

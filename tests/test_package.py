@@ -110,3 +110,22 @@ class TestStartUp:
         if _cpus() < 2:
             pytest.skip("OpenBLAS caps the count at the CPUs available")
         assert got["pool"] == 2
+
+    def test_embed_and_tunability_import_no_numpy_ma(self, tmp_path):
+        # np.median imports numpy.ma on its first call, 9-14 ms of a report.
+        probe = (
+            "import json, os, sys\n"
+            "from eppscore import cli\n"
+            f"os.chdir({str(tmp_path)!r})\n"
+            "cli.main(['simulate', '--models', '4', '--splits', '10', '--seed', '1'])\n"
+            "cli.main(['fit', 'scores.csv'])\n"
+            "with open('hp.csv', 'w') as f:\n"
+            "    f.write('model,parameter,value\\n' + ''.join("
+            "f'm00{k},depth,{k}\\n' for k in range(4)))\n"
+            "for args in (['embed'], ['embed', '--per-model'],"
+            " ['tunability', '--hyperparams', 'hp.csv']):\n"
+            "    assert cli.main([*args, '--fit', 'epp_synthetic.json']) == 0\n"
+            "print(json.dumps('numpy.ma' in sys.modules))"
+        )
+        assert _probe(probe) is False
+        assert (tmp_path / "tunability.csv").exists()
