@@ -30,7 +30,7 @@ _EXPORTS = {
         "AnalysisWarning", "ConfigError", "ConstantInputError",
         "DegenerateVarianceError", "EppError", "FileFormatError", "FitWarning",
         "PairedSplitsMismatchError", "SeparationError", "TableParseError",
-        "UndefinedWinRateError",
+        "UndefinedWinRateError", "UnknownModelError",
     ),
     "inference": (
         "TestMethod", "TestResult", "lr_test_difference", "mann_whitney",

@@ -11,7 +11,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import AnalysisWarning, ConstantInputError
+from .errors import AnalysisWarning, ConstantInputError, UnknownModelError
 from .inference import (
     TestResult,
     mann_whitney,
@@ -389,12 +389,13 @@ def tunability_report(
 
     Numeric parameters use Spearman correlation; two-level parameters use
     the Mann-Whitney test (U of the lexicographically first level).
-    Parameters with a single distinct value are skipped with a warning.
+    Parameters with a single distinct value are skipped with a warning;
+    models no fit holds raise `UnknownModelError`.
     """
     aggregates = aggregate_across_datasets(results, spread_kind)
     unknown = sorted(m for m in hyper.models if m not in aggregates)
     if unknown:
-        raise ValueError(
+        raise UnknownModelError(
             "hyperparameter table references models without fitted scores: "
             + ", ".join(unknown)
         )

@@ -29,6 +29,10 @@ class UndefinedWinRateError(EppError, ValueError):
     """Win rate requested for a pair with zero recorded matches."""
 
 
+class UnknownModelError(EppError, ValueError):
+    """An input names models that the fitted scores do not hold."""
+
+
 class SeparationError(EppError, ValueError):
     """Closed-form estimate requested for a pair with 0% or 100% wins."""
 

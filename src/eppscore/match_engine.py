@@ -4,14 +4,18 @@ A match compares two models' scores; the higher score wins. Matches are
 aggregated immediately into per-dataset win/count matrices, never stored
 row by row: the downstream fit depends only on these sufficient statistics.
 
-CROSS pairing (every split of model i against every split of model j, so
-s_i * s_j matches per pair) sorts the dataset's N scores once with
-``np.unique``; equal scores, ``-0.0`` and ``0.0`` included, share one run.
-A (runs x models) count matrix ``c`` and its exclusive cumulative sum
-``less`` give, for each score, how many of model j's scores it ties and
-beats; summing those rows per model yields the equal and greater counts.
-The cost is O(N log N + N * m) whether split counts are equal or ragged.
-PAIRED pairing compares identical splits only, by an O(m^2 s) broadcast.
+Both pairings count only ``gt[i, j]``, the matches i wins outright; ties
+are ``n - gt - gt.T``, exactly: scores are finite (the table rejects the
+rest), so each pair is one of >, < and ==, and counts stay below 2**53.
+
+CROSS pairing (each split of model i against each split of model j) sorts
+the dataset's N scores once with ``np.unique``; equal scores, ``-0.0`` and
+``0.0`` included, share one run. A model-major (models x runs) count
+matrix, cumulated along its contiguous runs axis, says how many of model
+j's scores lie below each run; summing that per score's model gives
+``gt`` in O(N log N + N * m), for equal or ragged split counts alike.
+PAIRED pairing compares identical splits only, one (m x m) comparison per
+split: O(m^2 s).
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ from .errors import FileFormatError, PairedSplitsMismatchError, UndefinedWinRate
 from .jsonio import add_provenance, decode_array, encode_array, load_object, read_provenance
 from .perf_table import PerformanceTable
 
-# Cap on the elements of one chunk's temporaries. Kept small on purpose: on a
-# 2-vCPU x86 machine, caps of 1M and 4M elements made CROSS counting at
-# m=100-500, s=20-250 1.2-2.7x slower and took 18-90 MB more memory.
+# Cap on the elements of one CROSS chunk's temporaries. On a 2-vCPU x86
+# machine, caps of 62.5k-1M counted m=100-2000, s=5-250 within 10% of each
+# other (1M with up to 8 MB more memory); 4M was up to 1.6x slower, +20-40 MB.
 _CHUNK_ELEMS = 250_000
 
 
@@ -122,8 +126,8 @@ class PairwiseCounts:
         )
 
 
-def _cross_counts(scores: np.ndarray, sizes: np.ndarray):
-    """CROSS greater/equal counts from one sort of the dataset's scores.
+def _cross_counts(scores: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """CROSS greater-than counts from one sort of the dataset's scores.
 
     `scores` holds the models' scores one model after another, `sizes[k]`
     of them for model k.
@@ -134,37 +138,29 @@ def _cross_counts(scores: np.ndarray, sizes: np.ndarray):
     model = np.repeat(np.arange(k), sizes)
     starts = np.cumsum(sizes) - sizes
     gt = np.empty((k, k))
-    eq = np.empty((k, k))
     cols = max(1, _CHUNK_ELEMS // len(run))
     for lo in range(0, k, cols):
         hi = min(lo + cols, k)
         part = slice(starts[lo], starts[hi - 1] + sizes[hi - 1])
-        # c[r, j]: scores of model lo + j in run r; less[r, j]: those below it
+        # c[j, r]: scores of model lo + j in run r; less[j, r]: those below it
         c = np.bincount(
-            run[part] * (hi - lo) + model[part] - lo,
-            minlength=len(values) * (hi - lo),
-        ).reshape(len(values), hi - lo)
-        less = np.cumsum(c, axis=0)
+            (model[part] - lo) * len(values) + run[part],
+            minlength=(hi - lo) * len(values),
+        ).reshape(hi - lo, len(values))
+        less = np.cumsum(c, axis=1)
         less -= c
-        # Sum each model's rows: its scores' wins and ties against models lo:hi.
-        gt[:, lo:hi] = np.add.reduceat(less[run], starts)
-        eq[:, lo:hi] = np.add.reduceat(c[run], starts)
-    return gt, eq, np.outer(sizes, sizes.astype(float))
+        # Sum each model's columns: its scores' wins against models lo:hi.
+        gt[:, lo:hi] = np.add.reduceat(np.take(less, run, axis=1), starts, axis=1).T
+    return gt
 
 
-def _paired_counts(scores: np.ndarray):
-    """PAIRED greater/equal counts for an (m, s) score matrix, chunked."""
-    m, s = scores.shape
-    gt = np.empty((m, m))
-    eq = np.empty((m, m))
-    rows = max(1, _CHUNK_ELEMS // max(1, m * s))
-    for lo in range(0, m, rows):
-        hi = min(lo + rows, m)
-        a = scores[lo:hi, None, :]  # (c, 1, s)
-        b = scores[None, :, :]  # (1, m, s)
-        gt[lo:hi] = (a > b).sum(axis=2)
-        eq[lo:hi] = (a == b).sum(axis=2)
-    return gt, eq
+def _paired_counts(scores: np.ndarray) -> np.ndarray:
+    """PAIRED greater-than counts for an (m, s) score matrix, split by split."""
+    m = len(scores)
+    gt = np.zeros((m, m))
+    for col in scores.T:
+        gt += col[:, None] > col[None, :]
+    return gt
 
 
 def build_matches(
@@ -191,17 +187,18 @@ def build_matches(
             raise PairedSplitsMismatchError(dataset_id, offending)
         scores = np.empty((m, len(split_codes)))
         scores[np.repeat(np.arange(m), block.sizes), column] = block.score
-        gt, eq = _paired_counts(scores)
+        gt = _paired_counts(scores)
         nmat = np.full((m, m), float(len(split_codes)))
     else:
-        gt, eq, nmat = _cross_counts(block.score, block.sizes)
+        gt = _cross_counts(block.score, block.sizes)
+        nmat = np.outer(block.sizes, block.sizes.astype(float))
 
     if ties == TiePolicy.HALF:
-        w = gt + 0.5 * eq
+        # The ties, nmat - gt - gt.T, are exact: see the module docstring.
+        w = gt + 0.5 * (nmat - gt - gt.T)
         n = nmat
     else:
-        w = gt.astype(float)
-        n = nmat - eq
+        w, n = gt, gt + gt.T
     np.fill_diagonal(w, 0.0)
     np.fill_diagonal(n, 0.0)
     source = {

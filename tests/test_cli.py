@@ -573,6 +573,25 @@ class TestReports:
         text = (tmp_path / "tunability.csv").read_text()
         assert text.splitlines()[0].startswith("algorithm,parameter,target")
 
+    def test_tunability_naming_models_no_fit_holds_exits_2(self, tmp_path, capsys):
+        # The simulated fit's models are m000..m003, not sim1..sim4.
+        main(["simulate", "--models", "4", "--splits", "10", "--seed", "1",
+              "--out-dir", str(tmp_path)])
+        main(["fit", str(tmp_path / "scores.csv"), "--out-dir", str(tmp_path)])
+        hp = tmp_path / "hp.csv"
+        hp.write_text("model,parameter,value\n"
+                      + "".join(f"sim{k},depth,{k}\n" for k in range(1, 5)))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        rc = main(["tunability", "--fit", str(tmp_path / "epp_synthetic.json"),
+                   "--hyperparams", str(hp), "--out-dir", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "error: hyperparameter table references models without fitted scores: "
+            "sim1, sim2, sim3, sim4\n"
+        )
+
 
 class TestSimulateAndPipeline:
     def test_simulate_row_count(self, tmp_path):

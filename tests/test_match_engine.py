@@ -138,6 +138,27 @@ class TestBuildMatches:
         assert np.array_equal(counts.w[np.ix_(order, order)], w_ref)
         assert np.array_equal(counts.n[np.ix_(order, order)], n_ref)
 
+    @pytest.mark.parametrize("paired", [False, True])
+    @pytest.mark.parametrize("half", [False, True])
+    def test_mid_size_matches_naive_oracle_at_default_cap(self, paired, half):
+        # m=30 with scores on a 0.1 grid, so ties are common; CROSS draws
+        # ragged 1-20 splits per model, PAIRED 12 shared splits.
+        rng = np.random.default_rng(20201)
+        m = 30
+        sizes = np.full(m, 12) if paired else rng.integers(1, 21, size=m)
+        raw = [list(np.round(rng.normal(size=k), 1)) for k in sizes]
+        table = table_from_matrix({f"m{i:02d}": raw[i] for i in range(m)})
+        counts = build_matches(
+            table,
+            "d1",
+            PairingMode.PAIRED if paired else PairingMode.CROSS,
+            TiePolicy.HALF if half else TiePolicy.DROP,
+        )
+        assert counts.models == tuple(f"m{i:02d}" for i in range(m))
+        w_ref, n_ref = naive_pairwise_counts(raw, paired, half)
+        assert np.array_equal(counts.w, w_ref)
+        assert np.array_equal(counts.n, n_ref)
+
     def test_monotone_transform_invariance_bit_exact(self):
         rng = np.random.default_rng(1)
         raw = rng.normal(size=(4, 10))

@@ -18,7 +18,8 @@ PUBLIC_NAMES = [
     "PairingMode", "PairwiseCounts", "PerformanceTable", "ScoreRecord",
     "SeparationError", "SeparationFlag", "SpreadKind", "SyntheticSpec",
     "TableParseError", "TestMethod", "TestResult", "TiePolicy", "TunabilityRow",
-    "TunabilityTarget", "UndefinedWinRateError", "aggregate_across_datasets",
+    "TunabilityTarget", "UndefinedWinRateError", "UnknownModelError",
+    "aggregate_across_datasets",
     "build_matches", "cross_dataset_compare", "detect_separation", "embed",
     "empirical_win_rate", "fit_epp", "gradient", "leaderboard", "log_likelihood",
     "lr_test_difference", "mann_whitney", "parse_hyperparams_csv",
@@ -31,7 +32,7 @@ PUBLIC_NAMES = [
 
 class TestPublicNames:
     def test_all_is_unchanged(self):
-        assert len(PUBLIC_NAMES) == 61
+        assert len(PUBLIC_NAMES) == 62
         assert eppscore.__all__ == PUBLIC_NAMES
 
     @pytest.mark.parametrize("name", PUBLIC_NAMES)
