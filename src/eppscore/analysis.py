@@ -3,7 +3,6 @@ comparisons, embedding points, and hyperparameter tunability tables."""
 
 from __future__ import annotations
 
-import io
 import json
 import warnings
 from dataclasses import dataclass
@@ -477,13 +476,4 @@ def tunability_json_text(rows: list[TunabilityRow]) -> str:
         for r in rows
     ]
     return json.dumps({"rows": out}, indent=2) + "\n"
-
-
-def win_matrix_csv_text(scores: EppScores) -> str:
-    matrix = win_matrix(scores)
-    buf = io.StringIO()
-    buf.write("model," + ",".join(scores.models) + "\n")
-    for i, model in enumerate(scores.models):
-        buf.write(model + "," + ",".join(_fmt(v) for v in matrix[i]) + "\n")
-    return buf.getvalue()
 

@@ -275,25 +275,29 @@ def _cmd_fit(args: argparse.Namespace) -> int:
                 print(f"warning: {warning}", file=sys.stderr)
         ledgers = None
 
-    def fit_one(counts: PairwiseCounts) -> None:
-        scores = fit_epp(counts, cfg.fit)
-        if table is not None:
-            algorithm_of = table.algorithm_of
-            scores.algorithms = {m: algorithm_of[m] for m in scores.models}
-        stem = f"epp_{_safe_name(counts.dataset_id)}"
-        _write_atomic(out_dir / f"{stem}.csv", scores.to_csv_text())
-        _write_atomic(out_dir / f"{stem}.json", scores.to_json_text())
-        if args.dump_counts:
-            _write_atomic(
-                out_dir / f"counts_{_safe_name(counts.dataset_id)}.json",
-                counts.to_json_text(),
-            )
+    def fit_one(counts: PairwiseCounts) -> str | None:
+        """Fit and write one dataset; the error that stopped it, if any."""
+        try:
+            scores = fit_epp(counts, cfg.fit)
+            if table is not None:
+                algorithm_of = table.algorithm_of
+                scores.algorithms = {m: algorithm_of[m] for m in scores.models}
+            stem = f"epp_{_safe_name(counts.dataset_id)}"
+            _write_atomic(out_dir / f"{stem}.csv", scores.to_csv_text())
+            _write_atomic(out_dir / f"{stem}.json", scores.to_json_text())
+            if args.dump_counts:
+                _write_atomic(
+                    out_dir / f"counts_{_safe_name(counts.dataset_id)}.json",
+                    counts.to_json_text(),
+                )
+        except (OSError, EppError) as exc:
+            return f"error: {exc}"
         flagged = sum(f != SeparationFlag.NONE for f in scores.separation_flags)
         if flagged and cfg.fit.ridge_lambda == 0.0:
             print(
                 f"warning: dataset {counts.dataset_id!r}: {flagged} "
                 f"model{'s' if flagged > 1 else ''} won or lost every match; with "
-                "--ridge-lambda 0 their scores are unbounded and depend on --algorithm",
+                "--ridge-lambda 0 their scores are unbounded",
                 file=sys.stderr,
             )
         if not scores.converged:
@@ -302,6 +306,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
                 f"{cfg.fit.max_iter} iterations",
                 file=sys.stderr,
             )
+        return None
 
     if ledgers is None:
         # Built here, not in the pool: on glibc each worker thread's malloc
@@ -317,11 +322,15 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            list(pool.map(fit_one, ledgers))
+            errors = list(pool.map(fit_one, ledgers))
     else:
-        for counts in ledgers:
-            fit_one(counts)
-    return 0
+        errors = [fit_one(counts) for counts in ledgers]
+    # Every dataset is fitted whatever the others do, so the files written
+    # do not depend on --jobs; the failures are reported in dataset order.
+    errors = [e for e in errors if e is not None]
+    for error in errors:
+        print(error, file=sys.stderr)
+    return 2 if errors else 0
 
 
 def _cmd_leaderboard(args: argparse.Namespace) -> int:

@@ -594,11 +594,6 @@ class HyperparamTable:
             raise ValueError(f"parameter {parameter!r} is numeric")
         return sorted({str(v) for v in self._values[parameter].values()})
 
-    def unknown_models(self, table: PerformanceTable) -> set[str]:
-        """Models referenced here that never appear in `table`."""
-        known = set(table.algorithm_of)
-        return {m for m in self.models if m not in known}
-
     def to_csv_text(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -25,7 +25,6 @@ from .jsonio import add_provenance, decode_array, encode_array, load_object, rea
 from .match_engine import PairwiseCounts
 from .special import sigmoid
 
-_BETA_CLAMP = 350.0  # keeps exp(beta) finite when an unpenalized fit separates
 _MM_STALL_CHECK = 20  # iterations between stall checks; see _fit_mm
 _FIT_KEYS = (
     "dataset", "models", "beta", "separation", "converged", "iterations",
@@ -83,8 +82,10 @@ class EppScores:
 
     Solver diagnostics: `grad_norm` is the penalized-gradient max-norm of
     the last stop test (the largest over components), `rescue_steps` counts
-    the Newton steps the MM path took after handing a refused or stalled
-    component to Newton's method (0 for Newton), and
+    the Newton steps the MM path took: every step of a component with a
+    model that won or lost every match, which it hands to Newton's method
+    from the start, and the steps after a refused or stalled Newman
+    proposal (0 for Newton), and
     `iterations_per_component` lists each connected component's iterations
     (0 for an isolated model). `blas_threads` is the OpenBLAS thread count
     the fit's linear algebra ran on: 1, or None where the BLAS library
@@ -307,7 +308,7 @@ def _solve(h, rhs):
 def _newton_step(w, n, beta, lam, p, f0, g):
     """One ascent-guaranteed Newton step from `beta`, whose probabilities,
     penalized log-likelihood and gradient are `p`, `f0`, `g`: Armijo
-    backtracking over clipped, centered trials. Returns (beta, p, f) after
+    backtracking over centered trials. Returns (beta, p, f) after
     it, or the inputs unchanged when no trial ascends."""
     direction = _solve(_gauged_neg_hessian(n, p, lam), g)
     slope = float(g @ direction)
@@ -317,7 +318,7 @@ def _newton_step(w, n, beta, lam, p, f0, g):
     flat = abs(slope) <= 1e-10 * (1.0 + abs(f0))
     t = 1.0
     while t > 1e-13:
-        trial = np.clip(beta + t * direction, -_BETA_CLAMP, _BETA_CLAMP)
+        trial = beta + t * direction
         trial -= trial.mean()
         p_trial, f_trial = _evaluate(w, trial, lam)
         if f_trial >= (f0 - 1e-12 * (1.0 + abs(f0)) if flat else f0 + 1e-4 * t * slope):
@@ -417,12 +418,13 @@ def _newman_sums(w, wins, beta, lam, pair, scratch) -> _Sums:
 
 
 def _ridge_update(c, d, lam):
-    """Per model, the centered, clipped solution u of ``c e^u + lam u = d``
-    (exactly ``log(d / c)`` when lam == 0); convex scalar Newton."""
-    u = np.log(np.maximum(d, 1e-300)) - np.log(c)
+    """Per model, the centered solution u of ``c e^u + lam u = d`` for
+    positive `c` and `d` (exactly ``log(d / c)`` when lam == 0); convex
+    scalar Newton."""
+    u = np.log(d) - np.log(c)
     if lam > 0.0:
         for _ in range(100):
-            eu = np.exp(np.clip(u, -_BETA_CLAMP, _BETA_CLAMP))
+            eu = np.exp(u)
             resid = c * eu + lam * u - d
             u_next = u - resid / (c * eu + lam)
             # far below the sweep tolerance; avoids last-ulp oscillation
@@ -430,29 +432,28 @@ def _ridge_update(c, d, lam):
                 u = u_next
                 break
             u = u_next
-    u = np.clip(u, -_BETA_CLAMP, _BETA_CLAMP)
     return u - u.mean()
 
 
 def _fit_mm(w, n, cfg: FitConfig, trace=None) -> _Fit:
     """Newman's iteration under a likelihood guard, on aggregated counts,
-    handing a refused or stalled component to Newton's method.
+    handing a separated, refused or stalled component to Newton's method.
 
     Newman's update (JMLR 24, 2023) sets ``pi_i = a_i / b_i``; with the ridge
     it solves ``b_i e^u + lam u = a_i``, the stationarity condition with the
-    sums frozen. A model without wins or without losses, where the ratio
-    is undefined (``a_i`` or ``b_i`` zero), takes the MM coordinate (Hunter,
-    Ann. Stat. 2004) instead. An iterate makes one m x m pass: the sums at
-    the proposal give its log-likelihood, its stop-test gradient and the
-    next proposal.
+    sums frozen. An iterate makes one m x m pass: the sums at the proposal
+    give its log-likelihood, its stop-test gradient and the next proposal.
 
-    Newman's update alone 2-cycles with growing amplitude on some ledgers,
-    and near separation it crawls. So at the first proposal that lowers the
-    penalized log-likelihood by more than rounding, or the first time the
-    gradient norm fails to halve over `_MM_STALL_CHECK` iterations, the fit
-    goes on as :func:`_fit_newton` from the last accepted iterate. The
-    iterations made count against `max_iter`, and the Newton steps are the
-    result's `rescue_steps`.
+    The ratio is undefined for a model without wins (``a_i = 0``) or without
+    losses (``b_i = 0``), so a component that holds one goes to
+    :func:`_fit_newton` from zero before any proposal. Newman's update alone
+    2-cycles with growing amplitude on some ledgers, and near separation it
+    crawls. So at the first proposal that lowers the penalized
+    log-likelihood by more than rounding, or the first time the gradient
+    norm fails to halve over `_MM_STALL_CHECK` iterations, the fit goes on
+    as :func:`_fit_newton` from the last accepted iterate. The iterations
+    made count against `max_iter`, and the Newton steps are the result's
+    `rescue_steps`.
 
     The benchmark's ledgers take 16-19 iterations and never hand off.
     """
@@ -460,38 +461,35 @@ def _fit_mm(w, n, cfg: FitConfig, trace=None) -> _Fit:
     lam = cfg.ridge_lambda
     beta = np.zeros(m)
     wins = w.sum(axis=1)
-    noise = _gradient_noise_floor(n)
-    slack = 1e-13 * max(1.0, float(n.sum()))  # rounding of the summed value
-    pair = np.empty((m, m))
-    scratch = np.empty((m, m))
-    if trace is not None:
-        trace.append(_evaluate(w, beta, lam)[1])
-    sums = _newman_sums(w, wins, beta, lam, pair, scratch)
-    stall_reference = np.inf
-    for it in range(1, cfg.max_iter + 1):
-        mm_coordinate = (sums.a <= 0.0) | (sums.b <= 0.0)
-        new_beta = _ridge_update(
-            np.where(mm_coordinate, sums.rate, sums.b),
-            np.where(mm_coordinate, wins, sums.a),
-            lam,
-        )
-        proposed = _newman_sums(w, wins, new_beta, lam, pair, scratch)
-        if proposed.value < sums.value - slack:
-            break  # refused
-        sums = proposed
-        delta = float(np.max(np.abs(new_beta - beta)))
-        beta = new_beta
+    it = 0
+    if wins.all() and w.sum(axis=0).all():
+        noise = _gradient_noise_floor(n)
+        slack = 1e-13 * max(1.0, float(n.sum()))  # rounding of the summed value
+        pair = np.empty((m, m))
+        scratch = np.empty((m, m))
         if trace is not None:
             trace.append(_evaluate(w, beta, lam)[1])
-        gnorm = float(np.max(np.abs(_mm_grad(wins, sums.pi, sums.rate, beta, lam))))
-        if (delta <= cfg.tol and gnorm <= 10.0 * cfg.tol) or gnorm <= noise:
-            return _Fit(beta, it, True, gnorm, 0)
-        if it % _MM_STALL_CHECK == 0:
-            if gnorm > 0.5 * stall_reference:
-                break  # stalled
-            stall_reference = gnorm
-    else:
-        return _Fit(beta, cfg.max_iter, False, gnorm, 0)
+        sums = _newman_sums(w, wins, beta, lam, pair, scratch)
+        stall_reference = np.inf
+        for it in range(1, cfg.max_iter + 1):
+            new_beta = _ridge_update(sums.b, sums.a, lam)
+            proposed = _newman_sums(w, wins, new_beta, lam, pair, scratch)
+            if proposed.value < sums.value - slack:
+                break  # refused
+            sums = proposed
+            delta = float(np.max(np.abs(new_beta - beta)))
+            beta = new_beta
+            if trace is not None:
+                trace.append(_evaluate(w, beta, lam)[1])
+            gnorm = float(np.max(np.abs(_mm_grad(wins, sums.pi, sums.rate, beta, lam))))
+            if (delta <= cfg.tol and gnorm <= 10.0 * cfg.tol) or gnorm <= noise:
+                return _Fit(beta, it, True, gnorm, 0)
+            if it % _MM_STALL_CHECK == 0:
+                if gnorm > 0.5 * stall_reference:
+                    break  # stalled
+                stall_reference = gnorm
+        else:
+            return _Fit(beta, cfg.max_iter, False, gnorm, 0)
     fit = _fit_newton(w, n, cfg, trace, beta, spent=it)
     return fit._replace(rescue_steps=fit.iterations - it)
 

@@ -12,7 +12,6 @@ import numpy as np
 
 __all__ = [
     "sigmoid",
-    "logit",
     "norm_cdf",
     "chi2_sf_1df",
     "t_sf_two_sided",
@@ -41,13 +40,6 @@ def sigmoid(x):
     e += 1.0
     out /= e
     return out
-
-
-def logit(p: float) -> float:
-    """Inverse of :func:`sigmoid`; requires 0 < p < 1."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"logit requires 0 < p < 1, got {p}")
-    return math.log(p / (1.0 - p))
 
 
 def norm_cdf(x: float) -> float:

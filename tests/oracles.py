@@ -374,11 +374,11 @@ def subspace_covariance(h):
     return q @ np.linalg.inv(q.T @ h @ q) @ q.T
 
 
-def newton_fit(w, n, lam, tol=1e-9, max_iter=10_000, clamp=350.0):
+def newton_fit(w, n, lam, tol=1e-9, max_iter=10_000):
     """Damped Newton from zero, each pass recomputed in full: gauged
-    Newton direction, Armijo backtracking on the unclipped trial, then clip
-    and center; stops like the library (step and gradient below tol, or
-    gradient below the noise floor). Returns (beta, iterations)."""
+    Newton direction, Armijo backtracking, then center; stops like the
+    library (step and gradient below tol, or gradient below the noise
+    floor). Returns (beta, iterations)."""
     m = len(w)
     beta = np.zeros(m)
     noise = max(1.0, float(n.sum(axis=1).max())) * 2.0**-46
@@ -399,7 +399,6 @@ def newton_fit(w, n, lam, tol=1e-9, max_iter=10_000, clamp=350.0):
                     candidate = trial
                     break
                 t *= 0.5
-        candidate = np.clip(candidate, -clamp, clamp)
         new_beta = candidate - candidate.mean()
         delta = float(np.max(np.abs(new_beta - beta)))
         beta = new_beta

@@ -23,7 +23,6 @@ from eppscore.analysis import (
     embed_csv_text,
     leaderboard_csv_text,
     tunability_csv_text,
-    win_matrix_csv_text,
 )
 
 
@@ -145,12 +144,6 @@ class TestWinMatrix:
     def test_single_model(self):
         scores = scores_from_betas({"only": 0.0})
         assert win_matrix(scores).tolist() == [[0.5]]
-
-    def test_csv_emitter(self):
-        scores = scores_from_betas({"a": 0.5, "b": -0.5})
-        text = win_matrix_csv_text(scores)
-        assert text.splitlines()[0] == "model,a,b"
-
 
 class TestCrossDatasetCompare:
     def test_cell_values(self):

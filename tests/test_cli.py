@@ -259,6 +259,29 @@ class TestFit:
         assert str(out / "epp_a.json") in err[0] and ".tmp" not in err[0]
         assert not list(out.glob("*.tmp*"))
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_writes_leave_the_same_files_for_any_jobs(self, tmp_path, capsys, jobs):
+        # a's and c's fit files cannot be written; b's still are, and the
+        # errors come after every fit, in dataset order.
+        rows = []
+        for seed, ds in enumerate("abc"):
+            write_scores(tmp_path / "one.csv", n_models=3, dataset=ds, seed=seed)
+            rows += (tmp_path / "one.csv").read_text().splitlines(True)[1:]
+        scores = tmp_path / "scores.csv"
+        scores.write_text("dataset,model,algorithm,split,score\n" + "".join(rows))
+        out = tmp_path / "out"
+        for ds in "ac":
+            (out / f"epp_{ds}.json").mkdir(parents=True)
+        rc = main(["fit", str(scores), "--jobs", jobs, "--dump-counts", "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+        assert str(out / "epp_a.json") in err[0] and str(out / "epp_c.json") in err[1]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "counts_b.json", "epp_a.csv", "epp_a.json", "epp_b.csv", "epp_b.json",
+            "epp_c.csv", "epp_c.json",
+        ]
+
     def test_colliding_counts_files_exit_2(self, tmp_path, capsys):
         counts = []
         for ds in ("a b", "a_b"):
@@ -287,7 +310,7 @@ class TestFit:
             assert rc == 0
             assert capsys.readouterr().err == (
                 "warning: dataset 'd': 1 model won or lost every match; with "
-                "--ridge-lambda 0 their scores are unbounded and depend on --algorithm\n"
+                "--ridge-lambda 0 their scores are unbounded\n"
             )
         main(["fit", "--counts", str(counts), "--out-dir", str(tmp_path / "ridge")])
         assert capsys.readouterr().err == ""

@@ -349,11 +349,6 @@ class TestParseHyperparamsCsv:
         with pytest.raises(TableParseError, match="duplicate"):
             parse_hyperparams_csv(text)
 
-    def test_unknown_models_helper(self):
-        table = parse_scores_csv(make_csv(["d1,m1,gbm,s1,0.5"]))
-        hyper = parse_hyperparams_csv("model,parameter,value\nm1,k,3\nmX,k,4\n")
-        assert hyper.unknown_models(table) == {"mX"}
-
     def test_json_mirror_round_trip(self):
         from eppscore.perf_table import parse_hyperparams_json
 

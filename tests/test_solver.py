@@ -385,8 +385,7 @@ class TestFitEpp:
 
     def test_diagnostics_per_component(self):
         # a separated 3-model island (a wins every match, so the MM path
-        # stalls there and hands it to Newton), a 2-model island and an
-        # isolated model
+        # hands it to Newton), a 2-model island and an isolated model
         w = np.zeros((6, 6))
         n = np.zeros((6, 6))
         n[:3, :3] = 10.0 - 10.0 * np.identity(3)
@@ -717,13 +716,13 @@ class TestNewmanPath:
             block = np.ix_(comp, comp)
             w, n = counts.w[block], counts.n[block]
             finite = finite_maximum(w)
-            if lam == 0.0 and not finite:
-                continue  # no maximum: the scores run off to the clamp
             trace = []
             fit = _fit_mm(w, n, cfg, trace=trace)
             assert fit.converged
             assert np.all(np.diff(np.array(trace)) >= -1e-9)
             assert np.array_equal(scores.beta[comp], fit.beta - fit.beta.mean())
+            if lam == 0.0 and not finite:
+                continue  # no maximum: the scores run off until the gradient vanishes
             beta, _ = newton_fit(w, n, lam, cfg.tol, cfg.max_iter)
             if finite:
                 assert np.max(np.abs(fit.beta - beta)) <= 1e-8
@@ -737,12 +736,11 @@ class TestNewmanPath:
 
     @pytest.mark.parametrize("lam", [1e-6, 1e-2, 5.0])
     def test_ridge_update_matches_bisection(self, lam):
-        # Half the models have no wins (d == 0), whose start
-        # log(1e-300 / c) lies far below the root; every model must land
-        # on its root.
+        # Newman's sums over nine and six decades: every model must land on
+        # its root.
         rng = np.random.default_rng(8)
         c = 10.0 ** rng.uniform(-3.0, 6.0, 60)
-        d = np.where(rng.random(60) < 0.5, 0.0, 10.0 ** rng.uniform(-3.0, 3.0, 60))
+        d = 10.0 ** rng.uniform(-3.0, 3.0, 60)
         roots = np.array([
             bisect_root(lambda u: ci * math.exp(u) + lam * u - di, -400.0, 400.0)
             for ci, di in zip(c, d)
@@ -762,8 +760,9 @@ class TestNewmanPath:
         assert np.max(np.abs(fit.beta - beta)) <= 1e-8
 
     def test_separated_chain_converges_within_mm_iterations(self):
-        # Newman's proposals stall on these separated ledgers, and Newton's
-        # method finishes them; MM sweeps took 521-522 iterations.
+        # The top model wins and the bottom one loses every match, so
+        # Newton's method fits these separated ledgers; MM sweeps took
+        # 521-522 iterations.
         for counts in chain_counts():
             scores = fit_epp(counts)
             assert scores.converged
@@ -797,16 +796,32 @@ class TestNewmanPath:
         assert fit.rescue_steps > 0
         assert np.all(np.diff(np.array(trace)) >= -1e-9)
 
-    def test_newton_ends_when_no_trial_ascends(self):
-        # a and b beat c and d in every match and sit above the clamp, c
-        # and d below it, so every trial clips both pairs' gaps away and
-        # lowers the likelihood: the step leaves the scores as they are,
-        # and a repeat from the same inputs could do no better.
-        w = np.array([[0, 8, 10, 10], [2, 0, 10, 10], [0, 0, 0, 8], [0, 0, 2, 0]], float)
-        n = 10.0 - 10.0 * np.identity(4)
-        start = np.array([361.0, 359.0, -359.0, -361.0])
+    def test_unpenalized_separated_fit_is_newtons(self):
+        # m0 wins and m3, m4, m6 lose every match. Newman's ratio is
+        # undefined for them, so the component goes to Newton's method from
+        # zero. Stepped by MM coordinates clipped to a +-350 box, this fit
+        # ended unconverged (gradient max-norm 1.52).
+        counts = _graph_counts(4234518698, 7, "random", [0])
         trace = []
-        fit = _fit_newton(w, n, FitConfig(ridge_lambda=0.0), trace, start)
+        fit = _fit_mm(counts.w, counts.n, FitConfig(ridge_lambda=0.0), trace=trace)
+        assert fit.converged
+        assert fit.rescue_steps == fit.iterations
+        assert np.all(np.diff(np.array(trace)) >= -1e-9)
+        mm, newton = (
+            fit_epp(counts, FitConfig(algorithm=algorithm, ridge_lambda=0.0))
+            for algorithm in ("mm", "newton")
+        )
+        assert mm.to_csv_text() == newton.to_csv_text()
+
+    def test_newton_ends_when_no_trial_ascends(self):
+        # At a gap of 800 each p(1 - p) is 0, so the gauged Hessian is
+        # singular and the least-squares direction is zero: the step leaves
+        # the scores as they are, and a repeat from the same inputs could
+        # do no better. Nothing clips the scores to a box.
+        w = np.array([[0, 5], [5, 0]], float)
+        start = np.array([-400.0, 400.0])
+        trace = []
+        fit = _fit_newton(w, w + w.T, FitConfig(ridge_lambda=0.0), trace, start)
         assert not fit.converged
         assert fit.iterations == 1
         assert np.array_equal(fit.beta, start)
