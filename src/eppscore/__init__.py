@@ -42,9 +42,8 @@ _EXPORTS = {
         "empirical_win_rate",
     ),
     "perf_table": (
-        "HyperparamTable", "PerformanceTable", "ScoreRecord",
-        "parse_hyperparams_csv", "parse_scores_csv", "parse_scores_json",
-        "validate",
+        "HyperparamTable", "PerformanceTable", "parse_hyperparams_csv",
+        "parse_scores_csv", "validate",
     ),
     "solver": (
         "EppScores", "FitAlgorithm", "FitConfig", "SeparationFlag",

@@ -15,8 +15,9 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import ConfigError
 from .inference import spearman
-from .perf_table import PerformanceTable, ScoreRecord
+from .perf_table import PerformanceTable
 from .solver import EppScores
 
 
@@ -27,10 +28,10 @@ class EloConfig:
     scale: float = 400.0  # base-10 logistic scale
 
     def __post_init__(self):
-        if self.k_factor <= 0:
-            raise ValueError("k_factor must be > 0")
-        if self.scale <= 0:
-            raise ValueError("scale must be > 0")
+        if not self.k_factor > 0:
+            raise ConfigError(f"k_factor must be > 0, got {self.k_factor}")
+        if not self.scale > 0:
+            raise ConfigError(f"scale must be > 0, got {self.scale}")
 
 
 def sequential_elo(
@@ -75,9 +76,11 @@ class SyntheticSpec:
         object.__setattr__(self, "skills", tuple(float(s) for s in self.skills))
         object.__setattr__(self, "noise", NoiseKind(self.noise))
         if self.n_splits < 1:
-            raise ValueError("n_splits must be >= 1")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be > 0")
+            raise ConfigError(f"n_splits must be >= 1, got {self.n_splits}")
+        if not self.sigma > 0:
+            raise ConfigError(f"sigma must be > 0, got {self.sigma}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def m(self) -> int:
@@ -116,22 +119,17 @@ def _noise_matrix(spec: SyntheticSpec) -> np.ndarray:
 
 
 def simulate_scores(spec: SyntheticSpec) -> PerformanceTable:
-    """Performance table with score(model i, split k) = skills[i] + noise."""
-    noise = _noise_matrix(spec)
-    records = []
-    for i in range(spec.m):
-        model = synthetic_model_id(i, spec.m)
-        for k in range(spec.n_splits):
-            records.append(
-                ScoreRecord(
-                    dataset_id=spec.dataset_id,
-                    model_id=model,
-                    algorithm="sim",
-                    split_id=_split_id(k, spec.n_splits),
-                    score=float(spec.skills[i] + noise[i, k]),
-                )
-            )
-    return PerformanceTable(records)
+    """Performance table with score(model i, split k) = skills[i] + noise[i, k],
+    its rows model by model, each model's in split order."""
+    m, s = spec.m, spec.n_splits
+    score = np.asarray(spec.skills)[:, None] + _noise_matrix(spec)
+    return PerformanceTable(
+        [spec.dataset_id] * (m * s),
+        [synthetic_model_id(i, m) for i in range(m) for _ in range(s)],
+        ["sim"] * (m * s),
+        [_split_id(k, s) for k in range(s)] * m,
+        score.ravel(),
+    )
 
 
 def recovery_from_truth(

@@ -33,7 +33,13 @@ else:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
 from . import analysis, baselines, svg
-from .errors import ConfigError, EppError, FileFormatError, TableParseError
+from .errors import (
+    ConfigError,
+    EppError,
+    FileFormatError,
+    PairedSplitsMismatchError,
+    TableParseError,
+)
 from .match_engine import PairingMode, PairwiseCounts, TiePolicy, build_matches
 from .perf_table import (
     _as_text,
@@ -275,8 +281,12 @@ def _cmd_fit(args: argparse.Namespace) -> int:
                 print(f"warning: {warning}", file=sys.stderr)
         ledgers = None
 
-    def fit_one(counts: PairwiseCounts) -> str | None:
-        """Fit and write one dataset; the error that stopped it, if any."""
+    def fit_one(counts: PairwiseCounts | EppError) -> str | None:
+        """Fit and write one dataset; the error that stopped it, if any.
+        `counts` is the error instead when the dataset's ledger could not be
+        built."""
+        if isinstance(counts, EppError):
+            return f"error: {counts}"
         try:
             scores = fit_epp(counts, cfg.fit)
             if table is not None:
@@ -312,10 +322,13 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         # Built here, not in the pool: on glibc each worker thread's malloc
         # arena keeps the counting kernel's freed temporaries, which raised
         # the peak RSS of a 4-dataset, 47k-row fit with --jobs 2 by 4.7 MB.
-        ledgers = [
-            build_matches(table, ds, cfg.pairing, cfg.ties)
-            for ds in table.datasets()
-        ]
+        # A ledger that cannot be built fails its dataset only, as a fit does.
+        ledgers = []
+        for ds in table.datasets():
+            try:
+                ledgers.append(build_matches(table, ds, cfg.pairing, cfg.ties))
+            except PairedSplitsMismatchError as exc:
+                ledgers.append(exc)
     if cfg.jobs > 1 and len(ledgers) > 1:
         # Imported here: concurrent.futures loads logging, about 10 ms of a
         # start-up that serial runs and report commands need not pay.

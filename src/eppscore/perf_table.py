@@ -2,7 +2,6 @@
 
 The canonical input is a tidy CSV with header ``dataset,model,algorithm,
 split,score`` holding one performance value per (dataset, model, split).
-A JSON mirror with the same field names is supported for both directions.
 """
 
 from __future__ import annotations
@@ -10,8 +9,6 @@ from __future__ import annotations
 import copy
 import csv
 import io
-import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -22,17 +19,6 @@ from .errors import TableParseError
 
 SCORES_HEADER = ("dataset", "model", "algorithm", "split", "score")
 HYPERPARAMS_HEADER = ("model", "parameter", "value")
-
-
-@dataclass(frozen=True, order=True)
-class ScoreRecord:
-    """One performance observation: a model's score on one train/test split."""
-
-    dataset_id: str
-    model_id: str
-    algorithm: str
-    split_id: str
-    score: float
 
 
 class DatasetBlock(NamedTuple):
@@ -75,27 +61,13 @@ class PerformanceTable:
     sha256: str | None = None
     lower_is_better: bool = False
 
-    def __init__(self, records=()):
-        recs = list(records)
-        self._build(
-            [r.dataset_id for r in recs],
-            [r.model_id for r in recs],
-            [r.algorithm for r in recs],
-            [r.split_id for r in recs],
-            np.array([r.score for r in recs], dtype=float),
-        )
-
-    @classmethod
-    def _from_columns(cls, *columns, **options) -> "PerformanceTable":
-        table = cls.__new__(cls)
-        table._build(*columns, **options)
-        return table
-
-    def _build(self, datasets, models, algorithms, splits, score, clean=None, source=None):
+    def __init__(self, datasets, models, algorithms, splits, score, clean=None, source=None):
         """Code the id columns and run each check once over the whole table.
 
-        `clean` normalizes raw ids (the CSV strips them). `source`, given by
-        the CSV parser, supplies error line numbers and raw score fields.
+        The four id columns are sequences of labels and `score` a float64
+        array, one entry per row. `clean` normalizes raw ids (the CSV strips
+        them). `source`, given by the CSV parser, supplies error line numbers
+        and raw score fields.
         """
         self._datasets, dataset = _factorize(datasets, clean)
         self._models, model = _factorize(models, clean)
@@ -131,13 +103,9 @@ class PerformanceTable:
         if len(repeats):
             i = int(repeats.min())
             ids = (self._datasets[dataset[i]], self._models[model[i]], self._splits[split[i]])
-            if source is not None:
-                raise TableParseError(
-                    f"duplicate record for (dataset, model, split) = {ids}", source.line(i)
-                )
             raise TableParseError(
-                "duplicate record for (dataset, model, split) = "
-                f"({ids[0]}, {ids[1]}, {ids[2]})"
+                f"duplicate record for (dataset, model, split) = {ids}",
+                None if source is None else source.line(i),
             )
 
         # Each model's algorithm is the one on its first row.
@@ -166,11 +134,6 @@ class PerformanceTable:
         self._means = None  # per group, built on first use
 
     @property
-    def records(self) -> tuple[ScoreRecord, ...]:
-        """The rows as :class:`ScoreRecord`, in table order (built per call)."""
-        return tuple(itertools.starmap(ScoreRecord, self._rows()))
-
-    @property
     def algorithm_of(self) -> dict[str, str]:
         """Mapping model id -> algorithm label."""
         return dict(self._model_algorithm)
@@ -192,17 +155,6 @@ class PerformanceTable:
             split=self._split[rows],
             split_ids=self._splits,
         )
-
-    def splits(self, dataset_id: str, model_id: str) -> dict[str, float]:
-        """Split id -> score for one model, in table order."""
-        g = self._group(dataset_id, model_id)
-        rows = self._order[self._bounds[g]:self._bounds[g + 1]]
-        return dict(
-            zip(self._labels(self._splits, self._split[rows]), self._score[rows].tolist())
-        )
-
-    def score(self, dataset_id: str, model_id: str, split_id: str) -> float:
-        return self.splits(dataset_id, model_id)[split_id]
 
     def mean_score(self, dataset_id: str, model_id: str) -> float:
         """The model's scores summed in table order by `sum`, over their count."""
@@ -282,13 +234,6 @@ class PerformanceTable:
             (d, m, a, s, repr(score)) for d, m, a, s, score in self._rows()
         )
         return buf.getvalue()
-
-    def to_json_text(self) -> str:
-        rows = [
-            {"dataset": d, "model": m, "algorithm": a, "split": s, "score": score}
-            for d, m, a, s, score in self._rows()
-        ]
-        return json.dumps({"records": rows}, indent=2) + "\n"
 
 
 def _factorize(values: list, clean=None) -> tuple[tuple[str, ...], np.ndarray]:
@@ -390,32 +335,11 @@ def parse_scores_csv(data) -> PerformanceTable:
             except ValueError:
                 raise TableParseError(f"cannot parse score {raw!r}", source.line(i)) from None
         raise
-    table = PerformanceTable._from_columns(
+    table = PerformanceTable(
         datasets, models, algorithms, splits, score, clean=str.strip, source=source
     )
     table.sha256 = sha256_of(data)
     return table
-
-
-def parse_scores_json(data) -> PerformanceTable:
-    """Parse the JSON mirror of the scores CSV."""
-    obj = json.loads(_as_text(data))
-    columns: tuple[list, ...] = ([], [], [], [], [])
-    for i, row in enumerate(obj["records"]):
-        try:
-            values = (
-                str(row["dataset"]),
-                str(row["model"]),
-                str(row["algorithm"]),
-                str(row["split"]),
-                float(row["score"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TableParseError(f"bad record #{i}: {exc}") from None
-        for column, value in zip(columns, values):
-            column.append(value)
-    *ids, scores = columns
-    return PerformanceTable._from_columns(*ids, np.array(scores, dtype=float))
 
 
 def _missing_splits_warning(ds: str, model: str, absent: tuple[str, ...]) -> str:
@@ -594,29 +518,6 @@ class HyperparamTable:
             raise ValueError(f"parameter {parameter!r} is numeric")
         return sorted({str(v) for v in self._values[parameter].values()})
 
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(HYPERPARAMS_HEADER)
-        for parameter in self.parameters:
-            per_param = self._values[parameter]
-            for model in sorted(per_param):
-                value = per_param[model]
-                writer.writerow(
-                    [model, parameter, repr(value) if isinstance(value, float) else value]
-                )
-        return buf.getvalue()
-
-    def to_json_text(self) -> str:
-        rows = []
-        for parameter in self.parameters:
-            per_param = self._values[parameter]
-            for model in sorted(per_param):
-                rows.append(
-                    {"model": model, "parameter": parameter, "value": per_param[model]}
-                )
-        return json.dumps({"entries": rows}, indent=2) + "\n"
-
 
 def _parse_hyperparam_value(raw: str) -> float | str:
     try:
@@ -624,25 +525,6 @@ def _parse_hyperparam_value(raw: str) -> float | str:
     except ValueError:
         return raw
     return value if math.isfinite(value) else raw
-
-
-def parse_hyperparams_json(data) -> HyperparamTable:
-    """Parse the JSON mirror of the hyperparameter CSV."""
-    obj = json.loads(_as_text(data))
-    entries = []
-    for i, row in enumerate(obj["entries"]):
-        try:
-            value = row["value"]
-            if isinstance(value, bool):
-                value = str(value)
-            elif isinstance(value, (int, float)):
-                value = float(value)
-            else:
-                value = _parse_hyperparam_value(str(value))
-            entries.append((str(row["model"]), str(row["parameter"]), value))
-        except (KeyError, TypeError) as exc:
-            raise TableParseError(f"bad entry #{i}: {exc}") from None
-    return HyperparamTable(entries)
 
 
 def parse_hyperparams_csv(data) -> HyperparamTable:

@@ -269,6 +269,23 @@ def rowwise_parse_scores_csv(text):
     return RowwiseTable(rows)
 
 
+def rowwise_simulated_scores_csv(spec, noise):
+    """The scores CSV of a synthetic spec, written one row per loop step:
+    model i's score on split k is ``skills[i] + noise[i][k]``, rows model by
+    model, ids zero-padded to at least three digits."""
+    m, n_splits = len(spec.skills), spec.n_splits
+    model_width = max(3, len(str(m - 1)))
+    split_width = max(3, len(str(n_splits - 1)))
+    lines = ["dataset,model,algorithm,split,score"]
+    for i in range(m):
+        for k in range(n_splits):
+            score = float(spec.skills[i]) + float(noise[i][k])
+            lines.append(
+                f"{spec.dataset_id},m{i:0{model_width}d},sim,s{k:0{split_width}d},{score!r}"
+            )
+    return "\n".join(lines) + "\n"
+
+
 def rowwise_validate(table):
     """Per-dataset validation fields from the nested dicts, with sets and
     Counters: (dataset, n_models, split_ids, missing, constant, tie_pairs,

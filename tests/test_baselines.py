@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from oracles import rowwise_simulated_scores_csv
 
 from eppscore import (
+    ConfigError,
     EloConfig,
     NoiseKind,
     SyntheticSpec,
@@ -15,7 +17,7 @@ from eppscore import (
     sequential_elo,
     simulate_scores,
 )
-from eppscore.baselines import synthetic_model_id
+from eppscore.baselines import _noise_matrix, synthetic_model_id
 
 
 class TestSequentialElo:
@@ -54,9 +56,9 @@ class TestSequentialElo:
         assert ratings["a"] == 1005.0
 
     def test_bad_config_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             EloConfig(k_factor=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             EloConfig(scale=-1.0)
 
 
@@ -116,10 +118,25 @@ class TestSimulateScores:
         assert dhat == pytest.approx(math.log(probit / (1 - probit)), abs=0.15)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SyntheticSpec(skills=(0.0,), n_splits=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SyntheticSpec(skills=(0.0,), n_splits=1, sigma=0.0)
+        with pytest.raises(ConfigError):
+            SyntheticSpec(skills=(0.0,), n_splits=1, seed=-1)
+
+    @pytest.mark.parametrize(
+        "m, n_splits, noise",
+        [(3, 7, "gumbel"), (5, 4, "gaussian"), (1001, 2, "gumbel"), (2, 1001, "gaussian")],
+        ids=["gumbel", "gaussian", "wide-model-ids", "wide-split-ids"],
+    )
+    def test_matches_rowwise_oracle(self, m, n_splits, noise):
+        spec = SyntheticSpec(
+            skills=tuple(np.linspace(-1.5, 2.5, m)), n_splits=n_splits, noise=noise,
+            sigma=0.5, seed=11, dataset_id="sim data",
+        )
+        expected = rowwise_simulated_scores_csv(spec, _noise_matrix(spec))
+        assert simulate_scores(spec).to_csv_text() == expected
 
 
 class TestRecovery:

@@ -15,6 +15,7 @@ from eppscore import (
     EppScores,
     FitAlgorithm,
     FitConfig,
+    PairedSplitsMismatchError,
     PairingMode,
     PairwiseCounts,
     SpreadKind,
@@ -261,22 +262,27 @@ class TestFit:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_failed_writes_leave_the_same_files_for_any_jobs(self, tmp_path, capsys, jobs):
-        # a's and c's fit files cannot be written; b's still are, and the
-        # errors come after every fit, in dataset order.
+        # a's and c's fit files cannot be written, and bb's paired ledger
+        # cannot be built, as its model m2 lacks a split; b's files still
+        # are, and the errors come after every fit, in dataset order.
         rows = []
-        for seed, ds in enumerate("abc"):
+        for seed, ds in enumerate(["a", "b", "bb", "c"]):
             write_scores(tmp_path / "one.csv", n_models=3, dataset=ds, seed=seed)
-            rows += (tmp_path / "one.csv").read_text().splitlines(True)[1:]
+            lines = (tmp_path / "one.csv").read_text().splitlines(True)[1:]
+            rows += lines[:-1] if ds == "bb" else lines  # bb's last row: m2 on s19
         scores = tmp_path / "scores.csv"
         scores.write_text("dataset,model,algorithm,split,score\n" + "".join(rows))
         out = tmp_path / "out"
         for ds in "ac":
             (out / f"epp_{ds}.json").mkdir(parents=True)
-        rc = main(["fit", str(scores), "--jobs", jobs, "--dump-counts", "--out-dir", str(out)])
+        rc = main(["fit", str(scores), "--pairing", "paired", "--jobs", jobs, "--dump-counts",
+                   "--out-dir", str(out)])
         assert rc == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 2 and all(line.startswith("error: ") for line in err)
-        assert str(out / "epp_a.json") in err[0] and str(out / "epp_c.json") in err[1]
+        warning, *err = capsys.readouterr().err.splitlines()
+        assert warning.startswith("warning: dataset 'bb': 1 models missing splits")
+        assert len(err) == 3 and all(line.startswith("error: ") for line in err)
+        assert str(out / "epp_a.json") in err[0] and str(out / "epp_c.json") in err[2]
+        assert err[1] == f"error: {PairedSplitsMismatchError('bb', ['m2'])}"
         assert sorted(p.name for p in out.iterdir()) == [
             "counts_b.json", "epp_a.csv", "epp_a.json", "epp_b.csv", "epp_b.json",
             "epp_c.csv", "epp_c.json",
@@ -654,6 +660,30 @@ class TestSimulateAndPipeline:
         _, rho, n = lines[1].split(",")
         assert float(rho) > 0.9
         assert n == "8"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--models", "3", "--splits", "0", "--seed", "1"],
+         "n_splits must be >= 1, got 0"),
+        (["simulate", "--models", "3", "--splits", "5", "--seed", "1", "--sigma", "0"],
+         "sigma must be > 0, got 0.0"),
+        (["simulate", "--models", "3", "--splits", "5", "--seed", "-1"],
+         "seed must be >= 0, got -1"),
+        (["elo", "--k-factor", "-1"], "k_factor must be > 0, got -1.0"),
+        (["elo", "--scale", "0"], "scale must be > 0, got 0.0"),
+    ],
+    ids=["splits", "sigma", "seed", "k-factor", "scale"],
+)
+def test_bad_generator_or_elo_setting_exits_2(tmp_path, capsys, argv, message):
+    if argv[0] == "elo":
+        (tmp_path / "matches.csv").write_text("winner,loser\na,b\n")
+        argv = [*argv, "--input", str(tmp_path / "matches.csv")]
+    rc = main([*argv, "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 class TestElo:

@@ -15,15 +15,15 @@ PUBLIC_NAMES = [
     "DegenerateVarianceError", "EloConfig", "EmbeddingPoint", "EppError",
     "EppScores", "FileFormatError", "FitAlgorithm", "FitConfig", "FitWarning",
     "HyperparamTable", "LeaderboardRow", "NoiseKind", "PairedSplitsMismatchError",
-    "PairingMode", "PairwiseCounts", "PerformanceTable", "ScoreRecord",
-    "SeparationError", "SeparationFlag", "SpreadKind", "SyntheticSpec",
-    "TableParseError", "TestMethod", "TestResult", "TiePolicy", "TunabilityRow",
+    "PairingMode", "PairwiseCounts", "PerformanceTable", "SeparationError",
+    "SeparationFlag", "SpreadKind", "SyntheticSpec", "TableParseError",
+    "TestMethod", "TestResult", "TiePolicy", "TunabilityRow",
     "TunabilityTarget", "UndefinedWinRateError", "UnknownModelError",
     "aggregate_across_datasets",
     "build_matches", "cross_dataset_compare", "detect_separation", "embed",
     "empirical_win_rate", "fit_epp", "gradient", "leaderboard", "log_likelihood",
     "lr_test_difference", "mann_whitney", "parse_hyperparams_csv",
-    "parse_scores_csv", "parse_scores_json", "prob_vs_average", "recovery_error",
+    "parse_scores_csv", "prob_vs_average", "recovery_error",
     "recovery_from_truth", "sequential_elo", "simulate_scores", "spearman",
     "stars_for", "tunability_report", "two_model_closed_form", "validate",
     "wald_test_difference", "wald_test_vs_average", "win_matrix", "win_probability",
@@ -32,7 +32,7 @@ PUBLIC_NAMES = [
 
 class TestPublicNames:
     def test_all_is_unchanged(self):
-        assert len(PUBLIC_NAMES) == 62
+        assert len(PUBLIC_NAMES) == 60
         assert eppscore.__all__ == PUBLIC_NAMES
 
     @pytest.mark.parametrize("name", PUBLIC_NAMES)

@@ -9,11 +9,12 @@ from eppscore import (
     TableParseError,
     parse_hyperparams_csv,
     parse_scores_csv,
-    parse_scores_json,
+    simulate_scores,
     validate,
 )
+from eppscore.baselines import SyntheticSpec
 from eppscore.match_engine import PairingMode, TiePolicy, build_matches
-from eppscore.perf_table import DatasetValidation, PerformanceTable, ScoreRecord
+from eppscore.perf_table import DatasetValidation, PerformanceTable
 
 
 def make_csv(rows):
@@ -24,9 +25,9 @@ class TestParseScoresCsv:
     def test_single_row_round_trip(self):
         table = parse_scores_csv(make_csv(["d1,m1,gbm,s1,0.89"]))
         assert len(table) == 1
-        rec = table.records[0]
-        assert rec == ScoreRecord("d1", "m1", "gbm", "s1", 0.89)
-        assert table.score("d1", "m1", "s1") == pytest.approx(0.890)
+        assert table.to_csv_text() == make_csv(["d1,m1,gbm,s1,0.89"])
+        block = table.block("d1")
+        assert (block.models, block.split_ids, block.score.tolist()) == (("m1",), ("s1",), [0.89])
 
     def test_row_order_does_not_matter(self):
         rows = ["d1,m1,gbm,s1,0.5", "d1,m1,gbm,s2,0.6", "d1,m2,rf,s1,0.7"]
@@ -84,53 +85,30 @@ class TestParseScoresCsv:
             make_csv(["d1,m1,gbm,s1,0.512345678901", "d1,m2,rf,s1,0.625"])
         )
         again = parse_scores_csv(table.to_csv_text())
-        assert sorted(again.records) == sorted(table.records)
-
-    def test_json_mirror_round_trip(self):
-        table = parse_scores_csv(make_csv(["d1,m1,gbm,s1,0.5", "d2,m2,rf,s2,0.75"]))
-        again = parse_scores_json(table.to_json_text())
-        assert sorted(again.records) == sorted(table.records)
+        assert again == table
+        assert again.to_csv_text() == table.to_csv_text()
 
     def test_negated(self):
         table = parse_scores_csv(make_csv(["d1,m1,gbm,s1,0.5"]))
-        assert table.negated().score("d1", "m1", "s1") == -0.5
+        assert table.negated().block("d1").score.tolist() == [-0.5]
 
 
 class TestRecordsConstructor:
-    """`PerformanceTable(records)` reports faults without line numbers."""
+    """Tables built from columns, not parsed, report faults without line
+    numbers."""
 
     def test_non_finite(self):
+        spec = SyntheticSpec(skills=(0.0, float("nan")), n_splits=2, seed=1)
         with pytest.raises(TableParseError) as err:
-            PerformanceTable([ScoreRecord("d1", "m1", "gbm", "s1", float("inf"))])
-        assert str(err.value) == "non-finite score inf for (d1, m1, s1)"
+            simulate_scores(spec)
+        assert str(err.value) == "non-finite score nan for (synthetic, m001, s000)"
         assert err.value.line is None
 
-    def test_duplicate(self):
-        rows = [
-            ScoreRecord("d1", "m1", "gbm", "s1", 0.5),
-            ScoreRecord("d1", "m1", "gbm", "s1", 0.6),
-        ]
-        with pytest.raises(TableParseError) as err:
-            PerformanceTable(rows)
-        assert str(err.value) == "duplicate record for (dataset, model, split) = (d1, m1, s1)"
-
     def test_two_algorithms(self):
-        rows = [
-            ScoreRecord("d1", "m1", "gbm", "s1", 0.5),
-            ScoreRecord("d2", "m1", "rf", "s1", 0.6),
-        ]
+        columns = (["d1", "d2"], ["m1", "m1"], ["gbm", "rf"], ["s1", "s1"], np.array([0.5, 0.6]))
         with pytest.raises(TableParseError) as err:
-            PerformanceTable(rows)
+            PerformanceTable(*columns)
         assert str(err.value) == "model 'm1' labeled with two algorithms: 'gbm' and 'rf'"
-
-    def test_records_view_round_trips(self):
-        table = parse_scores_csv(make_csv(["d1,m2,rf,s1,0.5", "d1,m1,gbm,s1,-0.0"]))
-        assert table.records == (
-            ScoreRecord("d1", "m2", "rf", "s1", 0.5),
-            ScoreRecord("d1", "m1", "gbm", "s1", -0.0),
-        )
-        assert PerformanceTable(table.records) == table
-        assert not hasattr(table, "index")
 
 
 def _csv_field(text):
@@ -216,25 +194,24 @@ class TestColumnarMatchesRowwiseOracle:
         table = parse_scores_csv(data)
         assert len(table) == len(ref.rows)
         assert table.algorithm_of == ref.algorithm_of
-        got_rows = [(r.dataset_id, r.model_id, r.algorithm, r.split_id) for r in table.records]
-        assert got_rows == [row[:4] for row in ref.rows]
-        assert np.array_equal(_bits(r.score for r in table.records), _bits(r[4] for r in ref.rows))
+        written = rowwise_parse_scores_csv(table.to_csv_text())
+        assert [row[:4] for row in written.rows] == [row[:4] for row in ref.rows]
+        assert np.array_equal(_bits(r[4] for r in written.rows), _bits(r[4] for r in ref.rows))
         assert table.datasets() == sorted(ref.index)
         for ds in table.datasets():
             assert table.models(ds) == sorted(ref.index[ds])
-            for model in table.models(ds):
+            for model, splits, scores in self._per_model(table, ds):
                 expected = ref.index[ds][model]
-                got = table.splits(ds, model)
-                assert list(got) == list(expected)
-                assert np.array_equal(_bits(got.values()), _bits(expected.values()))
+                assert splits == list(expected)
+                assert np.array_equal(_bits(scores), _bits(expected.values()))
                 assert _bits([table.mean_score(ds, model)]) == _bits(
                     [sum(expected.values()) / len(expected)]
                 )
         negated = table.negated()  # after the means above were computed
         for ds in table.datasets():
-            for model, expected in ref.index[ds].items():
-                flipped = [-v for v in expected.values()]
-                assert np.array_equal(_bits(negated.splits(ds, model).values()), _bits(flipped))
+            for model, _, scores in self._per_model(negated, ds):
+                flipped = [-v for v in ref.index[ds][model].values()]
+                assert np.array_equal(_bits(scores), _bits(flipped))
                 assert _bits([negated.mean_score(ds, model)]) == _bits(
                     [sum(flipped) / len(flipped)]
                 )
@@ -243,6 +220,15 @@ class TestColumnarMatchesRowwiseOracle:
             assert got == expected
             assert got.folded_warnings() == expected.folded_warnings()
         self._check_matches(table, ref)
+
+    @staticmethod
+    def _per_model(table, ds):
+        """(model, its split ids, its scores) per model of `table.block(ds)`."""
+        block = table.block(ds)
+        ends = np.cumsum(block.sizes)
+        for model, lo, hi in zip(block.models, (ends - block.sizes).tolist(), ends.tolist()):
+            splits = [block.split_ids[c] for c in block.split[lo:hi].tolist()]
+            yield model, splits, block.score[lo:hi]
 
     @staticmethod
     def _check_matches(table, ref):
@@ -317,7 +303,7 @@ class TestValidate:
         assert report.datasets[0].exact_tie_pairs == 0
 
     def test_empty_table_empty_report(self):
-        report = validate(PerformanceTable([]))
+        report = validate(PerformanceTable([], [], [], [], np.empty(0)))
         assert report.datasets == ()
         assert report.ok
 
@@ -348,22 +334,3 @@ class TestParseHyperparamsCsv:
         text = "model,parameter,value\nm1,k,3\nm1,k,4\n"
         with pytest.raises(TableParseError, match="duplicate"):
             parse_hyperparams_csv(text)
-
-    def test_json_mirror_round_trip(self):
-        from eppscore.perf_table import parse_hyperparams_json
-
-        text = (
-            "model,parameter,value\nm1,k,3\nm2,k,7\n"
-            "m1,replace,TRUE\nm2,replace,FALSE\n"
-        )
-        hyper = parse_hyperparams_csv(text)
-        again = parse_hyperparams_json(hyper.to_json_text())
-        assert again.parameters == hyper.parameters
-        assert again.values("k") == hyper.values("k")
-        assert again.values("replace") == hyper.values("replace")
-
-    def test_csv_round_trip(self):
-        text = "model,parameter,value\nm1,k,3\nm2,k,7\n"
-        hyper = parse_hyperparams_csv(text)
-        again = parse_hyperparams_csv(hyper.to_csv_text())
-        assert again.values("k") == hyper.values("k")

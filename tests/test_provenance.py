@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 from eppscore import cli
 from eppscore.analysis import leaderboard
+from eppscore.baselines import SyntheticSpec, simulate_scores
 from eppscore.cli import main
 from eppscore.errors import FileFormatError, FitWarning
 from eppscore.match_engine import PairingMode, PairwiseCounts, TiePolicy, build_matches
-from eppscore.perf_table import PerformanceTable, ScoreRecord, parse_scores_csv, sha256_of
+from eppscore.perf_table import parse_scores_csv, sha256_of
 from eppscore.solver import EppScores, FitConfig, fit_epp
 
 DEFAULT_FIT_SOURCE = {"algorithm": "mm", "ridge_lambda": 1e-6, "tol": 1e-9, "max_iter": 10_000}
@@ -112,9 +113,9 @@ def test_only_parsed_tables_carry_a_digest():
     assert parsed.sha256 == parse_scores_csv(text).sha256 == sha256_of(text)
     assert not parsed.lower_is_better
     assert parsed.negated().lower_is_better and not parsed.negated().negated().lower_is_better
-    built = PerformanceTable([ScoreRecord("d1", "a", "alg", "s1", 0.5)])
+    built = simulate_scores(SyntheticSpec(skills=(0.0, 1.0), n_splits=2, seed=1))
     assert built.sha256 is None
-    assert build_matches(built, "d1").source["sha256"] is None
+    assert build_matches(built, "synthetic").source["sha256"] is None
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
