@@ -73,7 +73,11 @@ class SyntheticSpec:
     dataset_id: str = "synthetic"
 
     def __post_init__(self):
-        object.__setattr__(self, "skills", tuple(float(s) for s in self.skills))
+        try:
+            skills = tuple(map(float, self.skills))
+        except ValueError as exc:
+            raise ConfigError(f"skills must be numbers: {exc}") from None
+        object.__setattr__(self, "skills", skills)
         object.__setattr__(self, "noise", NoiseKind(self.noise))
         if self.n_splits < 1:
             raise ConfigError(f"n_splits must be >= 1, got {self.n_splits}")
@@ -90,7 +94,7 @@ class SyntheticSpec:
     def with_linear_skills(cls, m: int, low: float = -2.0, high: float = 2.0, **kw):
         """Spec with `m` skills equally spaced over [low, high]."""
         if m < 2:
-            raise ValueError("need at least 2 models")
+            raise ConfigError(f"need at least 2 models, got {m}")
         skills = tuple(np.linspace(low, high, m))
         return cls(skills=skills, **kw)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import os
@@ -24,11 +25,11 @@ from pathlib import Path
 # then never started. The environment is restored right after, so in-process
 # callers of main() and their child processes see no change.
 if "OPENBLAS_NUM_THREADS" in os.environ:
-    import numpy as np
+    import numpy
 else:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
-        import numpy as np
+        import numpy
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
@@ -270,8 +271,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         table = None
     else:
         if not args.scores:
-            print("fit: provide a scores CSV or --counts files", file=sys.stderr)
-            return 2
+            raise ConfigError("provide a scores CSV or --counts files")
         table = _load_csv_file(args.scores, parse_scores_csv)
         _check_output_names(table.datasets())
         if cfg.lower_is_better:
@@ -281,12 +281,12 @@ def _cmd_fit(args: argparse.Namespace) -> int:
                 print(f"warning: {warning}", file=sys.stderr)
         ledgers = None
 
-    def fit_one(counts: PairwiseCounts | EppError) -> str | None:
-        """Fit and write one dataset; the error that stopped it, if any.
-        `counts` is the error instead when the dataset's ledger could not be
-        built."""
+    def fit_one(counts: PairwiseCounts | EppError) -> list[str]:
+        """Fit and write one dataset; its stderr lines: warnings, or the one
+        error that stopped it. `counts` is the error instead when the
+        dataset's ledger could not be built."""
         if isinstance(counts, EppError):
-            return f"error: {counts}"
+            return [f"error: {counts}"]
         try:
             scores = fit_epp(counts, cfg.fit)
             if table is not None:
@@ -301,22 +301,21 @@ def _cmd_fit(args: argparse.Namespace) -> int:
                     counts.to_json_text(),
                 )
         except (OSError, EppError) as exc:
-            return f"error: {exc}"
+            return [f"error: {exc}"]
+        lines = []
         flagged = sum(f != SeparationFlag.NONE for f in scores.separation_flags)
         if flagged and cfg.fit.ridge_lambda == 0.0:
-            print(
+            lines.append(
                 f"warning: dataset {counts.dataset_id!r}: {flagged} "
                 f"model{'s' if flagged > 1 else ''} won or lost every match; with "
-                "--ridge-lambda 0 their scores are unbounded",
-                file=sys.stderr,
+                "--ridge-lambda 0 their scores are unbounded"
             )
         if not scores.converged:
-            print(
+            lines.append(
                 f"warning: dataset {counts.dataset_id!r} did not converge within "
-                f"{cfg.fit.max_iter} iterations",
-                file=sys.stderr,
+                f"{cfg.fit.max_iter} iterations"
             )
-        return None
+        return lines
 
     if ledgers is None:
         # Built here, not in the pool: on glibc each worker thread's malloc
@@ -335,15 +334,16 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            errors = list(pool.map(fit_one, ledgers))
+            per_dataset = list(pool.map(fit_one, ledgers))
     else:
-        errors = [fit_one(counts) for counts in ledgers]
-    # Every dataset is fitted whatever the others do, so the files written
-    # do not depend on --jobs; the failures are reported in dataset order.
-    errors = [e for e in errors if e is not None]
-    for error in errors:
-        print(error, file=sys.stderr)
-    return 2 if errors else 0
+        per_dataset = [fit_one(counts) for counts in ledgers]
+    # Every dataset is fitted whatever the others do, and its lines are
+    # printed here in dataset order, so neither the files written nor stderr
+    # depend on --jobs.
+    lines = [line for dataset_lines in per_dataset for line in dataset_lines]
+    for line in lines:
+        print(line, file=sys.stderr)
+    return 2 if any(line.startswith("error: ") for line in lines) else 0
 
 
 def _cmd_leaderboard(args: argparse.Namespace) -> int:
@@ -424,22 +424,15 @@ def _cmd_tunability(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
+    settings = dict(n_splits=args.splits, noise=args.noise, sigma=args.sigma,
+                    seed=args.seed, dataset_id=args.dataset)
     if args.skills:
-        skills = tuple(float(s) for s in args.skills.split(","))
+        spec = baselines.SyntheticSpec(skills=args.skills.split(","), **settings)
+    elif args.models is not None:
+        spec = baselines.SyntheticSpec.with_linear_skills(
+            args.models, args.skill_low, args.skill_high, **settings)
     else:
-        if not args.models or args.models < 2:
-            print("simulate: need --models >= 2 or an explicit --skills list",
-                  file=sys.stderr)
-            return 2
-        skills = tuple(np.linspace(args.skill_low, args.skill_high, args.models))
-    spec = baselines.SyntheticSpec(
-        skills=skills,
-        n_splits=args.splits,
-        noise=baselines.NoiseKind(args.noise),
-        sigma=args.sigma,
-        seed=args.seed,
-        dataset_id=args.dataset,
-    )
+        raise ConfigError("need --models or an explicit --skills list")
     table = baselines.simulate_scores(spec)
     out = Path(cfg.out_dir)
     _write_atomic(out / "scores.csv", table.to_csv_text())
@@ -522,36 +515,6 @@ def _cmd_recovery(args: argparse.Namespace) -> int:
 # Parser
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=[f.value for f in OutputFormat], default=None,
-                        help=f"report output format (default {_DEFAULT_TEXT['format']})")
-    parser.add_argument("--out-dir", dest="out_dir", default=None,
-                        help=f"output directory (default {_DEFAULT_TEXT['out_dir']})")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help=f"max concurrent datasets (default {_DEFAULT_TEXT['jobs']})")
-    parser.add_argument("--config", default=None,
-                        help="key = value config file; flags override it")
-
-
-def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--pairing", choices=[m.value for m in PairingMode],
-                        default=None, help="cross: all split pairs; paired: same split only")
-    parser.add_argument("--ties", choices=[t.value for t in TiePolicy], default=None,
-                        help="half: ties count half a win each; drop: discard ties")
-    parser.add_argument("--algorithm", choices=[a.value for a in FitAlgorithm], default=None,
-                        help=f"optimizer (default {_DEFAULT_TEXT['algorithm']})")
-    parser.add_argument("--ridge-lambda", dest="ridge_lambda", type=float, default=None,
-                        help=f"ridge penalty (default {_DEFAULT_TEXT['ridge_lambda']})")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="convergence threshold on max score change "
-                        f"(default {_DEFAULT_TEXT['tol']})")
-    parser.add_argument("--max-iter", dest="max_iter", type=int, default=None,
-                        help=f"iteration cap (default {_DEFAULT_TEXT['max_iter']})")
-    parser.add_argument("--lower-is-better", dest="lower_is_better",
-                        action="store_const", const=True, default=None,
-                        help="negate scores at ingest (for losses/MSE-style measures)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="epp",
@@ -559,83 +522,117 @@ def build_parser() -> argparse.ArgumentParser:
         "models from per-split performance tables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Flags that several subcommands share, each declared once.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out-dir", dest="out_dir", default=None,
+                        help=f"output directory (default {_DEFAULT_TEXT['out_dir']})")
+    common.add_argument("--config", default=None,
+                        help="key = value config file; flags override it")
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--format", choices=[f.value for f in OutputFormat], default=None,
+                        help=f"report output format (default {_DEFAULT_TEXT['format']})")
+    fits = argparse.ArgumentParser(add_help=False)
+    fits.add_argument("--fit", nargs="+", required=True, help="fit JSON file(s)")
+    lower = argparse.ArgumentParser(add_help=False)
+    lower.add_argument("--lower-is-better", dest="lower_is_better",
+                       action="store_const", const=True, default=None,
+                       help="negate scores at ingest (for losses/MSE-style measures)")
+    labels = argparse.ArgumentParser(add_help=False)
+    labels.add_argument("--scores", default=None,
+                        help="scores CSV (fallback source of algorithm labels)")
+    labels.add_argument("--spread", choices=[s.value for s in analysis.SpreadKind],
+                        default=None, help="median or mean absolute deviation "
+                        f"(default {_DEFAULT_TEXT['spread']})")
 
-    p_fit = sub.add_parser("fit", help="fit per-dataset scores from a scores CSV")
+    p_fit = sub.add_parser("fit", parents=[lower, common],
+                           help="fit per-dataset scores from a scores CSV")
     p_fit.add_argument("scores", nargs="?", help="scores CSV (dataset,model,algorithm,split,score)")
     p_fit.add_argument("--counts", nargs="*", default=None,
                        help="fit from cached pairwise-count JSON files instead")
     p_fit.add_argument("--dump-counts", action="store_true",
                        help="also write counts_<dataset>.json for caching")
-    _add_fit_flags(p_fit)
-    _add_common(p_fit)
+    p_fit.add_argument("--pairing", choices=[m.value for m in PairingMode],
+                       default=None, help="cross: all split pairs; paired: same split only")
+    p_fit.add_argument("--ties", choices=[t.value for t in TiePolicy], default=None,
+                       help="half: ties count half a win each; drop: discard ties")
+    p_fit.add_argument("--algorithm", choices=[a.value for a in FitAlgorithm], default=None,
+                       help=f"optimizer (default {_DEFAULT_TEXT['algorithm']})")
+    p_fit.add_argument("--ridge-lambda", dest="ridge_lambda", type=float, default=None,
+                       help=f"ridge penalty (default {_DEFAULT_TEXT['ridge_lambda']})")
+    p_fit.add_argument("--tol", type=float, default=None,
+                       help="convergence threshold on max score change "
+                       f"(default {_DEFAULT_TEXT['tol']})")
+    p_fit.add_argument("--max-iter", dest="max_iter", type=int, default=None,
+                       help=f"iteration cap (default {_DEFAULT_TEXT['max_iter']})")
+    p_fit.add_argument("--jobs", type=int, default=None,
+                       help=f"max concurrent datasets (default {_DEFAULT_TEXT['jobs']})")
     p_fit.set_defaults(func=_cmd_fit)
 
-    p_lb = sub.add_parser("leaderboard", help="ranked table per fitted dataset")
-    p_lb.add_argument("--fit", nargs="+", required=True, help="fit JSON file(s)")
+    p_lb = sub.add_parser("leaderboard", parents=[fits, lower, report, common],
+                          help="ranked table per fitted dataset")
     p_lb.add_argument("--scores", required=True, help="scores CSV (for mean scores)")
     p_lb.add_argument("--top", type=int, default=None, help="keep only the best K rows")
-    p_lb.add_argument("--lower-is-better", dest="lower_is_better",
-                      action="store_const", const=True, default=None)
-    _add_common(p_lb)
     p_lb.set_defaults(func=_cmd_leaderboard)
 
-    p_cmp = sub.add_parser("compare", help="cross-dataset comparison table")
-    p_cmp.add_argument("--fit", nargs="+", required=True, help="fit JSON files")
+    p_cmp = sub.add_parser("compare", parents=[fits, report, common],
+                           help="cross-dataset comparison table")
     p_cmp.add_argument("--models", default=None, help="comma-separated model ids")
-    _add_common(p_cmp)
     p_cmp.set_defaults(func=_cmd_compare)
 
-    p_emb = sub.add_parser("embed", help="per-(algorithm, dataset) map + SVG scatter")
-    p_emb.add_argument("--fit", nargs="+", required=True, help="fit JSON files")
-    p_emb.add_argument("--scores", default=None,
-                       help="scores CSV (fallback source of algorithm labels)")
-    p_emb.add_argument("--spread", choices=[s.value for s in analysis.SpreadKind],
-                       default=None, help="median or mean absolute deviation")
+    p_emb = sub.add_parser("embed", parents=[fits, labels, report, common],
+                           help="per-(algorithm, dataset) map + SVG scatter")
     p_emb.add_argument("--per-model", dest="per_model", action="store_true",
                        help="also write raw per-model scores (embed_models.csv)")
-    _add_common(p_emb)
     p_emb.set_defaults(func=_cmd_embed)
 
-    p_tun = sub.add_parser("tunability", help="hyperparameter association report")
-    p_tun.add_argument("--fit", nargs="+", required=True, help="fit JSON files")
+    p_tun = sub.add_parser("tunability", parents=[fits, labels, report, common],
+                           help="hyperparameter association report")
     p_tun.add_argument("--hyperparams", required=True,
                        help="hyperparameter CSV (model,parameter,value)")
-    p_tun.add_argument("--scores", default=None,
-                       help="scores CSV (fallback source of algorithm labels)")
-    p_tun.add_argument("--spread", choices=[s.value for s in analysis.SpreadKind],
-                       default=None)
-    _add_common(p_tun)
     p_tun.set_defaults(func=_cmd_tunability)
 
-    p_sim = sub.add_parser("simulate", help="synthetic scores with known skills")
+    # The generator's and Elo's defaults are those of SyntheticSpec,
+    # with_linear_skills and EloConfig.
+    spec = baselines.SyntheticSpec
+    linear = inspect.signature(spec.with_linear_skills).parameters
+    p_sim = sub.add_parser("simulate", parents=[common],
+                           help="synthetic scores with known skills")
     p_sim.add_argument("--models", type=int, default=None, help="number of models")
     p_sim.add_argument("--splits", type=int, required=True, help="splits per model")
     p_sim.add_argument("--seed", type=int, required=True, help="PCG64 seed")
     p_sim.add_argument("--noise", choices=[n.value for n in baselines.NoiseKind],
-                       default="gumbel")
-    p_sim.add_argument("--sigma", type=float, default=1.0,
-                       help="gaussian noise scale (ignored for gumbel)")
+                       default=spec.noise.value, help="noise kind (default %(default)s)")
+    p_sim.add_argument("--sigma", type=float, default=spec.sigma,
+                       help="gaussian noise scale, unused by gumbel (default %(default)s)")
     p_sim.add_argument("--skills", default=None, help="explicit comma-separated skills")
-    p_sim.add_argument("--skill-low", dest="skill_low", type=float, default=-2.0)
-    p_sim.add_argument("--skill-high", dest="skill_high", type=float, default=2.0)
-    p_sim.add_argument("--dataset", default="synthetic", help="dataset id to emit")
-    _add_common(p_sim)
+    p_sim.add_argument("--skill-low", dest="skill_low", type=float,
+                       default=linear["low"].default,
+                       help="lowest of the equally spaced skills (default %(default)s)")
+    p_sim.add_argument("--skill-high", dest="skill_high", type=float,
+                       default=linear["high"].default,
+                       help="highest of the equally spaced skills (default %(default)s)")
+    p_sim.add_argument("--dataset", default=spec.dataset_id,
+                       help="dataset id to emit (default %(default)s)")
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_elo = sub.add_parser("elo", help="classical sequential Elo over a match list")
+    elo = baselines.EloConfig
+    p_elo = sub.add_parser("elo", parents=[common],
+                           help="classical sequential Elo over a match list")
     p_elo.add_argument("--input", required=True, help="matches CSV (winner,loser)")
     p_elo.add_argument("--order", choices=["file", "reversed"], default="file",
                        help="process matches in file order or reversed")
-    p_elo.add_argument("--initial", type=float, default=1000.0)
-    p_elo.add_argument("--k-factor", dest="k_factor", type=float, default=32.0)
-    p_elo.add_argument("--scale", type=float, default=400.0)
-    _add_common(p_elo)
+    p_elo.add_argument("--initial", type=float, default=elo.initial_rating,
+                       help="every player's first rating (default %(default)s)")
+    p_elo.add_argument("--k-factor", dest="k_factor", type=float, default=elo.k_factor,
+                       help="largest rating change per match (default %(default)s)")
+    p_elo.add_argument("--scale", type=float, default=elo.scale,
+                       help="rating gap that gives 10:1 odds (default %(default)s)")
     p_elo.set_defaults(func=_cmd_elo)
 
-    p_rec = sub.add_parser("recovery", help="compare a fit against known skills")
+    p_rec = sub.add_parser("recovery", parents=[report, common],
+                           help="compare a fit against known skills")
     p_rec.add_argument("--fit", required=True, help="fit JSON file")
     p_rec.add_argument("--truth", required=True, help="truth CSV (model,skill)")
-    _add_common(p_rec)
     p_rec.set_defaults(func=_cmd_recovery)
 
     return parser

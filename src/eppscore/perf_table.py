@@ -141,9 +141,6 @@ class PerformanceTable:
     def datasets(self) -> list[str]:
         return list(self._datasets)
 
-    def models(self, dataset_id: str) -> list[str]:
-        return list(self.block(dataset_id).models)
-
     def block(self, dataset_id: str) -> DatasetBlock:
         """The dataset's rows grouped by model (see :class:`DatasetBlock`)."""
         g_lo, g_hi = self._dataset_groups(dataset_id)
@@ -207,14 +204,6 @@ class PerformanceTable:
 
     def __len__(self) -> int:
         return len(self._score)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PerformanceTable):
-            return NotImplemented
-        return self._scores_by_triple() == other._scores_by_triple()
-
-    def _scores_by_triple(self) -> dict[tuple[str, str, str], float]:
-        return {(d, m, s): score for d, m, _, s, score in self._rows()}
 
     def _rows(self):
         """(dataset, model, algorithm, split, score) per row, in table order."""

@@ -79,7 +79,7 @@ class TestSimulateScores:
         table = simulate_scores(spec)
         assert len(table) == 12 * 7
         assert table.datasets() == ["synthetic"]
-        assert table.models("synthetic")[0] == synthetic_model_id(0, 12)
+        assert table.block("synthetic").models[0] == synthetic_model_id(0, 12)
         assert synthetic_model_id(11, 12) == "m011"
 
     def test_equal_skills_win_rate_near_half(self):

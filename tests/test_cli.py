@@ -1,9 +1,11 @@
+import argparse
 import base64
 import json
 import os
 import re
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import pytest
 
 import eppscore
 from eppscore import (
+    EloConfig,
     EppScores,
     FitAlgorithm,
     FitConfig,
@@ -19,8 +22,10 @@ from eppscore import (
     PairingMode,
     PairwiseCounts,
     SpreadKind,
+    SyntheticSpec,
     TiePolicy,
 )
+from eppscore import cli
 from eppscore.cli import (
     OutputFormat,
     RunConfig,
@@ -66,21 +71,78 @@ class TestHelp:
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith(f"usage: epp {subcommand} ")
 
-    def test_fit_help_states_the_dataclass_defaults(self, capsys):
+    @staticmethod
+    def assert_help_states(capsys, subcommand, defaults):
         with pytest.raises(SystemExit):
-            main(["fit", "--help"])
+            main([subcommand, "--help"])
         out = " ".join(capsys.readouterr().out.split())
+        for flag, default in defaults:
+            assert re.search(rf"{flag} [^-]*\(default {re.escape(default)}\)", out), flag
+
+    def test_fit_help_states_the_dataclass_defaults(self, capsys):
         fit, run = FitConfig(), RunConfig()
-        for flag, default in [
+        self.assert_help_states(capsys, "fit", [
             ("--algorithm", fit.algorithm.value),
             ("--ridge-lambda", repr(fit.ridge_lambda)),
             ("--tol", repr(fit.tol)),
             ("--max-iter", str(fit.max_iter)),
-            ("--format", run.format.value),
             ("--out-dir", run.out_dir),
             ("--jobs", str(run.jobs)),
-        ]:
-            assert re.search(rf"{flag} [^-]*\(default {re.escape(default)}\)", out), flag
+        ])
+
+    def test_simulate_and_elo_help_state_the_dataclass_defaults(self, capsys):
+        spec = SyntheticSpec(skills=(0.0, 1.0), n_splits=1)
+        linear = SyntheticSpec.with_linear_skills(2, n_splits=1).skills
+        self.assert_help_states(capsys, "simulate", [
+            ("--noise", spec.noise.value),
+            ("--sigma", repr(spec.sigma)),
+            ("--skill-low", repr(linear[0])),
+            ("--skill-high", repr(linear[-1])),
+            ("--dataset", spec.dataset_id),
+        ])
+        elo = EloConfig()
+        self.assert_help_states(capsys, "elo", [
+            ("--initial", repr(elo.initial_rating)),
+            ("--k-factor", repr(elo.k_factor)),
+            ("--scale", repr(elo.scale)),
+        ])
+
+    def test_each_subcommand_takes_exactly_its_options(self):
+        common = ["--out-dir", "--config"]
+        reports = ["--fit", "--format", *common]
+        expected = {
+            "fit": ["scores", "--counts", "--dump-counts", "--pairing", "--ties",
+                    "--algorithm", "--ridge-lambda", "--tol", "--max-iter",
+                    "--lower-is-better", "--jobs", *common],
+            "leaderboard": ["--scores", "--top", "--lower-is-better", *reports],
+            "compare": ["--models", *reports],
+            "embed": ["--scores", "--spread", "--per-model", *reports],
+            "tunability": ["--hyperparams", "--scores", "--spread", *reports],
+            "simulate": ["--models", "--splits", "--seed", "--noise", "--sigma", "--skills",
+                         "--skill-low", "--skill-high", "--dataset", *common],
+            "elo": ["--input", "--order", "--initial", "--k-factor", "--scale", *common],
+            "recovery": ["--truth", *reports],
+        }
+        (subparsers,) = [a for a in build_parser()._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+        found = {
+            name: sorted((a.option_strings or [a.dest])[0] for a in sub._actions
+                         if not isinstance(a, argparse._HelpAction))
+            for name, sub in subparsers.choices.items()
+        }
+        assert found == {name: sorted(options) for name, options in expected.items()}
+        assert sum(map(len, found.values())) == 62
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--fit", "x.json", "--jobs", "2"],
+        ["simulate", "--models", "3", "--splits", "2", "--seed", "1", "--format", "json"],
+    ], ids=["compare-jobs", "simulate-format"])
+    def test_flag_a_subcommand_does_not_read_exits_2(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestFit:
@@ -320,6 +382,30 @@ class TestFit:
             )
         main(["fit", "--counts", str(counts), "--out-dir", str(tmp_path / "ridge")])
         assert capsys.readouterr().err == ""
+
+    def test_warnings_print_in_dataset_order_for_any_jobs(self, tmp_path, capsys, monkeypatch):
+        # a's fit finishes last under --jobs 2, yet its warning still comes first.
+        rows = []
+        for seed, ds in enumerate("ab"):
+            write_scores(tmp_path / "one.csv", n_models=4, dataset=ds, seed=seed)
+            rows += (tmp_path / "one.csv").read_text().splitlines(True)[1:]
+        scores = tmp_path / "scores.csv"
+        scores.write_text("dataset,model,algorithm,split,score\n" + "".join(rows))
+        fit_epp = cli.fit_epp
+
+        def slow_a(counts, cfg):
+            if counts.dataset_id == "a":
+                time.sleep(0.2)
+            return fit_epp(counts, cfg)
+
+        monkeypatch.setattr(cli, "fit_epp", slow_a)
+        for jobs in ("1", "2"):
+            assert main(["fit", str(scores), "--max-iter", "1", "--jobs", jobs,
+                         "--out-dir", str(tmp_path / jobs)]) == 0
+            assert capsys.readouterr().err == "".join(
+                f"warning: dataset '{ds}' did not converge within 1 iterations\n"
+                for ds in "ab"
+            ), jobs
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--ridge-lambda", "nan", "ridge_lambda must be finite and >= 0, got nan"),
@@ -671,10 +757,18 @@ class TestSimulateAndPipeline:
          "sigma must be > 0, got 0.0"),
         (["simulate", "--models", "3", "--splits", "5", "--seed", "-1"],
          "seed must be >= 0, got -1"),
+        (["simulate", "--skills", "a,b", "--splits", "3", "--seed", "1"],
+         "skills must be numbers: could not convert string to float: 'a'"),
+        (["simulate", "--models", "1", "--splits", "3", "--seed", "1"],
+         "need at least 2 models, got 1"),
+        (["simulate", "--splits", "3", "--seed", "1"],
+         "need --models or an explicit --skills list"),
         (["elo", "--k-factor", "-1"], "k_factor must be > 0, got -1.0"),
         (["elo", "--scale", "0"], "scale must be > 0, got 0.0"),
+        (["fit"], "provide a scores CSV or --counts files"),
     ],
-    ids=["splits", "sigma", "seed", "k-factor", "scale"],
+    ids=["splits", "sigma", "seed", "skills", "models", "no-models", "k-factor", "scale",
+         "fit-no-input"],
 )
 def test_bad_generator_or_elo_setting_exits_2(tmp_path, capsys, argv, message):
     if argv[0] == "elo":
@@ -806,7 +900,7 @@ class TestConfigFile:
         assert build_run_config(parser.parse_args(["fit", "--config", str(away_file)])) == away
         for key, text in away_text.items():
             flag = ["--" + key.replace("_", "-")] + ([] if key == "lower_is_better" else [text])
-            command = ["embed", "--fit", "x.json"] if key == "spread" else ["fit"]
+            command = ["embed", "--fit", "x.json"] if key in ("spread", "format") else ["fit"]
             args = parser.parse_args([*command, "--config", str(default_file), *flag])
             assert parse_config_text(build_run_config(args).to_text()) == {
                 **default_text, key: text
