@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .inference import spearman
-from .perf_table import PerformanceTable
+from .perf_table import PerformanceTable, _factorize
 from .solver import EppScores
 
 
@@ -128,10 +128,10 @@ def simulate_scores(spec: SyntheticSpec) -> PerformanceTable:
     m, s = spec.m, spec.n_splits
     score = np.asarray(spec.skills)[:, None] + _noise_matrix(spec)
     return PerformanceTable(
-        [spec.dataset_id] * (m * s),
-        [synthetic_model_id(i, m) for i in range(m) for _ in range(s)],
-        ["sim"] * (m * s),
-        [_split_id(k, s) for k in range(s)] * m,
+        _factorize([spec.dataset_id] * (m * s)),
+        _factorize([synthetic_model_id(i, m) for i in range(m) for _ in range(s)]),
+        _factorize(["sim"] * (m * s)),
+        _factorize([_split_id(k, s) for k in range(s)] * m),
         score.ravel(),
     )
 

@@ -8,7 +8,6 @@ byte-identical for identical inputs and configuration.
 from __future__ import annotations
 
 import argparse
-import csv
 import inspect
 import io
 import json
@@ -44,6 +43,7 @@ from .errors import (
 from .match_engine import PairingMode, PairwiseCounts, TiePolicy, build_matches
 from .perf_table import (
     _as_text,
+    _csv_rows,
     parse_hyperparams_csv,
     parse_scores_csv,
     sha256_of,
@@ -131,7 +131,8 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config-file values, and explicit flags (flags win).
 
     A string value is converted by the type of the setting's default; a
-    setting given neither way keeps its dataclass default.
+    setting given neither way, or that the subcommand does not declare (a
+    file key it never reads), keeps its dataclass default.
     """
     file_values: dict = {}
     if getattr(args, "config", None):
@@ -144,7 +145,9 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     rest: dict = {}
     try:
         for key, default in _DEFAULTS.items():
-            value = getattr(args, key, None)
+            if not hasattr(args, key):
+                continue
+            value = getattr(args, key)
             if value is None:
                 value = file_values.get(key)
             if value is None:
@@ -448,25 +451,26 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _read_two_column_csv(path: str, header: tuple[str, str]):
     """(line, row) for each non-blank row of a CSV with a two-field header.
 
-    A wrong header, or a row with fewer than two fields, raises an error
-    naming the file (and the line).
+    A wrong header, a row with fewer than two fields, or a field `csv`
+    refuses, raises an error naming the file (and the line).
     """
     try:
         text = _as_text(Path(path).read_bytes())
     except UnicodeDecodeError as exc:
         raise EppError(f"{path}: {exc}") from None
-    reader = csv.reader(io.StringIO(text))
-    found = next(reader, None)
-    if found is None or [h.strip() for h in found] != list(header):
-        raise EppError(f"{path}: expected header {','.join(header)!r}")
-    for row in reader:
-        if not row:
-            continue
-        if len(row) < 2:
-            raise EppError(
-                f"{path}: line {reader.line_num}: expected 2 columns, got {len(row)}"
-            )
-        yield reader.line_num, row
+    rows = _csv_rows(io.StringIO(text))
+    try:
+        found = next(rows, None)
+        if found is None or [h.strip() for h in found[1]] != list(header):
+            raise EppError(f"{path}: expected header {','.join(header)!r}")
+        for line, row in rows:
+            if not row:
+                continue
+            if len(row) < 2:
+                raise EppError(f"{path}: line {line}: expected 2 columns, got {len(row)}")
+            yield line, row
+    except TableParseError as exc:
+        raise EppError(f"{path}: {exc}") from None
 
 
 def _read_matches_csv(path: str) -> list[tuple[str, str]]:

@@ -61,18 +61,18 @@ class PerformanceTable:
     sha256: str | None = None
     lower_is_better: bool = False
 
-    def __init__(self, datasets, models, algorithms, splits, score, clean=None, source=None):
-        """Code the id columns and run each check once over the whole table.
+    def __init__(self, datasets, models, algorithms, splits, score, source=None):
+        """Run each check once over the whole table.
 
-        The four id columns are sequences of labels and `score` a float64
-        array, one entry per row. `clean` normalizes raw ids (the CSV strips
-        them). `source`, given by the CSV parser, supplies error line numbers
-        and raw score fields.
+        Each id column is a pair (sorted distinct labels, integer code of
+        each row into them), as :func:`_factorize` gives, and `score` a
+        float64 array, one entry per row. `source`, given by the CSV parser,
+        supplies error line numbers and raw score fields.
         """
-        self._datasets, dataset = _factorize(datasets, clean)
-        self._models, model = _factorize(models, clean)
-        self._algorithms, algorithm = _factorize(algorithms, clean)
-        self._splits, split = _factorize(splits, clean)
+        self._datasets, dataset = datasets
+        self._models, model = models
+        self._algorithms, algorithm = algorithms
+        self._splits, split = splits
         n_rows = len(score)
 
         bad = np.flatnonzero(~np.isfinite(score))
@@ -226,16 +226,21 @@ class PerformanceTable:
 
 
 def _factorize(values: list, clean=None) -> tuple[tuple[str, ...], np.ndarray]:
-    """(sorted distinct labels, code of each value into them).
+    """(sorted distinct labels, code of each value into them)."""
+    first = dict.fromkeys(values)
+    index = {v: k for k, v in enumerate(first)}
+    codes = np.fromiter(map(index.__getitem__, values), np.intp, len(values))
+    return _relabel(list(first), codes, clean)
 
-    `clean` is applied once per distinct raw value, not once per row.
-    """
-    raw = dict.fromkeys(values)
-    label = {v: clean(v) for v in raw} if clean else {v: v for v in raw}
-    labels = tuple(sorted(set(label.values())))
+
+def _relabel(raw: list, codes: np.ndarray, clean=None) -> tuple[tuple[str, ...], np.ndarray]:
+    """:func:`_factorize` of the column ``raw[codes]``, `raw` holding each
+    distinct raw value once: `clean` runs once per raw value, and raw values
+    that clean to the same label share its code."""
+    label = list(map(clean, raw)) if clean else raw
+    labels = tuple(sorted(set(label)))
     rank = {lab: k for k, lab in enumerate(labels)}
-    code = {v: rank[lab] for v, lab in label.items()}
-    return labels, np.fromiter(map(code.__getitem__, values), np.intp, len(values))
+    return labels, np.array([rank[lab] for lab in label], dtype=np.intp)[codes]
 
 
 def sha256_of(data) -> str:
@@ -256,26 +261,173 @@ def _as_text(data) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n").lstrip("\ufeff")
 
 
-class _CsvSource:
-    """Error details for the rows of a scores CSV, looked up only on error."""
-
-    def __init__(self, text: str, raw_scores: list[str]):
-        self._text = text
-        self._raw_scores = raw_scores
-
-    def raw_score(self, i: int) -> str:
-        return self._raw_scores[i].strip()
-
-    def line(self, i: int) -> int:
-        """1-based line on which data row i (blank lines skipped) ends."""
-        reader = csv.reader(io.StringIO(self._text))
-        next(reader)
+def _csv_rows(lines):
+    """(line, fields) for each row `csv.reader` reads from `lines`, blank
+    rows included; a `csv.Error` (a field over `csv.field_size_limit()`, or
+    on Python 3.10 a NUL byte) is raised as a :class:`TableParseError`."""
+    reader = csv.reader(lines)
+    try:
         for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise TableParseError(str(exc), reader.line_num) from None
+
+
+def _check_header(rows, expected: tuple[str, ...]) -> None:
+    """Read the header row from `rows` (:func:`_csv_rows`) and check it."""
+    first = next(rows, None)
+    if first is None:
+        raise TableParseError("empty input: missing header", 1)
+    header = first[1]
+    if tuple(h.strip() for h in header) != expected:
+        raise TableParseError(
+            f"expected header {','.join(expected)!r}, got {','.join(header)!r}", 1
+        )
+
+
+class _CsvSource:
+    """Error details for the data rows of a scores CSV, found by reading the
+    text again: only a table that fails a check asks for them."""
+
+    def __init__(self, text: str):
+        self._text = text
+
+    def _row(self, i: int) -> tuple[int, list[str]]:
+        """(1-based line on which data row i ends, its fields); blank lines
+        are not data rows."""
+        rows = _csv_rows(io.StringIO(self._text))
+        next(rows)
+        for line, row in rows:
             if row:
                 if i == 0:
-                    return reader.line_num
+                    return line, row
                 i -= 1
         raise IndexError(i)
+
+    def raw_score(self, i: int) -> str:
+        return self._row(i)[1][4].strip()
+
+    def line(self, i: int) -> int:
+        return self._row(i)[0]
+
+
+def _parse_scores(raw_scores: list[str], text: str) -> np.ndarray:
+    """`float` of each stripped raw score; the first that fails raises a
+    :class:`TableParseError` with its line in `text`."""
+    try:
+        return np.fromiter(
+            map(float, map(str.strip, raw_scores)), dtype=float, count=len(raw_scores)
+        )
+    except ValueError:
+        for i, raw in enumerate(map(str.strip, raw_scores)):
+            try:
+                float(raw)
+            except ValueError:
+                raise TableParseError(
+                    f"cannot parse score {raw!r}", _CsvSource(text).line(i)
+                ) from None
+        raise
+
+
+def _csv_columns(text: str):
+    """(dataset, model, algorithm, split, score) of a scores CSV read row by
+    row with `csv.reader`: four (labels, codes) id columns, the ids
+    stripped, and the float64 scores."""
+    rows = _csv_rows(io.StringIO(text))
+    _check_header(rows, SCORES_HEADER)
+    # Five flat lists of str: no per-row object outlives its loop iteration.
+    datasets, models, algorithms, splits, raw_scores = [], [], [], [], []
+    add_dataset, add_model, add_algorithm, add_split, add_score = (
+        datasets.append, models.append, algorithms.append, splits.append, raw_scores.append
+    )
+    for line, row in rows:
+        if len(row) != 5:
+            if row:
+                raise TableParseError(f"expected 5 columns, got {len(row)}", line)
+            continue
+        dataset_id, model_id, algorithm, split_id, raw = row
+        add_dataset(dataset_id)
+        add_model(model_id)
+        add_algorithm(algorithm)
+        add_split(split_id)
+        add_score(raw)
+    ids = [_factorize(column, str.strip) for column in (datasets, models, algorithms, splits)]
+    return (*ids, _parse_scores(raw_scores, text))
+
+
+_COMMA, _NEWLINE = ord(","), ord("\n")
+
+
+def _byte_columns(text: str):
+    """:func:`_csv_columns` of a scores CSV that holds no ``"`` and no NUL,
+    read from its UTF-8 bytes with numpy.
+
+    Without quotes a row is one line and its fields lie between its commas,
+    so these are the fields, and the line numbers, that `csv.reader` gives.
+    NUL is excluded because fixed-width bytes drop trailing NULs.
+    """
+    first_line = text[:text.find("\n") + 1 or len(text)]
+    _check_header(_csv_rows(io.StringIO(first_line)), SCORES_HEADER)
+    data = text.encode("utf-8")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    body = np.frombuffer(data, np.uint8)[data.index(b"\n") + 1:]
+    # Every comma and line end; each ends one field.
+    delim = np.flatnonzero((body == _COMMA) | (body == _NEWLINE))
+    start = np.empty_like(delim)
+    start[:1] = 0
+    start[1:] = delim[:-1] + 1
+    width = delim - start
+    line_end = np.flatnonzero(body[delim] == _NEWLINE)  # the last field of each line
+    commas = np.diff(line_end, prepend=-1) - 1
+    blank = (commas == 0) & (width[line_end] == 0)
+
+    # The first of csv's faults in file order; on one line, csv meets a
+    # field over its limit before it counts the fields.
+    limit = csv.field_size_limit()
+    long_lines = [
+        int(np.searchsorted(line_end, k))
+        for k in np.flatnonzero(width > limit).tolist()  # bytes: it counts characters
+        if len(body[start[k]:delim[k]].tobytes().decode("utf-8")) > limit
+    ]
+    bad = np.flatnonzero((commas != 4) & ~blank).tolist()
+    if long_lines and (not bad or long_lines[0] <= bad[0]):
+        raise TableParseError(f"field larger than field limit ({limit})", long_lines[0] + 2)
+    if bad:
+        raise TableParseError(f"expected 5 columns, got {int(commas[bad[0]]) + 1}", bad[0] + 2)
+
+    keep = np.ones(len(delim), dtype=bool)
+    keep[line_end[blank]] = False
+    start = start[keep].reshape(-1, 5)
+    width = width[keep].reshape(-1, 5)
+    padded = np.concatenate((body, np.zeros(int(width.max(initial=0)) + 1, np.uint8)))
+    ids = [_code_fields(_fixed_width(padded, start[:, c], width[:, c])) for c in range(4)]
+    cells = _fixed_width(padded, start[:, 4], width[:, 4])
+    try:
+        score = cells.astype(np.float64)
+    except ValueError:  # a score float() reads only once str.strip()ped, or none
+        score = _parse_scores([f.decode("utf-8") for f in cells.tolist()], text)
+    return (*ids, score)
+
+
+def _fixed_width(padded: np.ndarray, start: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """The fields ``padded[start:start + width]`` as a zero-padded bytes
+    array; `padded` must hold ``max(width.max(), 1)`` bytes from each start."""
+    w = max(int(width.max(initial=0)), 1)  # a column of empty fields has width 0
+    cells = np.lib.stride_tricks.sliding_window_view(padded, w)[start]
+    cells *= np.arange(w) < width[:, None]
+    return cells.view(f"S{w}").ravel()
+
+
+def _code_fields(cells: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    """:func:`_factorize` of a bytes column, the ids stripped. Only run heads,
+    the rows whose field differs from the row before, are sorted: a table
+    grouped by an id has few."""
+    heads = np.ones(len(cells), dtype=bool)
+    heads[1:] = cells[1:] != cells[:-1]
+    distinct, inverse = np.unique(cells[heads], return_inverse=True)
+    raw = [f.decode("utf-8") for f in distinct.tolist()]
+    return _relabel(raw, inverse[np.cumsum(heads) - 1], str.strip)
 
 
 def parse_scores_csv(data) -> PerformanceTable:
@@ -284,49 +436,13 @@ def parse_scores_csv(data) -> PerformanceTable:
 
     Raises :class:`TableParseError` with a 1-based line number for malformed
     rows, unparsable or non-finite scores, and duplicated (dataset, model,
-    split) triples.
+    split) triples. Input that holds a ``"`` (quoting) or a NUL byte is read
+    with `csv.reader`, any other with numpy from its bytes; both give the
+    same table and the same errors.
     """
     text = _as_text(data)
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise TableParseError("empty input: missing header", 1) from None
-    if tuple(h.strip() for h in header) != SCORES_HEADER:
-        raise TableParseError(
-            f"expected header {','.join(SCORES_HEADER)!r}, got {','.join(header)!r}", 1
-        )
-    # Five flat lists of str: no per-row object outlives its loop iteration.
-    datasets, models, algorithms, splits, raw_scores = [], [], [], [], []
-    add_dataset, add_model, add_algorithm, add_split, add_score = (
-        datasets.append, models.append, algorithms.append, splits.append, raw_scores.append
-    )
-    for row in reader:
-        if len(row) != 5:
-            if row:
-                raise TableParseError(f"expected 5 columns, got {len(row)}", reader.line_num)
-            continue
-        dataset_id, model_id, algorithm, split_id, raw = row
-        add_dataset(dataset_id)
-        add_model(model_id)
-        add_algorithm(algorithm)
-        add_split(split_id)
-        add_score(raw)
-    source = _CsvSource(text, raw_scores)
-    try:
-        score = np.fromiter(
-            map(float, map(str.strip, raw_scores)), dtype=float, count=len(raw_scores)
-        )
-    except ValueError:
-        for i, raw in enumerate(map(str.strip, raw_scores)):
-            try:
-                float(raw)
-            except ValueError:
-                raise TableParseError(f"cannot parse score {raw!r}", source.line(i)) from None
-        raise
-    table = PerformanceTable(
-        datasets, models, algorithms, splits, score, clean=str.strip, source=source
-    )
+    columns = _csv_columns if '"' in text or "\0" in text else _byte_columns
+    table = PerformanceTable(*columns(text), source=_CsvSource(text))
     table.sha256 = sha256_of(data)
     return table
 
@@ -518,21 +634,10 @@ def _parse_hyperparam_value(raw: str) -> float | str:
 
 def parse_hyperparams_csv(data) -> HyperparamTable:
     """Parse a hyperparameter CSV with header ``model,parameter,value``."""
-    text = _as_text(data)
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise TableParseError("empty input: missing header", 1) from None
-    if tuple(h.strip() for h in header) != HYPERPARAMS_HEADER:
-        raise TableParseError(
-            f"expected header {','.join(HYPERPARAMS_HEADER)!r}, "
-            f"got {','.join(header)!r}",
-            1,
-        )
+    rows = _csv_rows(io.StringIO(_as_text(data)))
+    _check_header(rows, HYPERPARAMS_HEADER)
     entries = []
-    for row in reader:
-        line = reader.line_num
+    for line, row in rows:
         if not row:
             continue
         if len(row) != 3:

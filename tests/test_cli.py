@@ -1,5 +1,6 @@
 import argparse
 import base64
+import inspect
 import json
 import os
 import re
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -593,7 +595,11 @@ class TestMalformedCsvInputs:
         (b"dataset,model,algorithm,split,score\nd1,m0,gbm,s1,0.5\nd1,m1,gbm,s1,x\n",
          "line 3: cannot parse score 'x'"),
         (b"dataset,model,split,score\n", "line 1: expected header"),
-    ], ids=["not_utf8", "bad_score", "bad_header"])
+        (b'dataset,model,algorithm,split,score\nd1,"' + b"m" * 140_000 + b'",gbm,s1,0.5\n',
+         "line 2: field larger than field limit (131072)"),
+        (b"dataset,model,algorithm,split,score\nd1," + b"m" * 140_000 + b",gbm,s1,0.5\n",
+         "line 2: field larger than field limit (131072)"),
+    ], ids=["not_utf8", "bad_score", "bad_header", "quoted_long_id", "long_id"])
     def test_bad_scores_csv(self, fitted, tmp_path, capsys, command, data, message):
         bad = tmp_path / "bad_scores.csv"
         bad.write_bytes(data)
@@ -604,7 +610,9 @@ class TestMalformedCsvInputs:
         (b"model,parameter,value\nm0,depth,1\nm\xff,depth,2\n",
          "'utf-8' codec can't decode byte 0xff in position 34"),
         (b"model,parameter,value\nm0,depth,1\nm1,depth\n", "line 3: expected 3 columns, got 2"),
-    ], ids=["not_utf8", "short_row"])
+        (b'model,parameter,value\nm0,depth,1\nm1,"' + b"d" * 140_000 + b'",2\n',
+         "line 3: field larger than field limit (131072)"),
+    ], ids=["not_utf8", "short_row", "long_field"])
     def test_bad_hyperparams_csv(self, fitted, tmp_path, capsys, data, message):
         bad = tmp_path / "bad_hp.csv"
         bad.write_bytes(data)
@@ -620,6 +628,17 @@ class TestMalformedCsvInputs:
                 else ["recovery", "--fit", str(fitted[1]), "--truth", str(bad)])
         err = self._run(argv, tmp_path, capsys)
         assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
+
+    @pytest.mark.parametrize("command", ["elo", "recovery"])
+    def test_long_field_in_two_column_csv(self, fitted, tmp_path, capsys, command):
+        bad = tmp_path / "bad.csv"
+        long = '"' + "x" * 140_000 + '"'
+        bad.write_text(f"winner,loser\na,b\n{long},b\n" if command == "elo"
+                       else f"model,skill\nm0,1.0\n{long},1.0\n")
+        argv = (["elo", "--input", str(bad)] if command == "elo"
+                else ["recovery", "--fit", str(fitted[1]), "--truth", str(bad)])
+        err = self._run(argv, tmp_path, capsys)
+        assert err == f"error: {bad}: line 3: field larger than field limit (131072)\n"
 
 
 class TestReports:
@@ -897,7 +916,13 @@ class TestConfigFile:
         default_file = tmp_path / "default.cfg"
         default_file.write_text(RunConfig().to_text())
         parser = build_parser()
-        assert build_run_config(parser.parse_args(["fit", "--config", str(away_file)])) == away
+        # Each command reads the file's keys it declares and leaves the others.
+        reports = {"spread": away.spread, "format": away.format}
+        assert build_run_config(parser.parse_args(["fit", "--config", str(away_file)])) == (
+            replace(away, spread=RunConfig().spread, format=RunConfig().format)
+        )
+        embed = parser.parse_args(["embed", "--fit", "x.json", "--config", str(away_file)])
+        assert build_run_config(embed) == RunConfig(out_dir=away.out_dir, **reports)
         for key, text in away_text.items():
             flag = ["--" + key.replace("_", "-")] + ([] if key == "lower_is_better" else [text])
             command = ["embed", "--fit", "x.json"] if key in ("spread", "format") else ["fit"]
@@ -960,6 +985,54 @@ class TestConfigFile:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: jobs must be >= 1, got {jobs}\n"
         assert not out.exists()
+
+    def test_file_key_a_command_does_not_read_is_not_checked(self, tmp_path, capsys):
+        scores = write_scores(tmp_path / "scores.csv", n_models=2, n_splits=4)
+        assert main(["fit", str(scores), "--out-dir", str(tmp_path)]) == 0
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("jobs = 0\n")
+        argv = ["--config", str(cfg_file), "--out-dir", str(tmp_path / "o")]
+        assert main(["compare", "--fit", str(tmp_path / "epp_d1.json"), *argv]) == 0
+        assert (tmp_path / "o" / "compare.csv").exists()
+        capsys.readouterr()
+        assert main(["fit", str(scores), *argv]) == 2
+        assert capsys.readouterr().err == "error: jobs must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_unknown_file_key_exits_2_for_every_command(self, tmp_path, capsys, command):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("nonsense = 1\n")
+        missing = str(tmp_path / "missing")
+        required = {
+            "fit": [missing],
+            "leaderboard": ["--fit", missing, "--scores", missing],
+            "tunability": ["--fit", missing, "--hyperparams", missing],
+            "simulate": ["--models", "3", "--splits", "2", "--seed", "1"],
+            "elo": ["--input", missing],
+            "recovery": ["--fit", missing, "--truth", missing],
+        }.get(command, ["--fit", missing])
+        out = tmp_path / "out"
+        assert main([command, *required, "--config", str(cfg_file), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg_file}: config line 1: unknown key 'nonsense'\n"
+        )
+        assert not out.exists()
+
+    def test_each_command_declares_every_setting_it_reads(self):
+        """A setting a command does not declare keeps its default whatever
+        the config file says, so a command may read only declared ones."""
+        (subparsers,) = [a for a in build_parser()._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+        fit_keys = {f.name for f in fields(FitConfig)}
+        for name, sub in subparsers.choices.items():
+            source = inspect.getsource(sub.get_default("func"))
+            read = set(re.findall(r"\bcfg\.(?:fit\.)?(\w+)", source))
+            if "fit" in read:  # the whole FitConfig is handed on
+                read = read - {"fit"} | fit_keys
+            if "_write_report(cfg" in source:
+                read |= {"format", "out_dir"}
+            declared = {a.dest for a in sub._actions}
+            assert read and read <= declared, (name, read - declared)
 
     def test_config_file_not_utf8_exits_2(self, tmp_path, capsys):
         scores = write_scores(tmp_path / "scores.csv", n_models=2, n_splits=4)

@@ -1,3 +1,6 @@
+import csv
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,9 +15,17 @@ from eppscore import (
     simulate_scores,
     validate,
 )
+from eppscore import perf_table
 from eppscore.baselines import SyntheticSpec
 from eppscore.match_engine import PairingMode, TiePolicy, build_matches
-from eppscore.perf_table import DatasetValidation, PerformanceTable
+from eppscore.perf_table import (
+    DatasetValidation,
+    PerformanceTable,
+    _as_text,
+    _byte_columns,
+    _csv_columns,
+    _factorize,
+)
 
 
 def make_csv(rows):
@@ -109,9 +120,9 @@ class TestRecordsConstructor:
         assert err.value.line is None
 
     def test_two_algorithms(self):
-        columns = (["d1", "d2"], ["m1", "m1"], ["gbm", "rf"], ["s1", "s1"], np.array([0.5, 0.6]))
+        ids = (["d1", "d2"], ["m1", "m1"], ["gbm", "rf"], ["s1", "s1"])
         with pytest.raises(TableParseError) as err:
-            PerformanceTable(*columns)
+            PerformanceTable(*map(_factorize, ids), np.array([0.5, 0.6]))
         assert str(err.value) == "model 'm1' labeled with two algorithms: 'gbm' and 'rf'"
 
 
@@ -135,20 +146,39 @@ _VALUES = [
 _FAULTS = [None, "columns", "unparsable", "non-finite", "duplicate", "algorithm"]
 
 
+# Quote-free pools, written without quoting: ids that merge once stripped
+# (" m2", "m2"), an empty id, non-ASCII ids and scores, a score with a
+# comma. Faults arise anywhere here; the two tokenizers must agree on them.
+_PLAIN_POOLS = (
+    ["d1", " d2 ", "d 3", "dé"],
+    ["m1", " m2", "m2", "mod 5 ", "", "μ6"],
+    ["gbm", "rf fast", " glm "],
+    ["s1", " s2", "s4 ", "s5", "s6", "s7", "s8", "s9", "s10", "\ts11"],
+    _VALUES + ["\xa01", "١", "1e-320", "0,5"],
+)
+
+
 @st.composite
-def _scores_csv(draw):
-    """(text, fault): a scores CSV with at most one injected fault."""
+def _scores_csv(draw, plain=False):
+    """(text, fault): a scores CSV with at most one injected fault. `plain`
+    draws from `_PLAIN_POOLS`, writes no quotes, and also draws
+    whitespace-only lines, CR line ends, a double BOM and a missing final
+    line end."""
+    datasets, models, algorithms, split_ids, values = _PLAIN_POOLS if plain else (
+        _DATASETS, _MODELS, _ALGORITHMS, _SPLITS, _VALUES
+    )
+    field = str if plain else _csv_field
     rows = []
-    for dataset in draw(st.lists(st.sampled_from(_DATASETS), min_size=1, max_size=3, unique=True)):
+    for dataset in draw(st.lists(st.sampled_from(datasets), min_size=1, max_size=3, unique=True)):
         equal = draw(st.booleans())
-        split_pool = draw(st.lists(st.sampled_from(_SPLITS), min_size=1, max_size=10, unique=True))
-        for model in draw(st.lists(st.sampled_from(_MODELS), min_size=1, max_size=4, unique=True)):
-            algorithm = _ALGORITHMS[_MODELS.index(model) % len(_ALGORITHMS)]
+        split_pool = draw(st.lists(st.sampled_from(split_ids), min_size=1, max_size=10, unique=True))
+        for model in draw(st.lists(st.sampled_from(models), min_size=1, max_size=4, unique=True)):
+            algorithm = algorithms[models.index(model) % len(algorithms)]
             splits = split_pool if equal else draw(
                 st.lists(st.sampled_from(split_pool), min_size=1, unique=True)
             )
             for split in splits:
-                rows.append([dataset, model, algorithm, split, draw(st.sampled_from(_VALUES))])
+                rows.append([dataset, model, algorithm, split, draw(st.sampled_from(values))])
     rows = draw(st.permutations(rows))
     fault = draw(st.sampled_from(_FAULTS))
     k = draw(st.integers(0, len(rows) - 1))
@@ -165,16 +195,17 @@ def _scores_csv(draw):
         rows.insert(j + 1, twin[:4] + ["0.125"])
     elif fault == "algorithm":
         dataset, model, algorithm = rows[k][:3]
-        other = next(a for a in _ALGORITHMS if a.strip() != algorithm.strip())
+        other = next(a for a in algorithms if a.strip() != algorithm.strip())
         rows.insert(draw(st.integers(0, len(rows))), [dataset, model, other, "s99", "0.5"])
     lines = ["dataset,model,algorithm,split,score"]
     for row in rows:
         if draw(st.booleans()) and draw(st.booleans()):
-            lines.append("")
-        lines.append(",".join(map(_csv_field, row)))
-    eol = draw(st.sampled_from(["\n", "\r\n"]))
-    bom = draw(st.sampled_from(["", "\ufeff"]))
-    return bom + eol.join(lines) + eol, fault
+            lines.append(draw(st.sampled_from(["", "", " "])) if plain else "")
+        lines.append(",".join(map(field, row)))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"] if plain else ["\n", "\r\n"]))
+    bom = draw(st.sampled_from(["", "\ufeff", "\ufeff\ufeff"] if plain else ["", "\ufeff"]))
+    end = draw(st.sampled_from([eol, ""])) if plain else eol
+    return bom + eol.join(lines) + end, fault
 
 
 def _bits(values):
@@ -259,6 +290,103 @@ class TestColumnarMatchesRowwiseOracle:
                 assert np.array_equal(counts.n.view(np.int64), n.view(np.int64))
 
 
+def _tokenized(tokenize, text):
+    """The rows `tokenize` reads from `text` (ids decoded from their codes,
+    scores as bit patterns) with the labels of each id column, or its error."""
+    try:
+        *ids, score = tokenize(_as_text(text))
+    except TableParseError as exc:
+        return str(exc), exc.line
+    decoded = [[labels[c] for c in codes.tolist()] for labels, codes in ids]
+    return [labels for labels, _ in ids], list(zip(*decoded, _bits(score).tolist()))
+
+
+class TestByteTokenizerMatchesCsvReader:
+    """`_byte_columns`, the tokenizer of quote-free input, against the
+    `csv.reader` one: the same coded columns, or the same error and line."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(case=_scores_csv(plain=True))
+    def test_property(self, case):
+        text, _ = case
+        assert _tokenized(_byte_columns, text) == _tokenized(_csv_columns, text)
+
+    LONG = "m" * (csv.field_size_limit() + 1)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("h\nd1,m1,gbm,s1,0.5", [("d1", "m1", "gbm", "s1", 0.5)]),
+        ("h\n", []),
+        ("h", []),
+        ("h\n\nd1,m1,gbm,s1,0.5\n\n", [("d1", "m1", "gbm", "s1", 0.5)]),
+        ("h\nd1,m1,gbm,s1,0.5\n  \n", ("line 3: expected 5 columns, got 1", 3)),
+        ("h\rd1,m1,gbm,s1,0.5\r\rd1,m1,gbm,s2,0.5", [("d1", "m1", "gbm", "s1", 0.5),
+                                                     ("d1", "m1", "gbm", "s2", 0.5)]),
+        ("\ufeff\ufeffh\nd1,m1,gbm,s1,0.5\n", [("d1", "m1", "gbm", "s1", 0.5)]),
+        ("h\nd1,m1,gbm,s1,-0.0\nd1,m1,gbm,s2,0.0\n", [("d1", "m1", "gbm", "s1", -0.0),
+                                                      ("d1", "m1", "gbm", "s2", 0.0)]),
+        ("h\nd1, m2,gbm,s1,1\nd1,m2 ,gbm,s2,2\n", [("d1", "m2", "gbm", "s1", 1.0),
+                                                  ("d1", "m2", "gbm", "s2", 2.0)]),
+        ("h\ndé,μ1,gbm,s1,1\n", [("dé", "μ1", "gbm", "s1", 1.0)]),
+        ("h\nd1,,gbm,s1,1\n", [("d1", "", "gbm", "s1", 1.0)]),
+        ("h\nd1,m1,,,1\n", [("d1", "m1", "", "", 1.0)]),
+        ("h\nd1,m1,gbm,s1,1_0\n", [("d1", "m1", "gbm", "s1", 10.0)]),
+        ("h\nd1,m1,gbm,s1,\x1c1.5\n", [("d1", "m1", "gbm", "s1", 1.5)]),
+        ("h\nd1,m1,gbm,s1,\x1c1.5\nd1,m1,gbm,s2,1.5x\n", ("line 3: cannot parse score '1.5x'", 3)),
+        (f"h\nd1,{'é' * csv.field_size_limit()},gbm,s1,1\n",
+         [("d1", "é" * csv.field_size_limit(), "gbm", "s1", 1.0)]),
+        (f"h\nd1,{LONG},gbm,s1\n", (f"line 2: field larger than field limit "
+                                     f"({csv.field_size_limit()})", 2)),
+        (f"h\nd1,m1,gbm\nd1,{LONG},gbm,s1,1\n", ("line 2: expected 5 columns, got 3", 2)),
+        (f"h\nd1,m1,gbm,s1,1\n{LONG}\nd1\n", (f"line 3: field larger than field limit "
+                                               f"({csv.field_size_limit()})", 3)),
+        (f"{LONG},h\nd1\n", (f"line 1: field larger than field limit "
+                              f"({csv.field_size_limit()})", 1)),
+    ], ids=["no-final-newline", "header-only", "header-only-no-newline", "blank-lines",
+            "whitespace-line", "cr-line-ends", "double-bom", "signed-zeros",
+            "ids-merge-once-stripped", "non-ascii-ids", "empty-id", "empty-ids", "underscore",
+            "unicode-space", "unicode-space-then-bad", "long-in-bytes-not-in-chars",
+            "long-field-on-short-row", "short-row-then-long-field", "long-field-line",
+            "long-header-field"])
+    def test_named_case(self, text, expected):
+        text = text.replace("h", "dataset,model,algorithm,split,score", 1)
+        got = _tokenized(_byte_columns, text)
+        assert got == _tokenized(_csv_columns, text)
+        if isinstance(expected, list):
+            expected = [(*ids, *_bits([score]).tolist()) for *ids, score in expected]
+            got = got[1]
+        assert got == expected
+
+    def test_only_quoted_or_nul_input_is_read_with_csv(self, monkeypatch):
+        def refuse(text):
+            raise AssertionError("csv.reader path taken")
+
+        monkeypatch.setattr(perf_table, "_csv_columns", refuse)
+        assert len(parse_scores_csv(make_csv(["d1,m1,gbm,s1,0.5", "d1,m1,gbm,s2,1"]))) == 2
+        monkeypatch.undo()
+        monkeypatch.setattr(perf_table, "_byte_columns", refuse)
+        assert parse_scores_csv(make_csv(['d1,"m1",gbm,s1,0.5'])).block("d1").models == ("m1",)
+        # A NUL stays in its field: 3.10's csv refuses the line, later ones read it.
+        text = make_csv(["d1,m\x001,gbm,s1,0.5", "d1,m1,gbm,s1,1.5\x00"])
+        with pytest.raises(TableParseError) as err:
+            parse_scores_csv(text)
+        if sys.version_info < (3, 11):
+            assert str(err.value) == "line 2: line contains NUL"
+        else:
+            assert str(err.value) == "line 3: cannot parse score '1.5\\x00'"
+            assert parse_scores_csv(make_csv(["d1,m\x001,gbm,s1,0.5"])).block("d1").models == (
+                "m\x001",
+            )
+
+    @pytest.mark.parametrize("quote", ['"', ""], ids=["quoted", "unquoted"])
+    def test_field_over_csv_limit_is_a_parse_error(self, quote):
+        model = quote + "m" * 140_000 + quote
+        text = make_csv(["d1,m1,gbm,s1,0.5", f"d1,{model},gbm,s2,0.5"])
+        with pytest.raises(TableParseError) as err:
+            parse_scores_csv(text)
+        assert str(err.value) == "line 3: field larger than field limit (131072)"
+        assert err.value.line == 3
+
+
 class TestValidate:
     def test_benchmark_shape_no_warnings(self):
         rows = []
@@ -307,7 +435,7 @@ class TestValidate:
         assert report.datasets[0].exact_tie_pairs == 0
 
     def test_empty_table_empty_report(self):
-        report = validate(PerformanceTable([], [], [], [], np.empty(0)))
+        report = validate(PerformanceTable(*[_factorize([])] * 4, np.empty(0)))
         assert report.datasets == ()
         assert report.ok
 
@@ -333,6 +461,12 @@ class TestParseHyperparamsCsv:
         text = "model,parameter,value\nm1,p,a\nm2,p,b\nm3,p,c\n"
         with pytest.raises(TableParseError, match="levels"):
             parse_hyperparams_csv(text)
+
+    def test_field_over_csv_limit_is_a_parse_error(self):
+        text = 'model,parameter,value\nm1,k,3\nm2,"' + "k" * 140_000 + '",4\n'
+        with pytest.raises(TableParseError) as err:
+            parse_hyperparams_csv(text)
+        assert str(err.value) == "line 3: field larger than field limit (131072)"
 
     def test_duplicate_entry_rejected(self):
         text = "model,parameter,value\nm1,k,3\nm1,k,4\n"
