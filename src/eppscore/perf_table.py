@@ -274,7 +274,8 @@ def _csv_rows(lines):
 
 
 def _check_header(rows, expected: tuple[str, ...]) -> None:
-    """Read the header row from `rows` (:func:`_csv_rows`) and check it."""
+    """Read the header row from `rows`, (line, fields) pairs as
+    :func:`_csv_rows` gives, and check it."""
     first = next(rows, None)
     if first is None:
         raise TableParseError("empty input: missing header", 1)
@@ -333,24 +334,27 @@ def _csv_columns(text: str):
     """(dataset, model, algorithm, split, score) of a scores CSV read row by
     row with `csv.reader`: four (labels, codes) id columns, the ids
     stripped, and the float64 scores."""
-    rows = _csv_rows(io.StringIO(text))
-    _check_header(rows, SCORES_HEADER)
+    reader = csv.reader(io.StringIO(text))
     # Five flat lists of str: no per-row object outlives its loop iteration.
     datasets, models, algorithms, splits, raw_scores = [], [], [], [], []
     add_dataset, add_model, add_algorithm, add_split, add_score = (
         datasets.append, models.append, algorithms.append, splits.append, raw_scores.append
     )
-    for line, row in rows:
-        if len(row) != 5:
-            if row:
-                raise TableParseError(f"expected 5 columns, got {len(row)}", line)
-            continue
-        dataset_id, model_id, algorithm, split_id, raw = row
-        add_dataset(dataset_id)
-        add_model(model_id)
-        add_algorithm(algorithm)
-        add_split(split_id)
-        add_score(raw)
+    try:
+        _check_header(enumerate(reader, 1), SCORES_HEADER)
+        for row in reader:
+            if len(row) != 5:
+                if row:
+                    raise TableParseError(f"expected 5 columns, got {len(row)}", reader.line_num)
+                continue
+            dataset_id, model_id, algorithm, split_id, raw = row
+            add_dataset(dataset_id)
+            add_model(model_id)
+            add_algorithm(algorithm)
+            add_split(split_id)
+            add_score(raw)
+    except csv.Error as exc:
+        raise TableParseError(str(exc), reader.line_num) from None
     ids = [_factorize(column, str.strip) for column in (datasets, models, algorithms, splits)]
     return (*ids, _parse_scores(raw_scores, text))
 
@@ -364,7 +368,10 @@ def _byte_columns(text: str):
 
     Without quotes a row is one line and its fields lie between its commas,
     so these are the fields, and the line numbers, that `csv.reader` gives.
-    NUL is excluded because fixed-width bytes drop trailing NULs.
+    NUL is excluded because fixed-width bytes drop trailing NULs. A field
+    over `csv.field_size_limit()`, or fields so uneven that the fixed-width
+    copies would outgrow the text fourfold, hand the text to
+    :func:`_csv_columns`.
     """
     first_line = text[:text.find("\n") + 1 or len(text)]
     _check_header(_csv_rows(io.StringIO(first_line)), SCORES_HEADER)
@@ -382,17 +389,9 @@ def _byte_columns(text: str):
     commas = np.diff(line_end, prepend=-1) - 1
     blank = (commas == 0) & (width[line_end] == 0)
 
-    # The first of csv's faults in file order; on one line, csv meets a
-    # field over its limit before it counts the fields.
-    limit = csv.field_size_limit()
-    long_lines = [
-        int(np.searchsorted(line_end, k))
-        for k in np.flatnonzero(width > limit).tolist()  # bytes: it counts characters
-        if len(body[start[k]:delim[k]].tobytes().decode("utf-8")) > limit
-    ]
+    if width.max(initial=0) > csv.field_size_limit():  # bytes: csv counts characters
+        return _csv_columns(text)
     bad = np.flatnonzero((commas != 4) & ~blank).tolist()
-    if long_lines and (not bad or long_lines[0] <= bad[0]):
-        raise TableParseError(f"field larger than field limit ({limit})", long_lines[0] + 2)
     if bad:
         raise TableParseError(f"expected 5 columns, got {int(commas[bad[0]]) + 1}", bad[0] + 2)
 
@@ -400,7 +399,10 @@ def _byte_columns(text: str):
     keep[line_end[blank]] = False
     start = start[keep].reshape(-1, 5)
     width = width[keep].reshape(-1, 5)
-    padded = np.concatenate((body, np.zeros(int(width.max(initial=0)) + 1, np.uint8)))
+    widest = width.max(axis=0, initial=0)
+    if len(width) * int(widest.sum()) > 4 * len(body):  # say one long id among many rows
+        return _csv_columns(text)
+    padded = np.concatenate((body, np.zeros(int(widest.max()) + 1, np.uint8)))
     ids = [_code_fields(_fixed_width(padded, start[:, c], width[:, c])) for c in range(4)]
     cells = _fixed_width(padded, start[:, 4], width[:, 4])
     try:
@@ -437,7 +439,8 @@ def parse_scores_csv(data) -> PerformanceTable:
     Raises :class:`TableParseError` with a 1-based line number for malformed
     rows, unparsable or non-finite scores, and duplicated (dataset, model,
     split) triples. Input that holds a ``"`` (quoting) or a NUL byte is read
-    with `csv.reader`, any other with numpy from its bytes; both give the
+    with `csv.reader`, any other with numpy from its bytes (see
+    :func:`_byte_columns` for the two cases it passes on); both give the
     same table and the same errors.
     """
     text = _as_text(data)
