@@ -18,15 +18,9 @@ from .inference import (
     spearman,
     wald_test_difference,
 )
-from .perf_table import HyperparamTable, PerformanceTable
+from .perf_table import HyperparamTable, PerformanceTable, csv_text
 from .solver import EppScores
 from .special import sigmoid
-
-_FMT = ".6g"  # CSV numeric formatting, 6 significant digits
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), _FMT)
 
 
 class SpreadKind(str, Enum):
@@ -113,18 +107,14 @@ def leaderboard(
 
 
 def leaderboard_csv_text(rows: list[LeaderboardRow]) -> str:
-    lines = ["rank,model,epp,p_vs_avg,mean_score,p_value_vs_next,stars"]
-    for r in rows:
-        if r.significance_vs_next is None:
-            p_next, stars = "", ""
-        else:
-            p_next = _fmt(r.significance_vs_next.p_value)
-            stars = r.significance_vs_next.stars
-        lines.append(
-            f"{r.rank},{r.model_id},{_fmt(r.beta)},{_fmt(r.prob_vs_average)},"
-            f"{_fmt(r.mean_score)},{p_next},{stars}"
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        ("rank", "model", "epp", "p_vs_avg", "mean_score", "p_value_vs_next", "stars"),
+        (
+            (r.rank, r.model_id, r.beta, r.prob_vs_average, r.mean_score,
+             *((None, None) if (t := r.significance_vs_next) is None else (t.p_value, t.stars)))
+            for r in rows
+        ),
+    )
 
 
 def leaderboard_json_text(rows: list[LeaderboardRow]) -> str:
@@ -189,14 +179,14 @@ class ComparisonTable:
         header = ["model"]
         for ds in self.datasets:
             header += [f"{ds}_epp", f"{ds}_p_vs_avg"]
-        lines = [",".join(header)]
+        rows = []
         for model in self.models:
             row = [model]
             for ds in self.datasets:
                 c = self.cell(model, ds)
-                row += ["", ""] if c is None else [_fmt(c.beta), _fmt(c.prob_vs_average)]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+                row += [None, None] if c is None else [c.beta, c.prob_vs_average]
+            rows.append(row)
+        return csv_text(header, rows)
 
     def to_json_text(self) -> str:
         obj = {
@@ -295,13 +285,11 @@ def embed(
 
 
 def embed_csv_text(points: list[EmbeddingPoint]) -> str:
-    lines = ["algorithm,dataset,avg_epp,spread,spread_kind,n_models"]
-    for p in points:
-        lines.append(
-            f"{p.algorithm},{p.dataset_id},{_fmt(p.avg_epp)},{_fmt(p.spread)},"
-            f"{p.spread_kind.value},{p.n_models}"
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        ("algorithm", "dataset", "avg_epp", "spread", "spread_kind", "n_models"),
+        ((p.algorithm, p.dataset_id, p.avg_epp, p.spread, p.spread_kind.value, p.n_models)
+         for p in points),
+    )
 
 
 def beta_distribution_rows(
@@ -320,10 +308,8 @@ def beta_distribution_rows(
 def beta_distribution_csv_text(
     results: list[EppScores], algorithm_of: dict[str, str]
 ) -> str:
-    lines = ["algorithm,dataset,model,epp"]
-    for alg, ds, model, beta in beta_distribution_rows(results, algorithm_of):
-        lines.append(f"{alg},{ds},{model},{_fmt(beta)}")
-    return "\n".join(lines) + "\n"
+    return csv_text(("algorithm", "dataset", "model", "epp"),
+                    beta_distribution_rows(results, algorithm_of))
 
 
 def embed_json_text(points: list[EmbeddingPoint]) -> str:
@@ -455,13 +441,11 @@ def tunability_report(
 
 
 def tunability_csv_text(rows: list[TunabilityRow]) -> str:
-    lines = ["algorithm,parameter,target,estimate_label,estimate,p_value,stars"]
-    for r in rows:
-        lines.append(
-            f"{r.algorithm},{r.parameter},{r.target.value},{r.estimate_label},"
-            f"{_fmt(r.result.statistic)},{_fmt(r.result.p_value)},{r.result.stars}"
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        ("algorithm", "parameter", "target", "estimate_label", "estimate", "p_value", "stars"),
+        ((r.algorithm, r.parameter, r.target.value, r.estimate_label, r.result.statistic,
+          r.result.p_value, r.result.stars) for r in rows),
+    )
 
 
 def tunability_json_text(rows: list[TunabilityRow]) -> str:

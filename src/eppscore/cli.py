@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import io
 import json
 import os
 import re
@@ -42,10 +41,10 @@ from .errors import (
 )
 from .match_engine import PairingMode, PairwiseCounts, TiePolicy, build_matches
 from .perf_table import (
-    _as_text,
-    _csv_rows,
+    csv_text,
     parse_hyperparams_csv,
     parse_scores_csv,
+    read_rows,
     sha256_of,
     validate,
 )
@@ -194,8 +193,8 @@ def _load_json_file(path: str, parse):
 
 
 def _load_csv_file(path: str, parse):
-    """`parse` applied to a scores or hyperparameters CSV's bytes; errors,
-    a file that is not UTF-8 included, name the file."""
+    """`parse` applied to a CSV file's bytes; errors, a file that is not
+    UTF-8 included, name the file."""
     return _parse_csv_bytes(path, Path(path).read_bytes(), parse)
 
 
@@ -351,6 +350,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 def _cmd_leaderboard(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
+    if args.top is not None and args.top < 1:
+        raise ConfigError(f"top must be >= 1, got {args.top}")
     data = Path(args.scores).read_bytes()
     given = (sha256_of(data), cfg.lower_is_better)
     table = None  # parsed on first need
@@ -439,78 +440,60 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     table = baselines.simulate_scores(spec)
     out = Path(cfg.out_dir)
     _write_atomic(out / "scores.csv", table.to_csv_text())
-    truth_lines = ["model,skill"]
-    for i, skill in enumerate(spec.skills):
-        truth_lines.append(
-            f"{baselines.synthetic_model_id(i, spec.m)},{skill!r}"
-        )
-    _write_atomic(out / "truth.csv", "\n".join(truth_lines) + "\n")
+    _write_atomic(out / "truth.csv", csv_text(("model", "skill"), (
+        (baselines.synthetic_model_id(i, spec.m), repr(skill))
+        for i, skill in enumerate(spec.skills)
+    )))
     return 0
-
-
-def _read_two_column_csv(path: str, header: tuple[str, str]):
-    """(line, row) for each non-blank row of a CSV with a two-field header.
-
-    A wrong header, a row with fewer than two fields, or a field `csv`
-    refuses, raises an error naming the file (and the line).
-    """
-    try:
-        text = _as_text(Path(path).read_bytes())
-    except UnicodeDecodeError as exc:
-        raise EppError(f"{path}: {exc}") from None
-    rows = _csv_rows(io.StringIO(text))
-    try:
-        found = next(rows, None)
-        if found is None or [h.strip() for h in found[1]] != list(header):
-            raise EppError(f"{path}: expected header {','.join(header)!r}")
-        for line, row in rows:
-            if not row:
-                continue
-            if len(row) < 2:
-                raise EppError(f"{path}: line {line}: expected 2 columns, got {len(row)}")
-            yield line, row
-    except TableParseError as exc:
-        raise EppError(f"{path}: {exc}") from None
-
-
-def _read_matches_csv(path: str) -> list[tuple[str, str]]:
-    return [
-        (row[0].strip(), row[1].strip())
-        for _, row in _read_two_column_csv(path, ("winner", "loser"))
-    ]
 
 
 def _cmd_elo(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
-    matches = _read_matches_csv(args.input)
+    rows = _load_csv_file(args.input, lambda data: read_rows(data, ("winner", "loser")))
+    matches = [fields for _, fields in rows]
     if args.order == "reversed":
-        matches = list(reversed(matches))
+        matches.reverse()
     elo_cfg = baselines.EloConfig(
         initial_rating=args.initial, k_factor=args.k_factor, scale=args.scale
     )
     ratings = baselines.sequential_elo(matches, elo_cfg)
-    lines = ["player,rating"]
-    for player in sorted(ratings, key=lambda p: (-ratings[p], p)):
-        lines.append(f"{player},{ratings[player]:.6g}")
-    _write_atomic(Path(cfg.out_dir) / "elo_ratings.csv", "\n".join(lines) + "\n")
+    ranked = sorted(ratings, key=lambda p: (-ratings[p], p))
+    _write_atomic(Path(cfg.out_dir) / "elo_ratings.csv",
+                  csv_text(("player", "rating"), ((p, ratings[p]) for p in ranked)))
     return 0
+
+
+def _parse_truth(data, fitted: EppScores) -> dict[str, float]:
+    """model -> skill of a truth CSV: every skill a number, then each model
+    one the fit holds, given once, and at least 3 of them."""
+    rows = []
+    for line, (model, raw) in read_rows(data, ("model", "skill")):
+        try:
+            rows.append((line, model, float(raw)))
+        except ValueError:
+            raise TableParseError(f"cannot parse skill {raw!r}", line) from None
+    fitted_models = set(fitted.models)
+    truth: dict[str, float] = {}
+    for line, model, skill in rows:
+        if model in truth:
+            raise TableParseError(f"duplicate model {model!r}", line)
+        if model not in fitted_models:
+            raise TableParseError(
+                f"model {model!r} is not in the fit of dataset {fitted.dataset_id!r}", line
+            )
+        truth[model] = skill
+    if len(truth) < 3:
+        raise TableParseError(f"need at least 3 models, got {len(truth)}")
+    return truth
 
 
 def _cmd_recovery(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
     (fitted,) = _load_fit_files([args.fit])
-    truth: dict[str, float] = {}
-    for line, row in _read_two_column_csv(args.truth, ("model", "skill")):
-        try:
-            truth[row[0].strip()] = float(row[1])
-        except ValueError:
-            raise EppError(
-                f"{args.truth}: line {line}: cannot parse skill {row[1].strip()!r}"
-            ) from None
+    truth = _load_csv_file(args.truth, lambda data: _parse_truth(data, fitted))
     max_abs, rho = baselines.recovery_from_truth(fitted, truth)
     summary = {"max_abs_error": max_abs, "rank_correlation": rho, "n_models": len(truth)}
-    _write_report(cfg, "recovery",
-                  lambda: ",".join(summary) + f"\n{max_abs:.6g},{rho:.6g},{len(truth)}\n",
+    _write_report(cfg, "recovery", lambda: csv_text(summary.keys(), [summary.values()]),
                   lambda: json.dumps(summary, indent=2) + "\n")
     return 0
 

@@ -216,13 +216,9 @@ class PerformanceTable:
         )
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(SCORES_HEADER)
-        writer.writerows(
-            (d, m, a, s, repr(score)) for d, m, a, s, score in self._rows()
+        return csv_text(
+            SCORES_HEADER, ((d, m, a, s, repr(score)) for d, m, a, s, score in self._rows())
         )
-        return buf.getvalue()
 
 
 def _factorize(values: list, clean=None) -> tuple[tuple[str, ...], np.ndarray]:
@@ -284,6 +280,35 @@ def _check_header(rows, expected: tuple[str, ...]) -> None:
         raise TableParseError(
             f"expected header {','.join(expected)!r}, got {','.join(header)!r}", 1
         )
+
+
+def read_rows(data, header: tuple[str, ...]) -> list[tuple[int, list[str]]]:
+    """(line, stripped fields) for each non-blank row of a CSV (str or UTF-8
+    bytes) whose header is `header`; a row without ``len(header)`` fields
+    raises a :class:`TableParseError`."""
+    rows = _csv_rows(io.StringIO(_as_text(data)))
+    _check_header(rows, header)
+    out = []
+    for line, row in rows:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise TableParseError(f"expected {len(header)} columns, got {len(row)}", line)
+        out.append((line, [f.strip() for f in row]))
+    return out
+
+
+def csv_text(header, rows) -> str:
+    """CSV text of a header and rows, each row ending in ``\\n``: a float cell
+    prints to 6 significant digits, None as an empty field, any other cell
+    as given, and a field holding ``,``, ``"`` or ``\\n`` is quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(
+        [format(v, ".6g") if isinstance(v, float) else v for v in row] for row in rows
+    )
+    return buf.getvalue()
 
 
 class _CsvSource:
@@ -437,12 +462,21 @@ def parse_scores_csv(data) -> PerformanceTable:
     whose `sha256` is :func:`sha256_of` the input.
 
     Raises :class:`TableParseError` with a 1-based line number for malformed
-    rows, unparsable or non-finite scores, and duplicated (dataset, model,
-    split) triples. Input that holds a ``"`` (quoting) or a NUL byte is read
-    with `csv.reader`, any other with numpy from its bytes (see
+    rows, a str that UTF-8 cannot encode (a lone surrogate), unparsable or
+    non-finite scores, and duplicated (dataset, model, split) triples.
+    Input that holds a ``"`` (quoting) or a NUL byte is read with
+    `csv.reader`, any other with numpy from its bytes (see
     :func:`_byte_columns` for the two cases it passes on); both give the
     same table and the same errors.
     """
+    if isinstance(data, str):
+        try:
+            data = data.encode("utf-8")
+        except UnicodeEncodeError as exc:  # a lone surrogate
+            raise TableParseError(
+                f"cannot encode {data[exc.start]!r} as UTF-8",
+                _as_text(data[:exc.start]).count("\n") + 1,
+            ) from None
     text = _as_text(data)
     columns = _csv_columns if '"' in text or "\0" in text else _byte_columns
     table = PerformanceTable(*columns(text), source=_CsvSource(text))
@@ -637,14 +671,7 @@ def _parse_hyperparam_value(raw: str) -> float | str:
 
 def parse_hyperparams_csv(data) -> HyperparamTable:
     """Parse a hyperparameter CSV with header ``model,parameter,value``."""
-    rows = _csv_rows(io.StringIO(_as_text(data)))
-    _check_header(rows, HYPERPARAMS_HEADER)
-    entries = []
-    for line, row in rows:
-        if not row:
-            continue
-        if len(row) != 3:
-            raise TableParseError(f"expected 3 columns, got {len(row)}", line)
-        model_id, parameter, raw = (f.strip() for f in row)
-        entries.append((model_id, parameter, _parse_hyperparam_value(raw)))
-    return HyperparamTable(entries)
+    return HyperparamTable(
+        (model_id, parameter, _parse_hyperparam_value(raw))
+        for _, (model_id, parameter, raw) in read_rows(data, HYPERPARAMS_HEADER)
+    )

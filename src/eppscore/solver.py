@@ -23,6 +23,7 @@ from .blas import single_thread
 from .errors import FileFormatError, FitWarning, SeparationError
 from .jsonio import add_provenance, decode_array, encode_array, load_object, read_provenance
 from .match_engine import PairwiseCounts
+from .perf_table import csv_text
 from .special import sigmoid
 
 _MM_STALL_CHECK = 20  # iterations between stall checks; see _fit_mm
@@ -128,14 +129,14 @@ class EppScores:
         return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
 
     def to_csv_text(self) -> str:
-        se = self.standard_errors()
-        lines = ["model,beta,se,separation,converged"]
-        for k, model in enumerate(self.models):
-            lines.append(
-                f"{model},{self.beta[k]:.6g},{se[k]:.6g},"
-                f"{self.separation_flags[k].value},{str(self.converged).lower()}"
-            )
-        return "\n".join(lines) + "\n"
+        se = self.standard_errors().tolist()
+        converged = str(self.converged).lower()
+        return csv_text(
+            ("model", "beta", "se", "separation", "converged"),
+            ((model, b, s, flag.value, converged)
+             for model, b, s, flag in zip(self.models, self.beta.tolist(), se,
+                                          self.separation_flags)),
+        )
 
     def to_json_text(self) -> str:
         obj = {

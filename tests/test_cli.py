@@ -1,5 +1,6 @@
 import argparse
 import base64
+import csv
 import inspect
 import json
 import os
@@ -36,7 +37,7 @@ from eppscore.cli import (
     main,
     parse_config_text,
 )
-from eppscore.perf_table import sha256_of
+from eppscore.perf_table import SCORES_HEADER, sha256_of
 
 SUBCOMMANDS = [
     "fit",
@@ -657,6 +658,17 @@ class TestReports:
         assert lines[0] == "rank,model,epp,p_vs_avg,mean_score,p_value_vs_next,stars"
         assert len(lines) == 5
 
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_leaderboard_top_below_one_exits_2(self, fitted, tmp_path, capsys, top):
+        scores, fit_json = fitted
+        out = tmp_path / "out"
+        capsys.readouterr()
+        rc = main(["leaderboard", "--fit", str(fit_json), "--scores", str(scores),
+                   "--top", top, "--out-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: top must be >= 1, got {top}\n"
+        assert not out.exists()
+
     def test_leaderboard_json_format(self, fitted, tmp_path):
         scores, fit_json = fitted
         main(["leaderboard", "--fit", str(fit_json), "--scores", str(scores),
@@ -725,6 +737,104 @@ class TestReports:
             "error: hyperparameter table references models without fitted scores: "
             "sim1, sim2, sim3, sim4\n"
         )
+
+
+class TestQuotedIdsRoundTrip:
+    """Ids holding a comma, a quote and a space come back field for field
+    from every report CSV, next to the 6-digit values of its JSON twin."""
+
+    DATASETS = ('ds "a", one', 'ds "b", two')
+    ALGORITHMS = ('gbm, "fast"', "rf x")
+    MODELS = tuple(f'm{k}, "v{k}" x' for k in range(6))
+    PARAMETER = 'depth, "max"'
+
+    @staticmethod
+    def write_csv(path, header, rows):
+        with open(path, "w", newline="", encoding="utf-8") as f:
+            csv.writer(f, lineterminator="\n").writerows([header, *rows])
+        return path
+
+    @staticmethod
+    def read_csv(path):
+        with open(path, newline="", encoding="utf-8") as f:
+            rows = list(csv.DictReader(f))
+        assert all(None not in row and None not in row.values() for row in rows)
+        return rows
+
+    @pytest.fixture()
+    def run(self, tmp_path):
+        rng = np.random.default_rng(5)
+        scores = self.write_csv(tmp_path / "scores.csv", SCORES_HEADER, [
+            (ds, model, self.ALGORITHMS[k % 2], f"s {j}",
+             repr(0.5 + 0.04 * k + rng.normal(0, 0.05)))
+            for ds in self.DATASETS for k, model in enumerate(self.MODELS) for j in range(12)
+        ])
+        hp = self.write_csv(tmp_path / "hp.csv", ("model", "parameter", "value"), [
+            (model, self.PARAMETER, str(k * k % 7)) for k, model in enumerate(self.MODELS)
+        ])
+        fits = tmp_path / "fits"
+        assert main(["fit", str(scores), "--out-dir", str(fits)]) == 0
+        fit_files = sorted(str(f) for f in fits.glob("*.json"))
+        assert len(fit_files) == 2
+        for fmt in ("csv", "json"):
+            out = str(tmp_path / fmt)
+            for argv in (
+                ["leaderboard", "--fit", *fit_files, "--scores", str(scores)],
+                ["compare", "--fit", *fit_files],
+                ["embed", "--fit", *fit_files, "--per-model"],
+                ["tunability", "--fit", *fit_files, "--hyperparams", str(hp)],
+            ):
+                assert main([*argv, "--format", fmt, "--out-dir", out]) == 0
+        return tmp_path, [EppScores.from_json_text(Path(f).read_text()) for f in fit_files]
+
+    @staticmethod
+    def g(x) -> str:
+        return "" if x is None else format(x, ".6g")
+
+    def test_every_csv_reads_back_its_ids_and_values(self, run):
+        tmp_path, results = run
+        g = self.g
+        assert sorted(r.dataset_id for r in results) == sorted(self.DATASETS)
+        embed_models = []
+        for r in results:
+            stem = cli._safe_name(r.dataset_id)
+            se = r.standard_errors()
+            assert [(row["model"], row["beta"], row["se"]) for row in
+                    self.read_csv(tmp_path / "fits" / f"epp_{stem}.csv")] == [
+                (m, g(b), g(e)) for m, b, e in zip(r.models, r.beta, se)]
+            assert set(r.models) == set(self.MODELS)
+            lb = json.loads((tmp_path / "json" / f"leaderboard_{stem}.json").read_text())
+            assert [tuple(row.values()) for row in
+                    self.read_csv(tmp_path / "csv" / f"leaderboard_{stem}.csv")] == [
+                (str(j["rank"]), j["model"], g(j["epp"]), g(j["p_vs_avg"]), g(j["mean_score"]),
+                 g(j["vs_next"] and j["vs_next"]["p_value"]),
+                 j["vs_next"]["stars"] if j["vs_next"] else "")
+                for j in lb["rows"]]
+            embed_models += [(r.algorithms[m], r.dataset_id, m, g(b))
+                             for m, b in zip(r.models, r.beta)]
+
+        cmp = json.loads((tmp_path / "json" / "compare.json").read_text())
+        rows = self.read_csv(tmp_path / "csv" / "compare.csv")
+        assert [row["model"] for row in rows] == cmp["models"] == sorted(self.MODELS)
+        assert {(row["model"], ds, row[f"{ds}_epp"], row[f"{ds}_p_vs_avg"])
+                for row in rows for ds in self.DATASETS} == {
+            (c["model"], c["dataset"], g(c["epp"]), g(c["p_vs_avg"])) for c in cmp["cells"]}
+
+        points = json.loads((tmp_path / "json" / "embed.json").read_text())["points"]
+        assert [tuple(row.values()) for row in self.read_csv(tmp_path / "csv" / "embed.csv")] == [
+            (p["algorithm"], p["dataset"], g(p["avg_epp"]), g(p["spread"]), p["spread_kind"],
+             str(p["n_models"])) for p in points]
+        assert {p["algorithm"] for p in points} == set(self.ALGORITHMS)
+        assert [tuple(row.values()) for row in
+                self.read_csv(tmp_path / "csv" / "embed_models.csv")] == sorted(embed_models)
+
+        tun = json.loads((tmp_path / "json" / "tunability.json").read_text())["rows"]
+        assert tun and {t["parameter"] for t in tun} == {self.PARAMETER}
+        assert [tuple(row.values()) for row in
+                self.read_csv(tmp_path / "csv" / "tunability.csv")] == [
+            (t["algorithm"], t["parameter"], t["target"], t["estimate_label"],
+             g(t["result"]["statistic"]), g(t["result"]["p_value"]), t["result"]["stars"])
+            for t in tun]
 
 
 class TestSimulateAndPipeline:
@@ -848,6 +958,14 @@ class TestElo:
         assert capsys.readouterr().err == f"error: {bad}: line 4: expected 2 columns, got 1\n"
         assert not (tmp_path / "elo_ratings.csv").exists()
 
+    def test_long_row(self, tmp_path, capsys):
+        bad = tmp_path / "matches.csv"
+        bad.write_text("winner,loser\na,b\n\na,b,c\n")
+        rc = main(["elo", "--input", str(bad), "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {bad}: line 4: expected 2 columns, got 3\n"
+        assert not (tmp_path / "elo_ratings.csv").exists()
+
 
 class TestRecoveryInput:
     @pytest.fixture()
@@ -863,8 +981,14 @@ class TestRecoveryInput:
             ("model,skill\nsim1,0.5\nsim2,high\n", "line 3: cannot parse skill 'high'"),
             ("model,skill\nsim1, \n", "line 2: cannot parse skill ''"),
             ("model,skill\nsim1,0.5\r\nsim2\r\n", "line 3: expected 2 columns, got 1"),
+            ("model,skill\nm000,0.5,1\n", "line 2: expected 2 columns, got 3"),
+            ("model,skill\nm000,0\nm001,1\nm003,2\n",
+             "line 4: model 'm003' is not in the fit of dataset 'synthetic'"),
+            ("model,skill\nm000,0\nm001,1\n", "need at least 3 models, got 2"),
+            ("model,skill\nm000,0\nm001,1\nm002,2\nm000,3\n", "line 5: duplicate model 'm000'"),
         ],
-        ids=["non-numeric", "blank", "short-row"],
+        ids=["non-numeric", "blank", "short-row", "long-row", "unknown-model", "two-models",
+             "duplicate"],
     )
     def test_malformed_truth_exits_2(self, fit_file, tmp_path, capsys, truth, message):
         path = tmp_path / "truth_bad.csv"

@@ -107,6 +107,44 @@ class TestParseScoresCsv:
         table = parse_scores_csv(make_csv(["d1,m1,gbm,s1,0.5"]))
         assert table.negated().block("d1").score.tolist() == [-0.5]
 
+    @pytest.mark.parametrize("model", ["m\ud800", '"m\ud800"'], ids=["unquoted", "quoted"])
+    def test_lone_surrogate_is_a_parse_error(self, model):
+        with pytest.raises(TableParseError) as err:
+            parse_scores_csv(make_csv(["d1,m0,gbm,s1,0.5", f"d1,{model},gbm,s1,0.5"]))
+        assert str(err.value) == "line 3: cannot encode '\\ud800' as UTF-8"
+
+
+class TestCsvTextAndReadRows:
+    def test_csv_text_formats_floats_and_quotes_only_what_needs_it(self):
+        text = perf_table.csv_text(
+            ("id", "x", "n", "note"),
+            [("a,b", 1 / 3, 7, None), ('say "hi"', np.float64(2e-300), 10**7, "a b"),
+             ("two\nlines", 123456789.0, -1, "")],
+        )
+        assert text == (
+            'id,x,n,note\n"a,b",0.333333,7,\n"say ""hi""",2e-300,10000000,a b\n'
+            '"two\nlines",1.23457e+08,-1,\n'
+        )
+        assert list(csv.reader(text.splitlines(keepends=True)))[1:] == [
+            ["a,b", "0.333333", "7", ""], ['say "hi"', "2e-300", "10000000", "a b"],
+            ["two\nlines", "1.23457e+08", "-1", ""],
+        ]
+
+    def test_read_rows_skips_blank_rows_and_strips_fields(self):
+        rows = perf_table.read_rows(b' a , b \n\n"x,1", y \r\n\n z ,"w"\n', ("a", "b"))
+        assert rows == [(3, ["x,1", "y"]), (5, ["z", "w"])]
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "line 1: empty input: missing header"),
+        ("a,c\n", "line 1: expected header 'a,b', got 'a,c'"),
+        ("a,b\nx\n", "line 2: expected 2 columns, got 1"),
+        ("a,b\nx,y\n\nx,y,z\n", "line 4: expected 2 columns, got 3"),
+    ], ids=["empty", "header", "short_row", "long_row"])
+    def test_read_rows_errors(self, text, message):
+        with pytest.raises(TableParseError) as err:
+            perf_table.read_rows(text, ("a", "b"))
+        assert str(err.value) == message
+
 
 class TestRecordsConstructor:
     """Tables built from columns, not parsed, report faults without line
