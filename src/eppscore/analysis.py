@@ -208,15 +208,21 @@ class ComparisonTable:
 def cross_dataset_compare(
     results: list[EppScores], model_ids=None
 ) -> ComparisonTable:
-    """Line up fitted scores for the same models across datasets."""
+    """Line up fitted scores for the same models across datasets; a model
+    id that no fit holds raises `UnknownModelError`."""
     datasets = tuple(sorted(r.dataset_id for r in results))
+    seen: set[str] = set()
+    for r in results:
+        seen.update(r.models)
     if model_ids is None:
-        seen: set[str] = set()
-        for r in results:
-            seen.update(r.models)
         models = tuple(sorted(seen))
     else:
         models = tuple(model_ids)
+        unknown = [m for m in models if m not in seen]
+        if unknown:
+            raise UnknownModelError(
+                "no fit holds the models " + ", ".join(map(repr, unknown))
+            )
     cells: dict[tuple[str, str], ComparisonCell] = {}
     for r in results:
         for model in models:

@@ -8,6 +8,7 @@ byte-identical for identical inputs and configuration.
 from __future__ import annotations
 
 import argparse
+import csv
 import inspect
 import json
 import os
@@ -393,7 +394,12 @@ def _source_mismatch(made_from: tuple, given: tuple[str, bool]) -> str:
 def _cmd_compare(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
     results = _load_fit_files(args.fit)
-    model_ids = args.models.split(",") if args.models else None
+    model_ids = None
+    if args.models:
+        try:  # one CSV record, so a quoted id may hold a comma
+            model_ids = next(csv.reader([args.models]))
+        except csv.Error as exc:
+            raise ConfigError(f"--models: {exc}") from None
     comparison = analysis.cross_dataset_compare(results, model_ids)
     _write_report(cfg, "compare", comparison.to_csv_text, comparison.to_json_text)
     return 0
@@ -563,7 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", parents=[fits, report, common],
                            help="cross-dataset comparison table")
-    p_cmp.add_argument("--models", default=None, help="comma-separated model ids")
+    p_cmp.add_argument("--models", default=None,
+                       help='comma-separated model ids, one CSV record ("a,1",b)')
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_emb = sub.add_parser("embed", parents=[fits, labels, report, common],

@@ -8,14 +8,20 @@ Both pairings count only ``gt[i, j]``, the matches i wins outright; ties
 are ``n - gt - gt.T``, exactly: scores are finite (the table rejects the
 rest), so each pair is one of >, < and ==, and counts stay below 2**53.
 
-CROSS pairing (each split of model i against each split of model j) sorts
-the dataset's N scores once with ``np.unique``; equal scores, ``-0.0`` and
-``0.0`` included, share one run. A model-major (models x runs) count
-matrix, cumulated along its contiguous runs axis, says how many of model
-j's scores lie below each run; summing that per score's model gives
-``gt`` in O(N log N + N * m), for equal or ragged split counts alike.
+CROSS pairing (each split of model i against each split of model j) reads
+the dataset's N scores in their stable sorted order, which the table sorts
+once and validation shares, and cuts it into blocks of about K scores
+(K grows with m) that never split a run of equal scores, ``-0.0`` and
+``0.0`` included. A score beats every score of an earlier block: with
+``S[b, j]`` counting model j's scores in block b and ``P`` the exclusive
+cumulative sum of ``S`` over blocks, those wins are ``gt += S.T @ P``, one
+float64 GEMM per group of blocks. Within its block a score beats only the
+scores below its run, at most K of them, counted with ``bincount``. That is
+O(m^2 N / K) in the GEMMs and O(N K) in the pairs, for equal or ragged
+split counts alike; every partial sum is an integer below 2**53, so ``gt``
+is exact in any summation order, at any BLAS thread count.
 PAIRED pairing compares identical splits only, one (m x m) comparison per
-split: O(m^2 s).
+split, O(m^2 s), accumulated in ``uint16`` between float64 flushes.
 """
 
 from __future__ import annotations
@@ -30,10 +36,15 @@ from .errors import FileFormatError, PairedSplitsMismatchError, UndefinedWinRate
 from .jsonio import add_provenance, decode_array, encode_array, load_object, read_provenance
 from .perf_table import PerformanceTable
 
-# Cap on the elements of one CROSS chunk's temporaries. On a 2-vCPU x86
-# machine, caps of 62.5k-1M counted m=100-2000, s=5-250 within 10% of each
-# other (1M with up to 8 MB more memory); 4M was up to 1.6x slower, +20-40 MB.
-_CHUNK_ELEMS = 250_000
+# Cap on the elements of one CROSS group's temporaries: S and P of a group
+# of blocks, and the within-block pair codes of one bincount. Counting
+# m=2000, s=500 normal scores on a 2-vCPU x86 machine with one BLAS thread,
+# 2**18 took 4.8 s at a 121 MB traced peak, 2**20 3.7 s at 137 MB and
+# 2**22 4.0 s at 183 MB.
+_GROUP_ELEMS = 1 << 20
+
+# uint16 holds the PAIRED comparisons of this many splits without overflow.
+_PAIRED_FLUSH = np.iinfo(np.uint16).max
 
 
 class PairingMode(str, Enum):
@@ -126,31 +137,71 @@ class PairwiseCounts:
         )
 
 
-def _cross_counts(scores: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """CROSS greater-than counts from one sort of the dataset's scores.
+def _block_size(m: int) -> int:
+    """Scores per CROSS block for a dataset of m models.
+
+    A block costs O(m^2) in the GEMM and each of its scores O(K) pairs, so
+    the best K grows with m. On a 2-vCPU x86 machine with one BLAS thread
+    the fastest K was about 8 at m=27, 16 at m=135, 32-64 at m=500 and
+    64-141 at m=2000.
+    """
+    return 8 + m // 16
+
+
+def _cross_counts(scores: np.ndarray, sizes: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """CROSS greater-than counts in sorted blocks (see the module docstring).
 
     `scores` holds the models' scores one model after another, `sizes[k]`
-    of them for model k.
+    of them for model k, and `order` is their stable argsort.
     """
-    k = len(sizes)
-    # run[e]: rank of score e's distinct value; model[e]: the model it belongs to
-    values, run = np.unique(scores, return_inverse=True)
-    model = np.repeat(np.arange(k), sizes)
-    starts = np.cumsum(sizes) - sizes
-    gt = np.empty((k, k))
-    cols = max(1, _CHUNK_ELEMS // len(run))
-    for lo in range(0, k, cols):
-        hi = min(lo + cols, k)
-        part = slice(starts[lo], starts[hi - 1] + sizes[hi - 1])
-        # c[j, r]: scores of model lo + j in run r; less[j, r]: those below it
-        c = np.bincount(
-            (model[part] - lo) * len(values) + run[part],
-            minlength=(hi - lo) * len(values),
-        ).reshape(hi - lo, len(values))
-        less = np.cumsum(c, axis=1)
-        less -= c
-        # Sum each model's columns: its scores' wins against models lo:hi.
-        gt[:, lo:hi] = np.add.reduceat(np.take(less, run, axis=1), starts, axis=1).T
+    m, n = len(sizes), len(scores)
+    k = _block_size(m)
+    model = np.repeat(np.arange(m), sizes)[order]
+    value = scores[order]
+    # run_start[p]: where the run of equal scores holding sorted score p begins
+    run_start = np.arange(n)
+    run_start[1:][value[1:] == value[:-1]] = 0
+    np.maximum.accumulate(run_start, out=run_start)
+    # A run joins the block of the K-window its start lies in, so no block
+    # splits a run and at most K scores of a block lie below a run.
+    window = run_start // k
+    new_block = np.ones(n, dtype=bool)
+    new_block[1:] = window[1:] != window[:-1]
+    del value, window
+    bounds = np.append(np.flatnonzero(new_block), n)
+    block = np.cumsum(new_block) - 1
+    gt = np.zeros((m, m))
+
+    # Within blocks: sorted score p beats the scores run_start[p] - d, for
+    # d = 1 .. depth[p], the scores of its block below its run.
+    depth = run_start - bounds[block]
+    beats = np.flatnonzero(depth)
+    parts, size, d = [], 0, 1
+    while len(beats):
+        parts.append(model[beats] * m + model[run_start[beats] - d])
+        size += len(beats)
+        d += 1
+        beats = beats[depth[beats] >= d]
+        if size >= _GROUP_ELEMS or not len(beats):
+            gt += np.bincount(np.concatenate(parts), minlength=m * m).reshape(m, m)
+            parts, size = [], 0
+    del depth, run_start
+
+    # Across blocks: S[b, j] counts model j's scores in block b, and P[b, j]
+    # those in blocks before b, `below` carrying them from group to group.
+    group = max(1, _GROUP_ELEMS // m)
+    below = np.zeros(m)
+    for b0 in range(0, len(bounds) - 1, group):
+        b1 = min(b0 + group, len(bounds) - 1)
+        lo, hi = bounds[b0], bounds[b1]
+        s = np.bincount(
+            (block[lo:hi] - b0) * m + model[lo:hi], minlength=(b1 - b0) * m
+        ).reshape(b1 - b0, m).astype(float)
+        p = np.cumsum(s, axis=0)
+        p -= s
+        p += below
+        below = p[-1] + s[-1]
+        gt += s.T @ p
     return gt
 
 
@@ -158,8 +209,11 @@ def _paired_counts(scores: np.ndarray) -> np.ndarray:
     """PAIRED greater-than counts for an (m, s) score matrix, split by split."""
     m = len(scores)
     gt = np.zeros((m, m))
-    for col in scores.T:
-        gt += col[:, None] > col[None, :]
+    for lo in range(0, scores.shape[1], _PAIRED_FLUSH):
+        wins = np.zeros((m, m), dtype=np.uint16)
+        for col in scores.T[lo:lo + _PAIRED_FLUSH]:
+            wins += col[:, None] > col[None, :]
+        gt += wins
     return gt
 
 
@@ -190,7 +244,7 @@ def build_matches(
         gt = _paired_counts(scores)
         nmat = np.full((m, m), float(len(split_codes)))
     else:
-        gt = _cross_counts(block.score, block.sizes)
+        gt = _cross_counts(block.score, block.sizes, block.order)
         nmat = np.outer(block.sizes, block.sizes.astype(float))
 
     if ties == TiePolicy.HALF:

@@ -27,7 +27,10 @@ class DatasetBlock(NamedTuple):
     ``models`` are the dataset's model ids, sorted; ``sizes[k]`` is the
     number of rows of ``models[k]``. ``score`` and ``split`` hold the rows
     model by model, each model's rows in table order; ``split`` holds codes
-    into ``split_ids``, the table's sorted split ids.
+    into ``split_ids``, the table's sorted split ids. ``order`` is the
+    stable argsort of ``score``: the rows by score, equal scores by model
+    and then in table order, the permutation ``np.lexsort((model, score))``
+    gives.
     """
 
     models: tuple[str, ...]
@@ -35,6 +38,7 @@ class DatasetBlock(NamedTuple):
     score: np.ndarray
     split: np.ndarray
     split_ids: tuple[str, ...]
+    order: np.ndarray
 
     def split_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """(the codes of the splits present, ascending; each row's position
@@ -132,6 +136,7 @@ class PerformanceTable:
         )
         self._group_of = None  # (dataset, model) -> group, built on first use
         self._means = None  # per group, built on first use
+        self._orders = {}  # dataset -> its block's score order, built on first use
 
     @property
     def algorithm_of(self) -> dict[str, str]:
@@ -142,15 +147,21 @@ class PerformanceTable:
         return list(self._datasets)
 
     def block(self, dataset_id: str) -> DatasetBlock:
-        """The dataset's rows grouped by model (see :class:`DatasetBlock`)."""
+        """The dataset's rows grouped by model (see :class:`DatasetBlock`).
+        Its score order is sorted once per dataset and kept."""
         g_lo, g_hi = self._dataset_groups(dataset_id)
         rows = self._order[self._bounds[g_lo]:self._bounds[g_hi]]
+        score = self._score[rows]
+        order = self._orders.get(dataset_id)
+        if order is None:
+            order = self._orders[dataset_id] = np.argsort(score, kind="stable")
         return DatasetBlock(
             models=tuple(self._labels(self._models, self._group_model[g_lo:g_hi])),
             sizes=np.diff(self._bounds[g_lo:g_hi + 1]),
-            score=self._score[rows],
+            score=score,
             split=self._split[rows],
             split_ids=self._splits,
+            order=order,
         )
 
     def mean_score(self, dataset_id: str, model_id: str) -> float:
@@ -186,6 +197,7 @@ class PerformanceTable:
         twin = copy.copy(self)
         twin._score = -self._score
         twin._means = None
+        twin._orders = {}
         twin.lower_is_better = not self.lower_is_better
         return twin
 
@@ -298,17 +310,25 @@ def read_rows(data, header: tuple[str, ...]) -> list[tuple[int, list[str]]]:
     return out
 
 
+class _Lines(list):
+    """A file for `csv.writer` that keeps each row it writes, one per call."""
+
+    write = list.append
+
+
 def csv_text(header, rows) -> str:
     """CSV text of a header and rows, each row ending in ``\\n``: a float cell
     prints to 6 significant digits, None as an empty field, any other cell
-    as given, and a field holding ``,``, ``"`` or ``\\n`` is quoted."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    as given, and a field holding ``,``, ``"``, ``\\n`` or ``\\r`` is quoted."""
+    # Before Python 3.12 csv quotes a line end only if the terminator holds
+    # it, so rows are written ending in "\r\n" and cut to "\n".
+    lines = _Lines()
+    writer = csv.writer(lines, lineterminator="\r\n")
     writer.writerow(header)
     writer.writerows(
         [format(v, ".6g") if isinstance(v, float) else v for v in row] for row in rows
     )
-    return buf.getvalue()
+    return "".join([line[:-2] + "\n" for line in lines])
 
 
 class _CsvSource:
@@ -535,20 +555,20 @@ class ValidationReport:
         return not self.warnings
 
 
-def _equal_pairs(*keys: np.ndarray) -> int:
-    """Number of row pairs that are equal on every key array."""
-    n = len(keys[0])
-    order = np.lexsort(keys)
-    same = np.ones(max(n - 1, 0), dtype=bool)
-    for key in keys:
-        ranked = key[order]
-        same &= ranked[1:] == ranked[:-1]
+def _pairs_in_runs(same: np.ndarray) -> int:
+    """Number of row pairs within runs of sorted rows, ``same[i]`` telling
+    whether row i + 1 continues the run of row i."""
     runs = np.diff(np.flatnonzero(np.concatenate(([True], ~same, [True]))))
     return int((runs * (runs - 1) // 2).sum())
 
 
 def validate(table: PerformanceTable) -> ValidationReport:
-    """Report-only validation: split coverage, constant models, exact ties."""
+    """Report-only validation: split coverage, constant models, exact ties.
+
+    The tie count reads each dataset's score order from
+    :meth:`PerformanceTable.block`, the same order the CROSS counting
+    kernel reads, so neither sorts the scores again.
+    """
     summaries = []
     for ds in table.datasets():
         block = table.block(ds)
@@ -580,8 +600,13 @@ def validate(table: PerformanceTable) -> ValidationReport:
         # Bit-identical scores on different models are potential tie matches;
         # reported but never modified here (same-model duplicates are not,
         # since a model never plays itself). Equality is float equality, so
-        # -0.0 and 0.0 are equal.
-        tie_pairs = _equal_pairs(score) - _equal_pairs(model_of_row, score)
+        # -0.0 and 0.0 are equal. In score order a model's equal scores are
+        # adjacent within their run (see DatasetBlock.order).
+        ranked = score[block.order]
+        same_score = ranked[1:] == ranked[:-1]
+        ranked_model = model_of_row[block.order]
+        same_model = same_score & (ranked_model[1:] == ranked_model[:-1])
+        tie_pairs = _pairs_in_runs(same_score) - _pairs_in_runs(same_model)
         if tie_pairs:
             warnings.append(
                 f"dataset {ds!r}: {tie_pairs} pairs of exactly equal scores "
@@ -606,23 +631,27 @@ class HyperparamTable:
 
     A parameter must be consistently numeric or consistently categorical
     across models; categorical parameters may have at most two levels.
+    `entries` are ``(line, model, parameter, value)`` tuples; a repeated
+    (model, parameter) or a parameter that mixes kinds is reported at its
+    `line` (None when not known).
     """
 
     def __init__(self, entries):
         values: dict[str, dict[str, float | str]] = {}
         kinds: dict[str, str] = {}
-        for model_id, parameter, value in entries:
+        for line, model_id, parameter, value in entries:
             per_param = values.setdefault(parameter, {})
             if model_id in per_param:
                 raise TableParseError(
                     f"duplicate entry for (model, parameter) = "
-                    f"({model_id}, {parameter})"
+                    f"({model_id}, {parameter})",
+                    line,
                 )
             kind = "numeric" if isinstance(value, float) else "categorical"
             prev = kinds.setdefault(parameter, kind)
             if prev != kind:
                 raise TableParseError(
-                    f"parameter {parameter!r} mixes numeric and categorical values"
+                    f"parameter {parameter!r} mixes numeric and categorical values", line
                 )
             per_param[model_id] = value
         for parameter, per_param in values.items():
@@ -672,6 +701,6 @@ def _parse_hyperparam_value(raw: str) -> float | str:
 def parse_hyperparams_csv(data) -> HyperparamTable:
     """Parse a hyperparameter CSV with header ``model,parameter,value``."""
     return HyperparamTable(
-        (model_id, parameter, _parse_hyperparam_value(raw))
-        for _, (model_id, parameter, raw) in read_rows(data, HYPERPARAMS_HEADER)
+        (line, model_id, parameter, _parse_hyperparam_value(raw))
+        for line, (model_id, parameter, raw) in read_rows(data, HYPERPARAMS_HEADER)
     )

@@ -286,6 +286,22 @@ def rowwise_simulated_scores_csv(spec, noise):
     return "\n".join(lines) + "\n"
 
 
+def two_sort_tie_pairs(score, model):
+    """Exact-tie pairs between different models, from two lexsorts: the
+    pairs of equal scores minus the pairs of equal (model, score)."""
+
+    def equal_pairs(*keys):
+        order = np.lexsort(keys)
+        same = np.ones(max(len(keys[0]) - 1, 0), dtype=bool)
+        for key in keys:
+            ranked = key[order]
+            same &= ranked[1:] == ranked[:-1]
+        runs = np.diff(np.flatnonzero(np.concatenate(([True], ~same, [True]))))
+        return int((runs * (runs - 1) // 2).sum())
+
+    return equal_pairs(score) - equal_pairs(model, score)
+
+
 def rowwise_validate(table):
     """Per-dataset validation fields from the nested dicts, with sets and
     Counters: (dataset, n_models, split_ids, missing, constant, tie_pairs,

@@ -37,7 +37,7 @@ from eppscore.cli import (
     main,
     parse_config_text,
 )
-from eppscore.perf_table import SCORES_HEADER, sha256_of
+from eppscore.perf_table import SCORES_HEADER, csv_text, sha256_of
 
 SUBCOMMANDS = [
     "fit",
@@ -613,7 +613,9 @@ class TestMalformedCsvInputs:
         (b"model,parameter,value\nm0,depth,1\nm1,depth\n", "line 3: expected 3 columns, got 2"),
         (b'model,parameter,value\nm0,depth,1\nm1,"' + b"d" * 140_000 + b'",2\n',
          "line 3: field larger than field limit (131072)"),
-    ], ids=["not_utf8", "short_row", "long_field"])
+        (b"model,parameter,value\nm0,depth,1\nm1,depth,2\nm0,depth,3\n",
+         "line 4: duplicate entry for (model, parameter) = (m0, depth)\n"),
+    ], ids=["not_utf8", "short_row", "long_field", "duplicate"])
     def test_bad_hyperparams_csv(self, fitted, tmp_path, capsys, data, message):
         bad = tmp_path / "bad_hp.csv"
         bad.write_bytes(data)
@@ -835,6 +837,60 @@ class TestQuotedIdsRoundTrip:
             (t["algorithm"], t["parameter"], t["target"], t["estimate_label"],
              g(t["result"]["statistic"]), g(t["result"]["p_value"]), t["result"]["stars"])
             for t in tun]
+
+
+    def test_compare_models_is_one_csv_record(self, run, capsys):
+        tmp_path, _ = run
+        fit_files = sorted(str(f) for f in (tmp_path / "fits").glob("*.json"))
+        picked = [self.MODELS[3], self.MODELS[0]]
+        record = csv_text(["x"], [picked]).splitlines()[1]  # '"m3, ""v3"" x",...'
+        out = tmp_path / "picked"
+        assert main(["compare", "--fit", *fit_files, "--models", record,
+                     "--out-dir", str(out)]) == 0
+        assert [row["model"] for row in self.read_csv(out / "compare.csv")] == picked
+        # split on every comma, the same ids name no fitted model
+        capsys.readouterr()
+        assert main(["compare", "--fit", *fit_files, "--models", ",".join(picked),
+                     "--out-dir", str(tmp_path / "split")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: no fit holds the models 'm3'") and err.count("\n") == 1
+        assert not (tmp_path / "split").exists()
+
+
+class TestCarriageReturnIds:
+    def test_ids_holding_cr_round_trip(self, tmp_path):
+        # A fit file can carry any id, "\r" included; every CSV quotes it.
+        scores = write_scores(tmp_path / "scores.csv")
+        main(["fit", str(scores), "--out-dir", str(tmp_path)])
+        fit = json.loads((tmp_path / "epp_d1.json").read_text())
+        rename = {"m1": "m\r1", "m2": "m2\r"}
+        fit["dataset"] = "d\r1"
+        fit["models"] = [rename.get(m, m) for m in fit["models"]]
+        fit["algorithms"] = {rename.get(m, m): a for m, a in fit["algorithms"].items()}
+        fit_json = tmp_path / "cr.json"
+        fit_json.write_text(json.dumps(fit))
+        out = tmp_path / "out"
+        for argv in (
+            ["compare", "--fit", str(fit_json)],
+            ["leaderboard", "--fit", str(fit_json), "--scores", str(scores)],
+            ["embed", "--fit", str(fit_json), "--per-model"],
+        ):
+            assert main([*argv, "--out-dir", str(out)]) == 0
+
+        def read(name):
+            with open(out / name, newline="", encoding="utf-8") as f:
+                return list(csv.reader(f))
+
+        models = sorted(["m0", "m\r1", "m2\r", "m3"])
+        compare = read("compare.csv")
+        assert compare[0] == ["model", "d\r1_epp", "d\r1_p_vs_avg"]
+        assert [row[0] for row in compare[1:]] == models
+        board = read("leaderboard_" + cli._safe_name("d\r1") + ".csv")
+        assert {len(row) for row in board} == {7}
+        assert sorted(row[1] for row in board[1:]) == models
+        per_model = read("embed_models.csv")
+        assert {len(row) for row in per_model} == {4}
+        assert sorted((row[1], row[2]) for row in per_model[1:]) == [("d\r1", m) for m in models]
 
 
 class TestSimulateAndPipeline:

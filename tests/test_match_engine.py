@@ -111,11 +111,11 @@ class TestBuildMatches:
             assert np.array_equal(counts.w[np.ix_(order, order)], w_ref)
             assert np.array_equal(counts.n[np.ix_(order, order)], n_ref)
 
-    @pytest.mark.parametrize("cap", [1, 40])
+    @pytest.mark.parametrize("block, group", [(1, 1), (2, 1), (3, 40)])
     @settings(deadline=None)
     @given(data=st.data())
-    def test_property_matches_naive_oracle(self, cap, data):
-        # A tiny chunk cap forces one or a few model columns per chunk.
+    def test_property_matches_naive_oracle(self, block, group, data):
+        # Tiny blocks and groups run many blocks, one or a few per GEMM.
         paired = data.draw(st.booleans(), label="paired")
         half = data.draw(st.booleans(), label="half")
         m = data.draw(st.integers(1, 6), label="m")
@@ -126,7 +126,8 @@ class TestBuildMatches:
         else:
             raw = [data.draw(st.lists(pool, min_size=1, max_size=6)) for _ in range(m)]
         table = table_from_matrix({f"m{i}": raw[i] for i in range(m)})
-        with mock.patch.object(match_engine, "_CHUNK_ELEMS", cap):
+        with mock.patch.object(match_engine, "_block_size", lambda m: block), \
+                mock.patch.object(match_engine, "_GROUP_ELEMS", group):
             counts = build_matches(
                 table,
                 "d1",
@@ -180,6 +181,80 @@ class TestBuildMatches:
             counts = build_matches(table, "d1")
             assert np.allclose(counts.w + counts.w.T, counts.n)
             assert np.all(np.diag(counts.w) == 0)
+
+
+def _kernel_and_oracle(score_lists):
+    """(`_cross_counts`'s gt, an all-pairs comparison's) for per-model scores."""
+    m = len(score_lists)
+    sizes = np.array([len(scores) for scores in score_lists])
+    scores = np.concatenate([np.asarray(s, dtype=float) for s in score_lists])
+    model = np.repeat(np.arange(m), sizes)
+    gt = match_engine._cross_counts(scores, sizes, np.argsort(scores, kind="stable"))
+    wins = (model[:, None] * m + model[None, :])[scores[:, None] > scores[None, :]]
+    return gt, np.bincount(wins, minlength=m * m).reshape(m, m).astype(float)
+
+
+class TestCrossKernel:
+    """`_cross_counts` against an all-pairs comparison, at block sizes that
+    put runs of equal scores across the K-windows."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 4, 7])
+    def test_tie_runs_longer_than_a_block(self, block):
+        # sorted runs of 9, 1, 5 and 2 equal scores, spread over three models
+        values = np.repeat([0.5, 1.0, 2.0, 3.0], [9, 1, 5, 2])
+        lists = [list(values[k::3]) + [4.0] * k for k in range(3)]
+        with mock.patch.object(match_engine, "_block_size", lambda m: block):
+            gt, ref = _kernel_and_oracle(lists)
+        assert np.array_equal(gt, ref)
+
+    @pytest.mark.parametrize("block", [2, 3, 4, 5])
+    def test_runs_straddling_block_boundaries(self, block):
+        # runs of 3, 4, 1, 5 and 2 start inside a K-window and end past it
+        values = np.repeat([1.0, 2.0, 3.0, 4.0, 5.0], [3, 4, 1, 5, 2])
+        lists = [list(values[k::3]) for k in range(3)]
+        with mock.patch.object(match_engine, "_block_size", lambda m: block), \
+                mock.patch.object(match_engine, "_GROUP_ELEMS", 1):
+            gt, ref = _kernel_and_oracle(lists)
+        assert np.array_equal(gt, ref)
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_negative_and_positive_zero_at_a_block_boundary(self, block):
+        # sorted: -1, -0.0, 0.0, 0.0, 1; with K=2 the zeros' run starts in
+        # the first window and ends in the second
+        lists = [[-1.0, -0.0], [0.0, 1.0], [0.0]]
+        with mock.patch.object(match_engine, "_block_size", lambda m: block):
+            gt, ref = _kernel_and_oracle(lists)
+        assert np.array_equal(gt, ref)
+        assert gt[1, 0] == 3.0 and gt[0, 1] == 0.0  # 0.0 does not beat -0.0
+        assert gt[2, 0] == 1.0 and gt[0, 2] == 0.0
+
+    @pytest.mark.parametrize("m", [1, 2, 15, 16, 17, 31, 64, 130, 300])
+    def test_block_size_rule_at_every_m(self, m):
+        # The unpatched rule, ragged 1-8 splits on a 0.1 grid and as drawn.
+        assert all(match_engine._block_size(k) >= 1 for k in range(1, 5001))
+        rng = np.random.default_rng(m)
+        lists = [list(rng.normal(size=rng.integers(1, 9))) for _ in range(m)]
+        for scores in (lists, [list(np.round(s, 1)) for s in lists]):
+            gt, ref = _kernel_and_oracle(scores)
+            assert np.array_equal(gt, ref)
+
+    def test_many_groups_at_the_default_block_size(self):
+        # More within-block pair codes and blocks than one group holds.
+        rng = np.random.default_rng(5)
+        lists = [list(np.round(rng.normal(size=40), 2)) for _ in range(50)]
+        with mock.patch.object(match_engine, "_GROUP_ELEMS", 64):
+            gt, ref = _kernel_and_oracle(lists)
+        assert np.array_equal(gt, ref)
+
+
+class TestPairedKernel:
+    def test_more_splits_than_uint16_counts(self):
+        # 70,000 wins of one pair pass 65,535: the uint16 counts must flush
+        s = 70_000
+        scores = np.array([np.ones(s), np.zeros(s), np.r_[np.full(5, 2.0), np.zeros(s - 5)]])
+        assert match_engine._paired_counts(scores).tolist() == [
+            [0, s, s - 5], [0, 0, 0], [5, 5, 0],
+        ]
 
 
 class TestEmpiricalWinRate:

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import naive_pairwise_counts, rowwise_parse_scores_csv, rowwise_validate
+from oracles import (
+    naive_pairwise_counts,
+    rowwise_parse_scores_csv,
+    rowwise_validate,
+    two_sort_tie_pairs,
+)
 
 from eppscore import (
     PairedSplitsMismatchError,
@@ -481,6 +486,38 @@ class TestValidate:
         assert report.ok
 
 
+class TestSharedScoreOrder:
+    @settings(deadline=None, max_examples=200)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(["d1", "d2"]),
+                st.integers(0, 4),
+                st.integers(0, 6),
+                st.sampled_from([-1.5, -0.0, 0.0, 0.25, 2.0]),
+            ),
+            min_size=1,
+            max_size=40,
+            unique_by=lambda row: row[:3],
+        )
+    )
+    def test_tie_count_matches_two_sort_oracle(self, rows):
+        datasets, models, splits, scores = zip(*rows)
+        table = PerformanceTable(
+            _factorize(list(datasets)),
+            _factorize([f"m{k}" for k in models]),
+            _factorize(["alg"] * len(rows)),
+            _factorize([f"s{k}" for k in splits]),
+            np.array(scores),
+        )
+        for version in (table, table.negated()):
+            for summary in validate(version).datasets:
+                block = version.block(summary.dataset_id)
+                model = np.repeat(np.arange(len(block.models)), block.sizes)
+                assert np.array_equal(block.order, np.lexsort((model, block.score)))
+                assert summary.exact_tie_pairs == two_sort_tie_pairs(block.score, model)
+
+
 class TestParseHyperparamsCsv:
     def test_numeric_parameter(self):
         hyper = parse_hyperparams_csv("model,parameter,value\nm1,n.trees,512\n")
@@ -495,7 +532,7 @@ class TestParseHyperparamsCsv:
 
     def test_mixed_types_rejected(self):
         text = "model,parameter,value\nm1,k,3\nm2,k,high\n"
-        with pytest.raises(TableParseError, match="mixes"):
+        with pytest.raises(TableParseError, match="^line 3: parameter 'k' mixes"):
             parse_hyperparams_csv(text)
 
     def test_three_levels_rejected(self):
@@ -510,6 +547,7 @@ class TestParseHyperparamsCsv:
         assert str(err.value) == "line 3: field larger than field limit (131072)"
 
     def test_duplicate_entry_rejected(self):
-        text = "model,parameter,value\nm1,k,3\nm1,k,4\n"
-        with pytest.raises(TableParseError, match="duplicate"):
+        text = "model,parameter,value\nm1,k,3\n\nm1,k,4\n"
+        with pytest.raises(TableParseError) as err:
             parse_hyperparams_csv(text)
+        assert str(err.value) == "line 4: duplicate entry for (model, parameter) = (m1, k)"
