@@ -269,9 +269,11 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
     out_dir = Path(cfg.out_dir)
     if args.counts:
-        ledgers = [_load_json_file(p, _parse_counts) for p in args.counts]
-        _check_output_names(c.dataset_id for c in ledgers)
+        # Loaded up front: every dataset id is needed to check the file names.
+        loaded = [_load_json_file(p, _parse_counts) for p in args.counts]
+        _check_output_names(c.dataset_id for c in loaded)
         table = None
+        datasets, ledger = range(len(loaded)), loaded.__getitem__
     else:
         if not args.scores:
             raise ConfigError("provide a scores CSV or --counts files")
@@ -282,7 +284,15 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         for summary in validate(table).datasets:
             for warning in summary.folded_warnings():
                 print(f"warning: {warning}", file=sys.stderr)
-        ledgers = None
+        datasets = table.datasets()
+
+        def ledger(ds: str) -> PairwiseCounts | EppError:
+            """The dataset's ledger, or the error that stopped its build: a
+            ledger that cannot be built fails its dataset only, as a fit does."""
+            try:
+                return build_matches(table, ds, cfg.pairing, cfg.ties)
+            except PairedSplitsMismatchError as exc:
+                return exc
 
     def fit_one(counts: PairwiseCounts | EppError) -> list[str]:
         """Fit and write one dataset; its stderr lines: warnings, or the one
@@ -320,26 +330,35 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             )
         return lines
 
-    if ledgers is None:
-        # Built here, not in the pool: on glibc each worker thread's malloc
-        # arena keeps the counting kernel's freed temporaries, which raised
-        # the peak RSS of a 4-dataset, 47k-row fit with --jobs 2 by 4.7 MB.
-        # A ledger that cannot be built fails its dataset only, as a fit does.
-        ledgers = []
-        for ds in table.datasets():
-            try:
-                ledgers.append(build_matches(table, ds, cfg.pairing, cfg.ties))
-            except PairedSplitsMismatchError as exc:
-                ledgers.append(exc)
-    if cfg.jobs > 1 and len(ledgers) > 1:
+    # Each ledger is built here, just before its fit, and not in the pool: on
+    # glibc each worker thread's malloc arena keeps the counting kernel's
+    # freed temporaries, which raised the peak RSS of a 4-dataset, 47k-row
+    # fit with --jobs 2 by 4.7 MB. Only fit_one holds a built ledger, so at
+    # most --jobs are alive.
+    if cfg.jobs > 1 and len(datasets) > 1:
         # Imported here: concurrent.futures loads logging, about 10 ms of a
         # start-up that serial runs and report commands need not pay.
+        import threading
         from concurrent.futures import ThreadPoolExecutor
 
+        slots = threading.Semaphore(cfg.jobs)
+
+        def fit_taken(box: list) -> list[str]:
+            """fit_one of the ledger taken out of `box`, so that the pool's
+            work item does not keep it; frees a slot once it is dropped."""
+            try:
+                return fit_one(box.pop())
+            finally:
+                slots.release()
+
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            per_dataset = list(pool.map(fit_one, ledgers))
+            futures = []
+            for ds in datasets:
+                slots.acquire()
+                futures.append(pool.submit(fit_taken, [ledger(ds)]))
+            per_dataset = [future.result() for future in futures]
     else:
-        per_dataset = [fit_one(counts) for counts in ledgers]
+        per_dataset = [fit_one(ledger(ds)) for ds in datasets]
     # Every dataset is fitted whatever the others do, and its lines are
     # printed here in dataset order, so neither the files written nor stderr
     # depend on --jobs.

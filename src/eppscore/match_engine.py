@@ -43,6 +43,10 @@ from .perf_table import PerformanceTable
 # 2**22 4.0 s at 183 MB.
 _GROUP_ELEMS = 1 << 20
 
+# Entries in one block of rows that PairwiseCounts.check_invariants checks
+# at a time.
+_CHECK_ELEMS = 1 << 16
+
 # uint16 holds the PAIRED comparisons of this many splits without overflow.
 _PAIRED_FLUSH = np.iinfo(np.uint16).max
 
@@ -101,12 +105,18 @@ class PairwiseCounts:
             raise KeyError(f"unknown model {model_id!r}") from None
 
     def check_invariants(self, atol: float = 1e-9) -> None:
-        """Raise if the ledger's accounting identities are violated."""
-        if np.any(np.diag(self.w) != 0.0) or np.any(np.diag(self.n) != 0.0):
+        """Raise if the ledger's accounting identities are violated: the
+        diagonals are zero, ``np.allclose(w + w.T, n, atol=atol)`` and
+        ``-atol <= w <= n + atol``. The last two are checked on blocks of
+        rows of about `_CHECK_ELEMS` entries, so no temporary is m x m."""
+        w, n = self.w, self.n
+        if np.any(np.diag(w) != 0.0) or np.any(np.diag(n) != 0.0):
             raise ValueError("diagonal of w and n must be zero")
-        if not np.allclose(self.w + self.w.T, self.n, atol=atol):
+        step = max(_CHECK_ELEMS // max(len(w), 1), 1)
+        rows = [slice(lo, lo + step) for lo in range(0, len(w), step)]
+        if not all(np.allclose(w[r] + w[:, r].T, n[r], atol=atol) for r in rows):
             raise ValueError("w[i,j] + w[j,i] must equal n[i,j]")
-        if np.any(self.w < -atol) or np.any(self.w > self.n + atol):
+        if any(np.any(w[r] < -atol) or np.any(w[r] > n[r] + atol) for r in rows):
             raise ValueError("w entries must lie in [0, n]")
 
     def to_json_text(self) -> str:

@@ -6,6 +6,7 @@ split,score`` holding one performance value per (dataset, model, split).
 
 from __future__ import annotations
 
+import codecs
 import copy
 import csv
 import io
@@ -332,16 +333,17 @@ def csv_text(header, rows) -> str:
 
 
 class _CsvSource:
-    """Error details for the data rows of a scores CSV, found by reading the
-    text again: only a table that fails a check asks for them."""
+    """Error details for the data rows of a scores CSV (str or UTF-8 bytes),
+    found by decoding and reading it again: only a table that fails a check
+    asks for them."""
 
-    def __init__(self, text: str):
-        self._text = text
+    def __init__(self, data):
+        self._data = data
 
     def _row(self, i: int) -> tuple[int, list[str]]:
         """(1-based line on which data row i ends, its fields); blank lines
         are not data rows."""
-        rows = _csv_rows(io.StringIO(self._text))
+        rows = _csv_rows(io.StringIO(_as_text(self._data)))
         next(rows)
         for line, row in rows:
             if row:
@@ -357,9 +359,9 @@ class _CsvSource:
         return self._row(i)[0]
 
 
-def _parse_scores(raw_scores: list[str], text: str) -> np.ndarray:
-    """`float` of each stripped raw score; the first that fails raises a
-    :class:`TableParseError` with its line in `text`."""
+def _parse_scores(raw_scores: list[str], line) -> np.ndarray:
+    """`float` of each stripped raw score; the first that fails, say that of
+    row i, raises a :class:`TableParseError` at ``line(i)``."""
     try:
         return np.fromiter(
             map(float, map(str.strip, raw_scores)), dtype=float, count=len(raw_scores)
@@ -369,9 +371,7 @@ def _parse_scores(raw_scores: list[str], text: str) -> np.ndarray:
             try:
                 float(raw)
             except ValueError:
-                raise TableParseError(
-                    f"cannot parse score {raw!r}", _CsvSource(text).line(i)
-                ) from None
+                raise TableParseError(f"cannot parse score {raw!r}", line(i)) from None
         raise
 
 
@@ -401,60 +401,136 @@ def _csv_columns(text: str):
     except csv.Error as exc:
         raise TableParseError(str(exc), reader.line_num) from None
     ids = [_factorize(column, str.strip) for column in (datasets, models, algorithms, splits)]
-    return (*ids, _parse_scores(raw_scores, text))
+    return (*ids, _parse_scores(raw_scores, _CsvSource(text).line))
 
 
 _COMMA, _NEWLINE = ord(","), ord("\n")
 
+# Lines that _byte_columns tokenizes at once: its delimiter positions and
+# windows grow with a chunk of this many lines, not with the file.
+_CHUNK_LINES = 1 << 14
 
-def _byte_columns(text: str):
+
+def _byte_columns(text: str, data: bytes):
     """:func:`_csv_columns` of a scores CSV that holds no ``"`` and no NUL,
-    read from its UTF-8 bytes with numpy.
+    read with numpy from `data`, the UTF-8 encoding of `text`.
 
     Without quotes a row is one line and its fields lie between its commas,
     so these are the fields, and the line numbers, that `csv.reader` gives.
-    NUL is excluded because fixed-width bytes drop trailing NULs. A field
-    over `csv.field_size_limit()`, or fields so uneven that the fixed-width
-    copies would outgrow the text fourfold, hand the text to
-    :func:`_csv_columns`.
+    NUL is excluded because fixed-width bytes drop trailing NULs.
+
+    The lines are tokenized in chunks of `_CHUNK_LINES`: a chunk's
+    delimiter positions, column-count and blank-line checks and zero-padded
+    fixed-width cells come from its own bytes, and its scores are converted
+    at once. Besides the columns it returns, a parse holds the line ends (8
+    bytes a line), each id column's cells and one chunk's temporaries; the
+    id columns are joined and coded one at a time. A field over
+    `csv.field_size_limit()`, or fields so uneven that the fixed-width
+    cells would outgrow the text fourfold, hand the text to
+    :func:`_csv_columns`; the second is checked on the rows and widest
+    fields so far before a chunk's cells are made, so such cells are never
+    allocated.
     """
     first_line = text[:text.find("\n") + 1 or len(text)]
     _check_header(_csv_rows(io.StringIO(first_line)), SCORES_HEADER)
-    data = text.encode("utf-8")
-    if not data.endswith(b"\n"):
-        data += b"\n"
-    body = np.frombuffer(data, np.uint8)[data.index(b"\n") + 1:]
-    # Every comma and line end; each ends one field.
-    delim = np.flatnonzero((body == _COMMA) | (body == _NEWLINE))
-    start = np.empty_like(delim)
-    start[:1] = 0
-    start[1:] = delim[:-1] + 1
-    width = delim - start
-    line_end = np.flatnonzero(body[delim] == _NEWLINE)  # the last field of each line
-    commas = np.diff(line_end, prepend=-1) - 1
-    blank = (commas == 0) & (width[line_end] == 0)
+    body = np.frombuffer(data, np.uint8)[data.find(b"\n") + 1 or len(data):]
+    # Where each line ends: its line end, or the end of the bytes.
+    ends = np.flatnonzero(body == _NEWLINE)
+    if len(body) and body[-1] != _NEWLINE:
+        ends = np.append(ends, len(body))
+    # Each column's pieces, one a chunk; the empty first pieces let a table
+    # without rows join too.
+    ids = [[np.empty(0, "S1")] for _ in range(4)]
+    scores = [np.empty(0)]
+    deferred = []  # (piece, _parse_scores' arguments) of the chunks float64 refused
+    widest = np.zeros(5, dtype=np.intp)
+    n_rows = 0
+    for a in range(0, len(ends), _CHUNK_LINES):
+        lo = int(ends[a - 1]) + 1 if a else 0
+        line_end = ends[a:a + _CHUNK_LINES] - lo
+        chunk = body[lo:lo + int(line_end[-1])]
+        fields = _chunk_fields(chunk, line_end, a + 2)
+        if fields is None:
+            return _csv_columns(text)
+        width = fields[1]
+        np.maximum(widest, width.max(axis=0, initial=0), out=widest)
+        n_rows += len(width)
+        if n_rows * int(widest.sum()) > 4 * len(body):  # say one long id among many rows
+            return _csv_columns(text)
+        *cells, score, raw = _chunk_cells(chunk, *fields, a + 2)
+        # Nothing of this chunk but its pieces in `ids` is left for the next
+        # chunk or the joins below: a join frees its column's pieces.
+        del fields, width
+        for column in ids:
+            column.append(cells.pop(0))
+        if raw is not None:
+            deferred.append((len(scores), *raw))
+        scores.append(score)
 
-    if width.max(initial=0) > csv.field_size_limit():  # bytes: csv counts characters
-        return _csv_columns(text)
+    # Parsed only now, so that a column-count error in a later chunk wins,
+    # as on the csv.reader path.
+    for k, raw, line in deferred:
+        scores[k] = _parse_scores(raw, line)
+    # Each id column joined (to its widest field), coded and dropped before the next.
+    return (*[_code_fields(np.concatenate(ids.pop(0))) for _ in range(4)], np.concatenate(scores))
+
+
+def _chunk_fields(chunk: np.ndarray, line_end: np.ndarray, first_line: int):
+    """Where the fields of `chunk`, whole quote-free lines of a scores CSV,
+    start in it and how wide they are, each a (rows, 5) array, and which of
+    its lines are blank. `line_end` holds the offset at which each line
+    ends, the last ``len(chunk)``, and `first_line` is the first line's
+    number in the file. A line neither blank nor of 5 fields raises a
+    :class:`TableParseError`; a field over `csv.field_size_limit()` returns
+    None.
+    """
+    width = _field_ends(chunk, line_end)  # made each field's width below
+    last = np.searchsorted(width, line_end)  # the last field of each line
+    start = np.empty_like(width)
+    start[0] = 0
+    np.add(width[:-1], 1, out=start[1:])
+    width -= start
+    commas = np.diff(last, prepend=-1) - 1
+    blank = (commas == 0) & (width[last] == 0)
+
+    if width.max() > csv.field_size_limit():  # bytes: csv counts characters
+        return None
     bad = np.flatnonzero((commas != 4) & ~blank).tolist()
     if bad:
-        raise TableParseError(f"expected 5 columns, got {int(commas[bad[0]]) + 1}", bad[0] + 2)
+        raise TableParseError(
+            f"expected 5 columns, got {int(commas[bad[0]]) + 1}", first_line + bad[0]
+        )
 
-    keep = np.ones(len(delim), dtype=bool)
-    keep[line_end[blank]] = False
-    start = start[keep].reshape(-1, 5)
-    width = width[keep].reshape(-1, 5)
-    widest = width.max(axis=0, initial=0)
-    if len(width) * int(widest.sum()) > 4 * len(body):  # say one long id among many rows
-        return _csv_columns(text)
-    padded = np.concatenate((body, np.zeros(int(widest.max()) + 1, np.uint8)))
-    ids = [_code_fields(_fixed_width(padded, start[:, c], width[:, c])) for c in range(4)]
+    if blank.any():
+        keep = np.ones(len(width), dtype=bool)
+        keep[last[blank]] = False
+        start, width = start[keep], width[keep]
+    return start.reshape(-1, 5), width.reshape(-1, 5), blank
+
+
+def _chunk_cells(chunk, start, width, blank, first_line: int):
+    """The four id columns' zero-padded fixed-width cells of `chunk`, its
+    scores as float64 and None, or, if float64 refuses a score, None and
+    the arguments of :func:`_parse_scores`. `start`, `width` and `blank`
+    are what :func:`_chunk_fields` returns, and `first_line` is the first
+    line's number in the file."""
+    padded = np.concatenate((chunk, np.zeros(int(width.max(initial=0)) + 1, np.uint8)))
+    ids = [_fixed_width(padded, start[:, c], width[:, c]) for c in range(4)]
     cells = _fixed_width(padded, start[:, 4], width[:, 4])
     try:
-        score = cells.astype(np.float64)
+        return (*ids, cells.astype(np.float64), None)
     except ValueError:  # a score float() reads only once str.strip()ped, or none
-        score = _parse_scores([f.decode("utf-8") for f in cells.tolist()], text)
-    return (*ids, score)
+        lines = (first_line + np.flatnonzero(~blank)).tolist()
+        return (*ids, None, ([f.decode("utf-8") for f in cells.tolist()], lines.__getitem__))
+
+
+def _field_ends(chunk: np.ndarray, line_end: np.ndarray) -> np.ndarray:
+    """The offset of every comma and line end in `chunk`, each ending one
+    field; the line ends are `line_end`, whose last is ``len(chunk)``."""
+    ends = np.empty(len(chunk) + 1, dtype=bool)
+    np.equal(chunk, _COMMA, out=ends[:-1])
+    ends[line_end] = True
+    return np.flatnonzero(ends)
 
 
 def _fixed_width(padded: np.ndarray, start: np.ndarray, width: np.ndarray) -> np.ndarray:
@@ -477,6 +553,19 @@ def _code_fields(cells: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
     return _relabel(raw, inverse[np.cumsum(heads) - 1], str.strip)
 
 
+def _scores_columns(data: bytes):
+    """The coded id columns and the scores of a scores CSV's UTF-8 bytes:
+    :func:`_csv_columns` if it holds a ``"`` (quoting) or a NUL byte, else
+    :func:`_byte_columns`, which reads `data` in place unless
+    :func:`_as_text` changed it (a CR or a leading BOM)."""
+    text = _as_text(data)
+    if '"' in text or "\0" in text:
+        return _csv_columns(text)
+    if b"\r" in data or data.startswith(codecs.BOM_UTF8):
+        data = text.encode("utf-8")
+    return _byte_columns(text, data)
+
+
 def parse_scores_csv(data) -> PerformanceTable:
     """Parse a scores CSV (str or UTF-8 bytes) into a :class:`PerformanceTable`
     whose `sha256` is :func:`sha256_of` the input.
@@ -497,9 +586,8 @@ def parse_scores_csv(data) -> PerformanceTable:
                 f"cannot encode {data[exc.start]!r} as UTF-8",
                 _as_text(data[:exc.start]).count("\n") + 1,
             ) from None
-    text = _as_text(data)
-    columns = _csv_columns if '"' in text or "\0" in text else _byte_columns
-    table = PerformanceTable(*columns(text), source=_CsvSource(text))
+    # The table's checks run without a decoded copy; its errors decode `data`.
+    table = PerformanceTable(*_scores_columns(data), source=_CsvSource(data))
     table.sha256 = sha256_of(data)
     return table
 

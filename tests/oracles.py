@@ -40,6 +40,18 @@ def naive_pairwise_counts(score_lists, paired, half_ties):
     return w, n
 
 
+def whole_matrix_invariant_error(w, n, atol=1e-9):
+    """The message `PairwiseCounts.check_invariants` raises for (w, n), or
+    None: its three identities as whole-matrix expressions, checked in turn."""
+    if np.any(np.diag(w) != 0.0) or np.any(np.diag(n) != 0.0):
+        return "diagonal of w and n must be zero"
+    if not np.allclose(w + w.T, n, atol=atol):
+        return "w[i,j] + w[j,i] must equal n[i,j]"
+    if np.any(w < -atol) or np.any(w > n + atol):
+        return "w entries must lie in [0, n]"
+    return None
+
+
 def loglik_plain(w, n, beta, lam=0.0):
     """Pairwise binomial log-likelihood written with scalar loops."""
     m = len(beta)

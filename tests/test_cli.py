@@ -7,7 +7,9 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
+import weakref
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
 from pathlib import Path
@@ -352,6 +354,53 @@ class TestFit:
             "counts_b.json", "epp_a.csv", "epp_a.json", "epp_b.csv", "epp_b.json",
             "epp_c.csv", "epp_c.json",
         ]
+
+    def test_ledgers_are_built_as_fits_free_them(self, tmp_path, capsys, monkeypatch):
+        # Five datasets; c's paired ledger cannot be built (m2 lacks s19).
+        # Each ledger is built just before its fit: while one is built, at
+        # most --jobs - 1 others are alive, and the files and stderr are the
+        # same for any --jobs.
+        rows = []
+        for seed, ds in enumerate("abcde"):
+            write_scores(tmp_path / "one.csv", n_models=3, dataset=ds, seed=seed)
+            lines = (tmp_path / "one.csv").read_text().splitlines(True)[1:]
+            rows += lines[:-1] if ds == "c" else lines
+        scores = tmp_path / "scores.csv"
+        scores.write_text("dataset,model,algorithm,split,score\n" + "".join(rows))
+        built, alive_at_build = [], []
+        build_matches = cli.build_matches
+
+        def spy(*args):
+            assert threading.current_thread() is threading.main_thread()
+            alive_at_build.append(sum(ref() is not None for ref in built))
+            counts = build_matches(*args)
+            built.append(weakref.ref(counts))
+            return counts
+
+        monkeypatch.setattr(cli, "build_matches", spy)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch often, so a late release would show
+        try:
+            for jobs in (1, 2, 4):
+                built.clear()
+                alive_at_build.clear()
+                out = tmp_path / str(jobs)
+                rc = main(["fit", str(scores), "--pairing", "paired", "--jobs", str(jobs),
+                           "--dump-counts", "--out-dir", str(out)])
+                assert rc == 2
+                assert len(alive_at_build) == 5 and max(alive_at_build) < jobs, alive_at_build
+                runs.append((capsys.readouterr().err,
+                             {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[0] == runs[1] == runs[2]
+        err, files = runs[0]
+        assert err.splitlines()[1:] == [f"error: {PairedSplitsMismatchError('c', ['m2'])}"]
+        assert sorted(files) == sorted(
+            f"{kind}_{ds}.{ext}" for ds in "abde"
+            for kind, ext in (("counts", "json"), ("epp", "csv"), ("epp", "json"))
+        )
 
     def test_colliding_counts_files_exit_2(self, tmp_path, capsys):
         counts = []

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,7 @@ from eppscore import (
     match_engine,
     parse_scores_csv,
 )
-from oracles import naive_pairwise_counts
+from oracles import naive_pairwise_counts, whole_matrix_invariant_error
 
 
 def table_from_matrix(scores_by_model, dataset="d1", splits=None):
@@ -307,3 +308,59 @@ class TestSerialization:
         )
         with pytest.raises(ValueError):
             bad.check_invariants()
+
+
+def _ledger(draw):
+    """(w, n): a valid ledger of up to 9 models, half-win ties included, then
+    up to three entries of w or n replaced or nudged, diagonals included."""
+    m = draw(st.integers(0, 9), label="m")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = np.triu(rng.integers(0, 6, (m, m)).astype(float), 1)
+    n += n.T
+    w = np.triu(rng.integers(0, 2 * n + 1) / 2.0, 1)  # wins and half-win ties
+    w += np.tril(n - w.T, -1)
+    values = st.sampled_from([
+        0.0, -0.0, 0.5, 3.0, -1.0, -1e-10, -2e-9, 1e-10, 1e-300,
+        np.nan, np.inf, -np.inf,
+    ])
+    for _ in range(draw(st.integers(0, 3), label="faults") if m else 0):
+        matrix = draw(st.sampled_from([w, n]))
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        if draw(st.booleans()):
+            matrix[i, j] = draw(values)
+        else:  # just within or beyond np.allclose's rtol of 1e-5
+            matrix[i, j] *= 1.0 + draw(st.sampled_from([5e-6, 2e-5, -2e-5]))
+    return w, n
+
+
+class TestCheckInvariants:
+    """`check_invariants`, block of rows by block of rows, against today's
+    whole-matrix expressions: the same message, or none, on valid and
+    perturbed ledgers."""
+
+    @pytest.mark.parametrize("elems", [1, 7, 30, match_engine._CHECK_ELEMS])
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_property_matches_whole_matrix_oracle(self, elems, data):
+        w, n = _ledger(data.draw)
+        atol = data.draw(st.sampled_from([1e-9, 0.0, 0.5]), label="atol")
+        counts = PairwiseCounts("d", tuple(f"m{k}" for k in range(len(w))), w, n)
+        with mock.patch.object(match_engine, "_CHECK_ELEMS", elems):
+            try:
+                counts.check_invariants(atol)
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+        assert got == whole_matrix_invariant_error(w, n, atol)
+
+    def test_no_m_by_m_temporary(self):
+        m = 600
+        n = np.ones((m, m)) - np.eye(m)
+        counts = PairwiseCounts("d", tuple(f"m{k}" for k in range(m)), n / 2, n)
+        tracemalloc.start()
+        try:
+            counts.check_invariants()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= m * m * 8  # at most one m x m float64 temporary

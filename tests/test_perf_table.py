@@ -1,5 +1,7 @@
 import csv
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,9 +29,9 @@ from eppscore.perf_table import (
     DatasetValidation,
     PerformanceTable,
     _as_text,
-    _byte_columns,
     _csv_columns,
     _factorize,
+    _scores_columns,
 )
 
 
@@ -87,6 +89,18 @@ class TestParseScoresCsv:
         text = make_csv(["d1,m1,gbm,s1,0.5", "d1,m2,rf,s1,0.6"])
         crlf = text.replace("\n", "\r\n")
         assert parse_scores_csv(crlf).to_csv_text() == parse_scores_csv(text).to_csv_text() == text
+
+    @pytest.mark.parametrize("data", [
+        b"h\rd1,m1,gbm,s1,0.5\rd1,m2,rf,s1,0.6\r",
+        b"h\nd1,m1,gbm,s1,0.5\rd1,m2,rf,s1,0.6\n",
+        b"h\r\nd1,m1,gbm,s1,0.5\nd1,m2,rf,s1,0.6\r",
+        b"\xef\xbb\xbfh\nd1,m1,gbm,s1,0.5\nd1,m2,rf,s1,0.6",
+    ], ids=["cr", "lf-cr-lf", "crlf-lf-cr", "bom"])
+    def test_bytes_with_any_line_ends(self, data):
+        data = data.replace(b"h", b"dataset,model,algorithm,split,score", 1)
+        quoted = data.replace(b"d1,m1", b'"d1",m1')  # read with csv.reader
+        text = make_csv(["d1,m1,gbm,s1,0.5", "d1,m2,rf,s1,0.6"])
+        assert parse_scores_csv(data).to_csv_text() == parse_scores_csv(quoted).to_csv_text() == text
 
     def test_accepts_bytes(self):
         table = parse_scores_csv(make_csv(["d1,m1,gbm,s1,0.5"]).encode("utf-8"))
@@ -205,8 +219,8 @@ _PLAIN_POOLS = (
 def _scores_csv(draw, plain=False):
     """(text, fault): a scores CSV with at most one injected fault. `plain`
     draws from `_PLAIN_POOLS`, writes no quotes, and also draws
-    whitespace-only lines, CR line ends, a double BOM and a missing final
-    line end."""
+    whitespace-only lines, CR line ends, mixed line ends, a double BOM and
+    a missing final line end."""
     datasets, models, algorithms, split_ids, values = _PLAIN_POOLS if plain else (
         _DATASETS, _MODELS, _ALGORITHMS, _SPLITS, _VALUES
     )
@@ -245,10 +259,13 @@ def _scores_csv(draw, plain=False):
         if draw(st.booleans()) and draw(st.booleans()):
             lines.append(draw(st.sampled_from(["", "", " "])) if plain else "")
         lines.append(",".join(map(field, row)))
-    eol = draw(st.sampled_from(["\n", "\r\n", "\r"] if plain else ["\n", "\r\n"]))
+    # None: each line's end drawn on its own.
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r", None] if plain else ["\n", "\r\n"]))
+    eols = [eol or draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if plain and draw(st.booleans()):
+        eols[-1] = ""
     bom = draw(st.sampled_from(["", "\ufeff", "\ufeff\ufeff"] if plain else ["", "\ufeff"]))
-    end = draw(st.sampled_from([eol, ""])) if plain else eol
-    return bom + eol.join(lines) + end, fault
+    return bom + "".join(map(str.__add__, lines, eols)), fault
 
 
 def _bits(values):
@@ -337,11 +354,22 @@ def _tokenized(tokenize, text):
     """The rows `tokenize` reads from `text` (ids decoded from their codes,
     scores as bit patterns) with the labels of each id column, or its error."""
     try:
-        *ids, score = tokenize(_as_text(text))
+        *ids, score = tokenize(text)
     except TableParseError as exc:
         return str(exc), exc.line
     decoded = [[labels[c] for c in codes.tolist()] for labels, codes in ids]
     return [labels for labels, _ in ids], list(zip(*decoded, _bits(score).tolist()))
+
+
+def _read_with_csv(text):
+    return _csv_columns(_as_text(text))
+
+
+def _read_bytes(text):
+    """The columns `parse_scores_csv` reads from the UTF-8 bytes of `text`:
+    from those bytes, or from those of the normalised text, with numpy when
+    `text` holds no quote and no NUL."""
+    return _scores_columns(text.encode("utf-8"))
 
 
 class TestByteTokenizerMatchesCsvReader:
@@ -352,7 +380,7 @@ class TestByteTokenizerMatchesCsvReader:
     @given(case=_scores_csv(plain=True))
     def test_property(self, case):
         text, _ = case
-        assert _tokenized(_byte_columns, text) == _tokenized(_csv_columns, text)
+        assert _tokenized(_read_bytes, text) == _tokenized(_read_with_csv, text)
 
     LONG = "m" * (csv.field_size_limit() + 1)
 
@@ -364,6 +392,11 @@ class TestByteTokenizerMatchesCsvReader:
         ("h\nd1,m1,gbm,s1,0.5\n  \n", ("line 3: expected 5 columns, got 1", 3)),
         ("h\rd1,m1,gbm,s1,0.5\r\rd1,m1,gbm,s2,0.5", [("d1", "m1", "gbm", "s1", 0.5),
                                                      ("d1", "m1", "gbm", "s2", 0.5)]),
+        ("h\rd1,m1,gbm,s1,0.5\r", [("d1", "m1", "gbm", "s1", 0.5)]),
+        ("h\nd1,m1,gbm,s1,0.5\rd1,m1,gbm,s2,1\r\nd1,m1,gbm,s3,2\n",
+         [("d1", "m1", "gbm", "s1", 0.5), ("d1", "m1", "gbm", "s2", 1.0),
+          ("d1", "m1", "gbm", "s3", 2.0)]),
+        ("h\nd1,m1,gbm,s1,0.5\rd1,m1,gbm,s2,x\n", ("line 3: cannot parse score 'x'", 3)),
         ("\ufeff\ufeffh\nd1,m1,gbm,s1,0.5\n", [("d1", "m1", "gbm", "s1", 0.5)]),
         ("h\nd1,m1,gbm,s1,-0.0\nd1,m1,gbm,s2,0.0\n", [("d1", "m1", "gbm", "s1", -0.0),
                                                       ("d1", "m1", "gbm", "s2", 0.0)]),
@@ -380,14 +413,15 @@ class TestByteTokenizerMatchesCsvReader:
         (f"{LONG},h\nd1\n", (f"line 1: field larger than field limit "
                               f"({csv.field_size_limit()})", 1)),
     ], ids=["no-final-newline", "header-only", "header-only-no-newline", "blank-lines",
-            "whitespace-line", "cr-line-ends", "double-bom", "signed-zeros",
+            "whitespace-line", "cr-line-ends", "cr-only", "mixed-line-ends",
+            "mixed-line-ends-then-bad", "double-bom", "signed-zeros",
             "ids-merge-once-stripped", "non-ascii-ids", "empty-id", "empty-ids", "underscore",
             "unicode-space", "unicode-space-then-bad", "long-in-bytes-not-in-chars",
             "long-header-field"])
     def test_named_case(self, text, expected):
         text = text.replace("h", "dataset,model,algorithm,split,score", 1)
-        got = _tokenized(_byte_columns, text)
-        assert got == _tokenized(_csv_columns, text)
+        got = _tokenized(_read_bytes, text)
+        assert got == _tokenized(_read_with_csv, text)
         if isinstance(expected, list):
             expected = [(*ids, *_bits([score]).tolist()) for *ids, score in expected]
             got = got[1]
@@ -399,8 +433,16 @@ class TestByteTokenizerMatchesCsvReader:
         text = make_csv(rows)
         calls = []
         monkeypatch.setattr(perf_table, "_csv_columns", lambda t: calls.append(t) or _csv_columns(t))
-        assert _tokenized(_byte_columns, text) == _tokenized(_csv_columns, text)
+        tracemalloc.start()
+        try:
+            got = _tokenized(_read_bytes, text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == _tokenized(_read_with_csv, text)
         assert calls == [text]
+        # The switch to csv.reader comes before any of those copies is made.
+        assert peak < 2_000 * 20_000 // 4, peak
 
     def test_only_quoted_or_nul_input_is_read_with_csv(self, monkeypatch):
         def refuse(text):
@@ -431,6 +473,85 @@ class TestByteTokenizerMatchesCsvReader:
             parse_scores_csv(text)
         assert str(err.value) == "line 3: field larger than field limit (131072)"
         assert err.value.line == 3
+
+
+class TestChunkedTokenizer:
+    """`_byte_columns` with chunks of a few lines: a chunk's checks report
+    the file's line numbers, and the first error in the file wins, as on
+    the `csv.reader` path."""
+
+    @pytest.mark.parametrize("lines", [1, 2, 3])
+    @settings(deadline=None, max_examples=200)
+    @given(case=_scores_csv(plain=True))
+    def test_property(self, lines, case):
+        text, _ = case
+        with mock.patch.object(perf_table, "_CHUNK_LINES", lines):
+            got = _tokenized(_read_bytes, text)
+        assert got == _tokenized(_read_with_csv, text)
+
+    ROWS = [f"d1,m{k},gbm,s1,{k}" for k in range(5)]
+    LONG = "m" * (csv.field_size_limit() + 1)
+
+    # Chunks of two lines: file lines 2-3, 4-5, 6-7, 8-9.
+    @pytest.mark.parametrize("body, expected", [
+        ([*ROWS[:4], "", ROWS[4]], 5),
+        ([*ROWS[:4], ROWS[4], ""], 5),
+        ([*ROWS[:4], " ", ROWS[4]], ("line 6: expected 5 columns, got 1", 6)),
+        ([*ROWS, "d1,m9,gbm,s1"], ("line 7: expected 5 columns, got 4", 7)),
+        ([*ROWS, "d1,m9,gbm,s1,1,2"], ("line 7: expected 5 columns, got 6", 7)),
+        ([*ROWS, "d1,m9,gbm,s1,x"], ("line 7: cannot parse score 'x'", 7)),
+        ([*ROWS[:4], "", "d1,m9,gbm,s1,x"], ("line 7: cannot parse score 'x'", 7)),
+        (["d1,m9,gbm,s1,x", *ROWS, "d1,m9,gbm"], ("line 8: expected 5 columns, got 3", 8)),
+        (["d1,m8,gbm,s1,\x1c1.5", *ROWS[:4], "d1,m9,gbm,s1,1.5x"],
+         ("line 7: cannot parse score '1.5x'", 7)),
+        ([*ROWS, f"d1,{LONG},gbm,s1,1"],
+         (f"line 7: field larger than field limit ({csv.field_size_limit()})", 7)),
+        (["d1,m9,gbm", *ROWS, f"d1,{LONG},gbm,s1,1"], ("line 2: expected 5 columns, got 3", 2)),
+    ], ids=["blank-line", "blank-last-line", "whitespace-line", "short-row", "long-row",
+            "unparsable-score", "unparsable-score-after-blank-line",
+            "short-row-after-unparsable-score",
+            "unparsable-score-after-stripped-score", "long-field", "long-field-after-short-row"])
+    def test_fault_in_a_later_chunk(self, body, expected):
+        text = make_csv(body)
+        with mock.patch.object(perf_table, "_CHUNK_LINES", 2):
+            got = _tokenized(_read_bytes, text)
+        assert got == _tokenized(_read_with_csv, text)
+        assert (len(got[1]) if isinstance(expected, int) else got) == expected
+
+    @pytest.mark.parametrize("row, message", [
+        ("d1,m1,gbm,s2,inf", "line 8: non-finite score 'inf'"),
+        ("d1,m1,gbm,s1,7", "line 8: duplicate record for (dataset, model, split) = "
+                           "('d1', 'm1', 's1')"),
+    ], ids=["non-finite", "duplicate"])
+    def test_table_fault_in_a_later_chunk(self, row, message):
+        text = make_csv([*self.ROWS, "", row])
+        quoted = text.replace("d1,m1,", '"d1",m1,')  # read with csv.reader
+        for data in (text, quoted):
+            with mock.patch.object(perf_table, "_CHUNK_LINES", 2), \
+                    pytest.raises(TableParseError) as err:
+                parse_scores_csv(data)
+            assert str(err.value) == message
+
+
+class TestParseMemory:
+    def test_traced_peak_at_most_four_times_the_input(self):
+        # About 2 MB of quote-free rows: 4 datasets x 100 models x 120 splits.
+        rng = np.random.default_rng(3)
+        rows = [
+            f"ds{d:02d},mod{k:04d},{('gbm', 'knn', 'rf', 'svm')[k % 4]},split{s:03d},{v!r}"
+            for d in range(4) for k in range(100)
+            for s, v in enumerate(rng.normal(size=120).tolist())
+        ]
+        data = make_csv(rows).encode("utf-8")
+        assert 1.8e6 < len(data) < 2.4e6
+        tracemalloc.start()
+        try:
+            table = parse_scores_csv(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == len(rows)
+        assert peak <= 4 * len(data), peak / len(data)
 
 
 class TestValidate:
