@@ -10,7 +10,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import AnalysisWarning, ConstantInputError, UnknownModelError
+from .errors import AnalysisWarning, ConstantInputError, EppError, UnknownModelError
 from .inference import (
     TestResult,
     mann_whitney,
@@ -69,10 +69,19 @@ def leaderboard(
     mean-raw-score ordering disagrees with the fitted ordering.
 
     Mean scores come from `table`, or, when it is None, from the means the
-    fit recorded (``scores.mean_score``).
+    fit recorded (``scores.mean_score``). A table without rows of one of the
+    fit's models raises an :class:`EppError` that names them.
     """
     if table is not None:
-        means = [table.mean_score(scores.dataset_id, model) for model in scores.models]
+        ds = scores.dataset_id
+        mean_of = table.mean_scores(ds) if ds in table.datasets() else {}
+        missing = [model for model in scores.models if model not in mean_of]
+        if missing:
+            raise EppError(
+                f"dataset {ds!r}: the scores table has no rows of models "
+                + ", ".join(missing[:10]) + (", ..." if len(missing) > 10 else "")
+            )
+        means = [mean_of[model] for model in scores.models]
     elif scores.mean_score is not None:
         means = scores.mean_score.tolist()
     else:

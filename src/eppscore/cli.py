@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import inspect
+import io
 import json
 import os
 import re
@@ -185,32 +186,25 @@ def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "_", name)
 
 
-def _load_json_file(path: str, parse):
-    """`parse` applied to a fit or counts file's text; errors name the file."""
+def _parse_file(path: str, parse, data: bytes | None = None):
+    """`parse` of the bytes of the file at `path`, read unless given as
+    `data`; its errors, a file that is not UTF-8 included, name the file."""
     try:
-        return parse(Path(path).read_text(encoding="utf-8"))
-    except (FileFormatError, UnicodeDecodeError) as exc:
-        raise FileFormatError(f"{path}: {exc}") from None
+        return parse(Path(path).read_bytes() if data is None else data)
+    except (TableParseError, FileFormatError, UnicodeDecodeError) as exc:
+        raise EppError(f"{path}: {exc}") from None
 
 
-def _load_csv_file(path: str, parse):
-    """`parse` applied to a CSV file's bytes; errors, a file that is not
-    UTF-8 included, name the file."""
-    return _parse_csv_bytes(path, Path(path).read_bytes(), parse)
+def _json_text(data: bytes) -> str:
+    """A fit or counts file's text as a text-mode read gives it: strict
+    UTF-8, which `json.loads` of bytes is not (it lets encoded surrogates
+    through), and every line end ``\\n``."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
 
 
-def _parse_csv_bytes(path: str, data: bytes, parse):
-    """`parse(data)`, `data` being the bytes of the CSV at `path`; errors
-    name the file, as in :func:`_load_csv_file`."""
-    try:
-        return parse(data)
-    except (TableParseError, UnicodeDecodeError) as exc:
-        raise TableParseError(f"{path}: {exc}") from None
-
-
-def _parse_counts(text: str) -> PairwiseCounts:
+def _parse_counts(data: bytes) -> PairwiseCounts:
     """A counts file's ledger, its accounting identities checked."""
-    counts = PairwiseCounts.from_json_text(text)
+    counts = PairwiseCounts.from_json_text(_json_text(data))
     try:
         counts.check_invariants()
     except ValueError as exc:
@@ -219,7 +213,16 @@ def _parse_counts(text: str) -> PairwiseCounts:
 
 
 def _load_fit_files(paths) -> list[EppScores]:
-    return [_load_json_file(p, EppScores.from_json_text) for p in paths]
+    """The fits in `paths`, refused if two hold one dataset: its reports
+    would be written or counted twice."""
+    results = [_parse_file(p, lambda b: EppScores.from_json_text(_json_text(b))) for p in paths]
+    first: dict[str, int] = {}
+    for i, result in enumerate(results):
+        k = first.setdefault(result.dataset_id, i)
+        if k != i:
+            ds = result.dataset_id
+            raise EppError(f"{paths[k]} and {paths[i]} both hold a fit of dataset {ds!r}")
+    return results
 
 
 def _check_output_names(dataset_ids) -> None:
@@ -243,7 +246,7 @@ def _check_output_names(dataset_ids) -> None:
 def _algorithm_map(results: list[EppScores], scores_path: str | None) -> dict[str, str]:
     mapping: dict[str, str] = {}
     if scores_path:
-        table = _load_csv_file(scores_path, parse_scores_csv)
+        table = _parse_file(scores_path, parse_scores_csv)
         mapping.update(table.algorithm_of)
     for r in results:
         for model, alg in r.algorithms.items():
@@ -270,14 +273,14 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     out_dir = Path(cfg.out_dir)
     if args.counts:
         # Loaded up front: every dataset id is needed to check the file names.
-        loaded = [_load_json_file(p, _parse_counts) for p in args.counts]
+        loaded = [_parse_file(p, _parse_counts) for p in args.counts]
         _check_output_names(c.dataset_id for c in loaded)
         table = None
         datasets, ledger = range(len(loaded)), loaded.__getitem__
     else:
         if not args.scores:
             raise ConfigError("provide a scores CSV or --counts files")
-        table = _load_csv_file(args.scores, parse_scores_csv)
+        table = _parse_file(args.scores, parse_scores_csv)
         _check_output_names(table.datasets())
         if cfg.lower_is_better:
             table = table.negated()
@@ -382,7 +385,7 @@ def _cmd_leaderboard(args: argparse.Namespace) -> int:
             means_from = None  # the fit's recorded means are those of --scores
         else:
             if table is None:
-                table = _parse_csv_bytes(args.scores, data, parse_scores_csv)
+                table = _parse_file(args.scores, parse_scores_csv, data)
                 if cfg.lower_is_better:
                     table = table.negated()
             means_from = table
@@ -444,7 +447,7 @@ def _cmd_tunability(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
     results = _load_fit_files(args.fit)
     mapping = _algorithm_map(results, args.scores)
-    hyper = _load_csv_file(args.hyperparams, parse_hyperparams_csv)
+    hyper = _parse_file(args.hyperparams, parse_hyperparams_csv)
     rows = analysis.tunability_report(results, hyper, mapping, cfg.spread)
     _write_report(cfg, "tunability", analysis.tunability_csv_text,
                   analysis.tunability_json_text, rows)
@@ -474,7 +477,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_elo(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
-    rows = _load_csv_file(args.input, lambda data: read_rows(data, ("winner", "loser")))
+    rows = _parse_file(args.input, lambda data: read_rows(data, ("winner", "loser")))
     matches = [fields for _, fields in rows]
     if args.order == "reversed":
         matches.reverse()
@@ -515,7 +518,7 @@ def _parse_truth(data, fitted: EppScores) -> dict[str, float]:
 def _cmd_recovery(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
     (fitted,) = _load_fit_files([args.fit])
-    truth = _load_csv_file(args.truth, lambda data: _parse_truth(data, fitted))
+    truth = _parse_file(args.truth, lambda data: _parse_truth(data, fitted))
     max_abs, rho = baselines.recovery_from_truth(fitted, truth)
     summary = {"max_abs_error": max_abs, "rank_correlation": rho, "n_models": len(truth)}
     _write_report(cfg, "recovery", lambda: csv_text(summary.keys(), [summary.values()]),

@@ -77,7 +77,7 @@ class PairwiseCounts:
     before they existed): `source` records how the ledger was made, as
     ``{"sha256", "lower_is_better", "pairing", "ties"}`` (the table's digest
     and orientation, see :class:`PerformanceTable`), and ``mean_score[k]`` is
-    ``table.mean_score(dataset_id, models[k])``, bit for bit.
+    ``table.mean_scores(dataset_id)[models[k]]``, bit for bit.
     """
 
     dataset_id: str
@@ -273,7 +273,7 @@ def build_matches(
     }
     counts = PairwiseCounts(
         dataset_id=dataset_id, models=models, w=w, n=n,
-        source=source, mean_score=table.mean_scores(dataset_id),
+        source=source, mean_score=np.fromiter(table.mean_scores(dataset_id).values(), float, m),
     )
     counts.check_invariants()
     return counts

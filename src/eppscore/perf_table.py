@@ -2,6 +2,9 @@
 
 The canonical input is a tidy CSV with header ``dataset,model,algorithm,
 split,score`` holding one performance value per (dataset, model, split).
+Every CSV is read row by row through :class:`_Rows`, the one `csv.reader`
+loop, except a scores CSV without ``"`` and NUL, which numpy tokenizes from
+its bytes (:func:`_byte_columns`) into the same table.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ import codecs
 import copy
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -135,7 +139,6 @@ class PerformanceTable:
         self._model_algorithm = dict(
             zip(self._models, self._labels(self._algorithms, first_algorithm))
         )
-        self._group_of = None  # (dataset, model) -> group, built on first use
         self._means = None  # per group, built on first use
         self._orders = {}  # dataset -> its block's score order, built on first use
 
@@ -165,15 +168,13 @@ class PerformanceTable:
             order=order,
         )
 
-    def mean_score(self, dataset_id: str, model_id: str) -> float:
-        """The model's scores summed in table order by `sum`, over their count."""
-        return self._group_means()[self._group(dataset_id, model_id)]
-
-    def mean_scores(self, dataset_id: str) -> np.ndarray:
-        """:meth:`mean_score` of each of the dataset's models, in the order of
-        ``block(dataset_id).models``."""
+    def mean_scores(self, dataset_id: str) -> dict[str, float]:
+        """Model id -> mean score for each of the dataset's models, in the
+        order of ``block(dataset_id).models``: the model's scores summed in
+        table order by `sum`, over their count."""
         g_lo, g_hi = self._dataset_groups(dataset_id)
-        return np.array(self._group_means()[g_lo:g_hi], dtype=float)
+        models = self._labels(self._models, self._group_model[g_lo:g_hi])
+        return dict(zip(models, self._group_means()[g_lo:g_hi]))
 
     def _dataset_groups(self, dataset_id: str) -> tuple[int, int]:
         """The range of the dataset's (dataset, model) groups."""
@@ -201,15 +202,6 @@ class PerformanceTable:
         twin._orders = {}
         twin.lower_is_better = not self.lower_is_better
         return twin
-
-    def _group(self, dataset_id: str, model_id: str) -> int:
-        if self._group_of is None:
-            keys = zip(
-                self._labels(self._datasets, self._group_dataset),
-                self._labels(self._models, self._group_model),
-            )
-            self._group_of = {key: g for g, key in enumerate(keys)}
-        return self._group_of[dataset_id, model_id]
 
     @staticmethod
     def _labels(labels: tuple[str, ...], codes: np.ndarray) -> list[str]:
@@ -270,45 +262,58 @@ def _as_text(data) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n").lstrip("\ufeff")
 
 
-def _csv_rows(lines):
-    """(line, fields) for each row `csv.reader` reads from `lines`, blank
-    rows included; a `csv.Error` (a field over `csv.field_size_limit()`, or
-    on Python 3.10 a NUL byte) is raised as a :class:`TableParseError`."""
-    reader = csv.reader(lines)
-    try:
-        for row in reader:
-            yield reader.line_num, row
-    except csv.Error as exc:
-        raise TableParseError(str(exc), reader.line_num) from None
+class _Rows:
+    """The non-blank rows of a CSV's text, as :func:`_as_text` gives it,
+    whose header is `header`: each row a list of its fields as `csv.reader`
+    reads them, unstripped. `line` is the 1-based line on which the row read
+    last ends.
 
+    Iterating checks the header, its fields stripped. A wrong header, a row
+    without ``len(header)`` fields or a `csv.Error` (a field over
+    `csv.field_size_limit()`, or on Python 3.10 a NUL byte) raises a
+    :class:`TableParseError` at its line.
+    """
 
-def _check_header(rows, expected: tuple[str, ...]) -> None:
-    """Read the header row from `rows`, (line, fields) pairs as
-    :func:`_csv_rows` gives, and check it."""
-    first = next(rows, None)
-    if first is None:
-        raise TableParseError("empty input: missing header", 1)
-    header = first[1]
-    if tuple(h.strip() for h in header) != expected:
-        raise TableParseError(
-            f"expected header {','.join(expected)!r}, got {','.join(header)!r}", 1
-        )
+    def __init__(self, text: str, header: tuple[str, ...]):
+        self._reader = csv.reader(io.StringIO(text))
+        self._header = header
+
+    @property
+    def line(self) -> int:
+        return self._reader.line_num
+
+    def __iter__(self):
+        # Each row is yielded alone, its line read through `line` only by
+        # the callers that need it: yielding (line, row) pairs made parsing
+        # a quoted 100,000-row scores CSV about 6% slower.
+        reader, header = self._reader, self._header
+        try:
+            first = next(reader, None)
+            if first is None:
+                raise TableParseError("empty input: missing header", 1)
+            if tuple(h.strip() for h in first) != header:
+                raise TableParseError(
+                    f"expected header {','.join(header)!r}, got {','.join(first)!r}", 1
+                )
+            n = len(header)
+            for row in reader:
+                if len(row) != n:
+                    if row:
+                        raise TableParseError(
+                            f"expected {n} columns, got {len(row)}", reader.line_num
+                        )
+                    continue
+                yield row
+        except csv.Error as exc:
+            raise TableParseError(str(exc), reader.line_num) from None
 
 
 def read_rows(data, header: tuple[str, ...]) -> list[tuple[int, list[str]]]:
-    """(line, stripped fields) for each non-blank row of a CSV (str or UTF-8
-    bytes) whose header is `header`; a row without ``len(header)`` fields
-    raises a :class:`TableParseError`."""
-    rows = _csv_rows(io.StringIO(_as_text(data)))
-    _check_header(rows, header)
-    out = []
-    for line, row in rows:
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise TableParseError(f"expected {len(header)} columns, got {len(row)}", line)
-        out.append((line, [f.strip() for f in row]))
-    return out
+    """(line, fields) for each non-blank row of a CSV (str or UTF-8 bytes),
+    each field stripped; the header and rows are checked as :class:`_Rows`
+    checks them."""
+    rows = _Rows(_as_text(data), header)
+    return [(rows.line, [f.strip() for f in row]) for row in rows]
 
 
 class _Lines(list):
@@ -343,13 +348,9 @@ class _CsvSource:
     def _row(self, i: int) -> tuple[int, list[str]]:
         """(1-based line on which data row i ends, its fields); blank lines
         are not data rows."""
-        rows = _csv_rows(io.StringIO(_as_text(self._data)))
-        next(rows)
-        for line, row in rows:
-            if row:
-                if i == 0:
-                    return line, row
-                i -= 1
+        rows = _Rows(_as_text(self._data), SCORES_HEADER)
+        for row in itertools.islice(rows, i, None):
+            return rows.line, row
         raise IndexError(i)
 
     def raw_score(self, i: int) -> str:
@@ -377,29 +378,16 @@ def _parse_scores(raw_scores: list[str], line) -> np.ndarray:
 
 def _csv_columns(text: str):
     """(dataset, model, algorithm, split, score) of a scores CSV read row by
-    row with `csv.reader`: four (labels, codes) id columns, the ids
+    row with :class:`_Rows`: four (labels, codes) id columns, the ids
     stripped, and the float64 scores."""
-    reader = csv.reader(io.StringIO(text))
     # Five flat lists of str: no per-row object outlives its loop iteration.
     datasets, models, algorithms, splits, raw_scores = [], [], [], [], []
-    add_dataset, add_model, add_algorithm, add_split, add_score = (
-        datasets.append, models.append, algorithms.append, splits.append, raw_scores.append
-    )
-    try:
-        _check_header(enumerate(reader, 1), SCORES_HEADER)
-        for row in reader:
-            if len(row) != 5:
-                if row:
-                    raise TableParseError(f"expected 5 columns, got {len(row)}", reader.line_num)
-                continue
-            dataset_id, model_id, algorithm, split_id, raw = row
-            add_dataset(dataset_id)
-            add_model(model_id)
-            add_algorithm(algorithm)
-            add_split(split_id)
-            add_score(raw)
-    except csv.Error as exc:
-        raise TableParseError(str(exc), reader.line_num) from None
+    for dataset_id, model_id, algorithm, split_id, raw in _Rows(text, SCORES_HEADER):
+        datasets.append(dataset_id)
+        models.append(model_id)
+        algorithms.append(algorithm)
+        splits.append(split_id)
+        raw_scores.append(raw)
     ids = [_factorize(column, str.strip) for column in (datasets, models, algorithms, splits)]
     return (*ids, _parse_scores(raw_scores, _CsvSource(text).line))
 
@@ -431,8 +419,7 @@ def _byte_columns(text: str, data: bytes):
     fields so far before a chunk's cells are made, so such cells are never
     allocated.
     """
-    first_line = text[:text.find("\n") + 1 or len(text)]
-    _check_header(_csv_rows(io.StringIO(first_line)), SCORES_HEADER)
+    next(iter(_Rows(text[:text.find("\n") + 1 or len(text)], SCORES_HEADER)), None)  # header check
     body = np.frombuffer(data, np.uint8)[data.find(b"\n") + 1 or len(data):]
     # Where each line ends: its line end, or the end of the bytes.
     ends = np.flatnonzero(body == _NEWLINE)

@@ -569,11 +569,49 @@ class TestMalformedFiles:
         assert main(["compare", "--fit", str(bad), "--out-dir", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: not valid JSON")
 
+    # The second holds an encoded surrogate, which strict UTF-8 refuses and
+    # `json.loads` of bytes would let through.
+    NOT_UTF8 = [b"\xff\xfe{", b'{"dataset": "d1", "models": ["m\xed\xa0\x80"]}']
+
     def test_not_utf8_fit_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_bytes(b"\xff\xfe{")
-        assert main(["compare", "--fit", str(bad), "--out-dir", str(tmp_path)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+        for data in self.NOT_UTF8:
+            bad.write_bytes(data)
+            assert main(["compare", "--fit", str(bad), "--out-dir", str(tmp_path / "r")]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte ")
+
+    def test_not_utf8_counts_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad_counts.json"
+        for data in self.NOT_UTF8:
+            bad.write_bytes(data)
+            assert main(["fit", "--counts", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte ")
+
+    @pytest.mark.parametrize("command", ["leaderboard", "compare", "embed", "tunability"])
+    def test_two_fits_of_one_dataset(self, fitted, tmp_path, capsys, command):
+        # Both would fill one dataset's column, file or count with the second.
+        scores, fit_json, _ = fitted
+        other = tmp_path / "other"
+        main(["fit", str(write_scores(tmp_path / "other.csv", seed=1)), "--out-dir", str(other)])
+        hp = tmp_path / "hp.csv"
+        hp.write_text("model,parameter,value\n" + "".join(f"m{k},depth,{k}\n" for k in range(4)))
+        fits = ["--fit", str(fit_json), str(other / fit_json.name)]
+        argv = {
+            "leaderboard": ["leaderboard", *fits, "--scores", str(scores)],
+            "compare": ["compare", *fits],
+            "embed": ["embed", *fits],
+            "tunability": ["tunability", *fits, "--hyperparams", str(hp)],
+        }[command]
+        capsys.readouterr()
+        assert main([*argv, "--out-dir", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {fit_json} and {other / fit_json.name} both hold a fit of dataset 'd1'\n"
+        )
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("corrupt, message", [
         (lambda obj: obj["n"].update(shape=[4, 3]), "n: shape [4, 3]"),

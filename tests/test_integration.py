@@ -48,8 +48,8 @@ def benchmark_table():
 
 
 def test_mean_order_and_match_record_disagree(benchmark_table):
-    mean_glm = benchmark_table.mean_score("ada", "glm1242")
-    mean_kknn = benchmark_table.mean_score("ada", "kknn1396")
+    mean_glm = benchmark_table.mean_scores("ada")["glm1242"]
+    mean_kknn = benchmark_table.mean_scores("ada")["kknn1396"]
     assert mean_glm < mean_kknn  # averaged scores favor kknn
 
     paired = build_matches(benchmark_table, "ada", PairingMode.PAIRED)

@@ -295,11 +295,12 @@ class TestColumnarMatchesRowwiseOracle:
         assert table.datasets() == sorted(ref.index)
         for ds in table.datasets():
             assert list(table.block(ds).models) == sorted(ref.index[ds])
+            assert list(table.mean_scores(ds)) == sorted(ref.index[ds])
             for model, splits, scores in self._per_model(table, ds):
                 expected = ref.index[ds][model]
                 assert splits == list(expected)
                 assert np.array_equal(_bits(scores), _bits(expected.values()))
-                assert _bits([table.mean_score(ds, model)]) == _bits(
+                assert _bits([table.mean_scores(ds)[model]]) == _bits(
                     [sum(expected.values()) / len(expected)]
                 )
         negated = table.negated()  # after the means above were computed
@@ -307,7 +308,7 @@ class TestColumnarMatchesRowwiseOracle:
             for model, _, scores in self._per_model(negated, ds):
                 flipped = [-v for v in ref.index[ds][model].values()]
                 assert np.array_equal(_bits(scores), _bits(flipped))
-                assert _bits([negated.mean_score(ds, model)]) == _bits(
+                assert _bits([negated.mean_scores(ds)[model]]) == _bits(
                     [sum(flipped) / len(flipped)]
                 )
         for got, expected in zip(validate(table).datasets, rowwise_validate(ref), strict=True):

@@ -1,6 +1,6 @@
 """Fit and counts files record their source and each model's mean score;
 `epp leaderboard` reuses the recorded means when its --scores file is the
-one the fit was made from. The oracle is `PerformanceTable.mean_score`."""
+one the fit was made from. The oracle is `PerformanceTable.mean_scores`."""
 
 import json
 import warnings
@@ -89,7 +89,7 @@ def test_recorded_means_equal_the_table_means_bit_for_bit(data):
         table = table.negated()
     for ds in table.datasets():
         counts = build_matches(table, ds, PairingMode.CROSS, ties)
-        oracle = [table.mean_score(ds, model) for model in counts.models]
+        oracle = [table.mean_scores(ds)[model] for model in counts.models]
         assert bits(counts.mean_score) == bits(oracle)
         assert counts.source == {
             "sha256": sha256_of(text.encode("utf-8")),
@@ -170,6 +170,25 @@ def test_other_scores_file_parses_and_warns(tmp_path, capsys):
         f"--scores is {other_digest}; mean scores come from --scores"
         for ds in ("d1", "d2")
     ]
+
+
+@pytest.mark.parametrize("ds, missing", [("d1", "m3"), ("d2", "m0, m1, m2, m3")])
+def test_other_scores_file_without_the_fits_models_is_one_error(tmp_path, capsys, ds, missing):
+    # b.csv holds three of d1's four models and no row of d2.
+    fit_files(tmp_path, write_scores(tmp_path / "a.csv", seed=0))
+    other = write_scores(tmp_path / "b.csv", seed=1, datasets=("d1",), n_models=3)
+    capsys.readouterr()
+    argv = ["leaderboard", "--fit", str(tmp_path / "fits" / f"epp_{ds}.json"),
+            "--scores", str(other), "--out-dir", str(tmp_path / "got")]
+    assert main(argv) == 2
+    made = sha256_of((tmp_path / "a.csv").read_bytes())[:12]
+    other_digest = sha256_of(other.read_bytes())[:12]
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: dataset '{ds}': fit was made from scores sha256 {made}, "
+        f"--scores is {other_digest}; mean scores come from --scores",
+        f"error: dataset '{ds}': the scores table has no rows of models {missing}",
+    ]
+    assert not (tmp_path / "got").exists()
 
 
 def test_flipped_lower_is_better_parses_and_warns(tmp_path, capsys):
