@@ -10,11 +10,11 @@ from __future__ import annotations
 import argparse
 import csv
 import inspect
-import io
 import json
 import os
 import re
 import sys
+import warnings
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -35,14 +35,17 @@ else:
 
 from . import analysis, baselines, svg
 from .errors import (
+    AnalysisWarning,
     ConfigError,
     EppError,
     FileFormatError,
+    FitWarning,
     PairedSplitsMismatchError,
     TableParseError,
 )
 from .match_engine import PairingMode, PairwiseCounts, TiePolicy, build_matches
 from .perf_table import (
+    _as_text,
     csv_text,
     parse_hyperparams_csv,
     parse_scores_csv,
@@ -138,7 +141,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     file_values: dict = {}
     if getattr(args, "config", None):
         try:
-            file_values = parse_config_text(Path(args.config).read_text(encoding="utf-8"))
+            file_values = parse_config_text(_as_text(Path(args.config).read_bytes()))
         except (ConfigError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{args.config}: {exc}") from None
 
@@ -195,16 +198,9 @@ def _parse_file(path: str, parse, data: bytes | None = None):
         raise EppError(f"{path}: {exc}") from None
 
 
-def _json_text(data: bytes) -> str:
-    """A fit or counts file's text as a text-mode read gives it: strict
-    UTF-8, which `json.loads` of bytes is not (it lets encoded surrogates
-    through), and every line end ``\\n``."""
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
-
-
 def _parse_counts(data: bytes) -> PairwiseCounts:
     """A counts file's ledger, its accounting identities checked."""
-    counts = PairwiseCounts.from_json_text(_json_text(data))
+    counts = PairwiseCounts.from_json_text(_as_text(data))
     try:
         counts.check_invariants()
     except ValueError as exc:
@@ -215,7 +211,7 @@ def _parse_counts(data: bytes) -> PairwiseCounts:
 def _load_fit_files(paths) -> list[EppScores]:
     """The fits in `paths`, refused if two hold one dataset: its reports
     would be written or counted twice."""
-    results = [_parse_file(p, lambda b: EppScores.from_json_text(_json_text(b))) for p in paths]
+    results = [_parse_file(p, lambda b: EppScores.from_json_text(_as_text(b))) for p in paths]
     first: dict[str, int] = {}
     for i, result in enumerate(results):
         k = first.setdefault(result.dataset_id, i)
@@ -225,12 +221,14 @@ def _load_fit_files(paths) -> list[EppScores]:
     return results
 
 
-def _check_output_names(dataset_ids) -> None:
-    """Refuse datasets whose ids map to the same output files.
+def _check_output_names(dataset_ids, files: str) -> None:
+    """Refuse datasets whose ids map to the same output files, which the
+    error names as ``files.format(name)``.
 
     `_safe_name` folds characters, so ids such as 'a b' and 'a_b' would both
-    write epp_a_b.* (and counts_a_b.json), the later one silently replacing
-    the earlier, and with --jobs both would write the same temp file.
+    write epp_a_b.* and counts_a_b.json, or leaderboard_a_b.csv, the later
+    one silently replacing the earlier, and with --jobs both would write the
+    same temp file.
     """
     owner: dict[str, str] = {}
     for ds in dataset_ids:
@@ -238,7 +236,7 @@ def _check_output_names(dataset_ids) -> None:
         if name in owner:
             raise EppError(
                 f"datasets {owner[name]!r} and {ds!r} would both write "
-                f"epp_{name}.csv/.json; rename one"
+                f"{files.format(name)}; rename one"
             )
         owner[name] = ds
 
@@ -274,18 +272,18 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     if args.counts:
         # Loaded up front: every dataset id is needed to check the file names.
         loaded = [_parse_file(p, _parse_counts) for p in args.counts]
-        _check_output_names(c.dataset_id for c in loaded)
+        _check_output_names((c.dataset_id for c in loaded), "epp_{}.csv/.json")
         table = None
         datasets, ledger = range(len(loaded)), loaded.__getitem__
     else:
         if not args.scores:
             raise ConfigError("provide a scores CSV or --counts files")
         table = _parse_file(args.scores, parse_scores_csv)
-        _check_output_names(table.datasets())
+        _check_output_names(table.datasets(), "epp_{}.csv/.json")
         if cfg.lower_is_better:
             table = table.negated()
-        for summary in validate(table).datasets:
-            for warning in summary.folded_warnings():
+        for summary in validate(table):
+            for warning in summary.warnings:
                 print(f"warning: {warning}", file=sys.stderr)
         datasets = table.datasets()
 
@@ -319,6 +317,11 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         except (OSError, EppError) as exc:
             return [f"error: {exc}"]
         lines = []
+        if scores.n_components > 1:  # fit_epp's FitWarning, worded here in dataset order
+            lines.append(
+                f"warning: dataset {counts.dataset_id!r}: comparison graph has "
+                f"{scores.n_components} connected components; fitted separately"
+            )
         flagged = sum(f != SeparationFlag.NONE for f in scores.separation_flags)
         if flagged and cfg.fit.ridge_lambda == 0.0:
             lines.append(
@@ -377,8 +380,10 @@ def _cmd_leaderboard(args: argparse.Namespace) -> int:
         raise ConfigError(f"top must be >= 1, got {args.top}")
     data = Path(args.scores).read_bytes()
     given = (sha256_of(data), cfg.lower_is_better)
+    results = _load_fit_files(args.fit)
+    _check_output_names((r.dataset_id for r in results), f"leaderboard_{{}}.{cfg.format.value}")
     table = None  # parsed on first need
-    for result in _load_fit_files(args.fit):
+    for result in results:
         source = result.source or {}
         made_from = (source.get("sha256"), source.get("lower_is_better"))
         if made_from == given and result.mean_score is not None:
@@ -657,11 +662,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (OSError, EppError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        # `fit` words fit_epp's FitWarning itself, in dataset order; every
+        # other library warning prints, each time it is raised, as one line
+        # that names no source file and no warning class.
+        warnings.simplefilter("always", AnalysisWarning)
+        warnings.simplefilter("ignore", FitWarning)
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except (OSError, EppError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 def entrypoint() -> None:

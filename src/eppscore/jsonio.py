@@ -16,6 +16,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -65,16 +66,26 @@ def decode_array(value, shape: tuple[int, ...], what: str) -> np.ndarray:
 
 
 def load_object(text: str, keys: tuple[str, ...]) -> dict:
-    """The JSON object in `text`, which must hold every key in `keys`."""
+    """The JSON object of a fit or counts file's `text`: its ids, a string
+    `dataset` and a list of distinct string `models`, are checked, and it
+    must hold every key in `keys` too."""
     try:
         obj = json.loads(text)
     except ValueError as exc:
         raise FileFormatError(f"not valid JSON ({exc})") from None
     if not isinstance(obj, dict):
         raise FileFormatError("not a JSON object")
-    for key in keys:
+    for key in ("dataset", "models", *keys):
         if key not in obj:
             raise FileFormatError(f"missing key {key!r}")
+    if not isinstance(obj["dataset"], str):
+        raise FileFormatError("dataset: not a string")
+    models = obj["models"]
+    if not isinstance(models, list) or not all(isinstance(m, str) for m in models):
+        raise FileFormatError("models: not a list of strings")
+    if len(set(models)) < len(models):
+        twice = next(m for m, k in Counter(models).items() if k > 1)
+        raise FileFormatError(f"models: {twice!r} is listed more than once")
     return obj
 
 

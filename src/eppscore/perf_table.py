@@ -254,12 +254,15 @@ def sha256_of(data) -> str:
 
 
 def _as_text(data) -> str:
-    if isinstance(data, bytes):
-        text = data.decode("utf-8")
+    """The text of an input file (str or bytes) as a text-mode read gives
+    it, decoded and line ends translated in one pass: strict UTF-8, which
+    `json.loads` of bytes is not (it lets encoded surrogates through), every
+    line end ``\\n``, and a leading BOM dropped."""
+    if isinstance(data, str):
+        stream = io.StringIO(data, newline=None)
     else:
-        text = data
-    # Normalize platform line endings; csv handles the rest.
-    return text.replace("\r\n", "\n").replace("\r", "\n").lstrip("\ufeff")
+        stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    return stream.read().lstrip("\ufeff")
 
 
 class _Rows:
@@ -579,13 +582,12 @@ def parse_scores_csv(data) -> PerformanceTable:
     return table
 
 
-def _missing_splits_warning(ds: str, model: str, absent: tuple[str, ...]) -> str:
-    return f"dataset {ds!r}: model {model!r} missing splits {', '.join(absent)}"
-
-
 @dataclass
 class DatasetValidation:
-    """Per-dataset summary produced by :func:`validate`."""
+    """Per-dataset summary produced by :func:`validate`. Its `warnings` are
+    one line for all the models that miss splits (their number, the number
+    of missing runs and the first 10 ids), one per constant model, and one
+    for the exact ties."""
 
     dataset_id: str
     n_models: int
@@ -595,40 +597,6 @@ class DatasetValidation:
     exact_tie_pairs: int = 0
     warnings: tuple[str, ...] = ()
 
-    def folded_warnings(self) -> list[str]:
-        """`warnings` with the per-model missing-split lines folded into one
-        line: the number of models, of missing runs, and the first 10 ids."""
-        if not self.missing_splits:
-            return list(self.warnings)
-        per_model = {
-            _missing_splits_warning(self.dataset_id, model, absent)
-            for model, absent in self.missing_splits.items()
-        }
-        models = list(self.missing_splits)
-        runs = sum(len(absent) for absent in self.missing_splits.values())
-        shown = ", ".join(models[:10]) + (", ..." if len(models) > 10 else "")
-        folded = (
-            f"dataset {self.dataset_id!r}: {len(models)} models missing splits "
-            f"({runs} missing runs): {shown}"
-        )
-        return [folded] + [w for w in self.warnings if w not in per_model]
-
-
-@dataclass
-class ValidationReport:
-    datasets: tuple[DatasetValidation, ...]
-
-    @property
-    def warnings(self) -> list[str]:
-        out = []
-        for ds in self.datasets:
-            out.extend(ds.warnings)
-        return out
-
-    @property
-    def ok(self) -> bool:
-        return not self.warnings
-
 
 def _pairs_in_runs(same: np.ndarray) -> int:
     """Number of row pairs within runs of sorted rows, ``same[i]`` telling
@@ -637,8 +605,9 @@ def _pairs_in_runs(same: np.ndarray) -> int:
     return int((runs * (runs - 1) // 2).sum())
 
 
-def validate(table: PerformanceTable) -> ValidationReport:
-    """Report-only validation: split coverage, constant models, exact ties.
+def validate(table: PerformanceTable) -> tuple[DatasetValidation, ...]:
+    """Report-only validation, one :class:`DatasetValidation` per dataset:
+    split coverage, constant models, exact ties.
 
     The tie count reads each dataset's score order from
     :meth:`PerformanceTable.block`, the same order the CROSS counting
@@ -657,21 +626,25 @@ def validate(table: PerformanceTable) -> ValidationReport:
         constant = (sizes > 1) & (
             np.minimum.reduceat(score, starts) == np.maximum.reduceat(score, starts)
         )
+        missing = {
+            models[k]: tuple(split_ids[j] for j in np.flatnonzero(~present[k]).tolist())
+            for k in np.flatnonzero(~present.all(axis=1)).tolist()
+        }
         warnings: list[str] = []
-        missing: dict[str, tuple[str, ...]] = {}
-        constant_models: list[str] = []
-        for k in np.flatnonzero(~present.all(axis=1) | constant).tolist():
-            model = models[k]
-            absent = tuple(split_ids[j] for j in np.flatnonzero(~present[k]).tolist())
-            if absent:
-                missing[model] = absent
-                warnings.append(_missing_splits_warning(ds, model, absent))
-            if constant[k]:
-                constant_models.append(model)
-                warnings.append(
-                    f"dataset {ds!r}: model {model!r} has a constant score "
-                    f"across {int(sizes[k])} splits"
-                )
+        if missing:
+            runs = sum(map(len, missing.values()))
+            shown = ", ".join(list(missing)[:10]) + (", ..." if len(missing) > 10 else "")
+            warnings.append(
+                f"dataset {ds!r}: {len(missing)} models missing splits "
+                f"({runs} missing runs): {shown}"
+            )
+        constant_models = []
+        for k in np.flatnonzero(constant).tolist():
+            constant_models.append(models[k])
+            warnings.append(
+                f"dataset {ds!r}: model {models[k]!r} has a constant score "
+                f"across {int(sizes[k])} splits"
+            )
         # Bit-identical scores on different models are potential tie matches;
         # reported but never modified here (same-model duplicates are not,
         # since a model never plays itself). Equality is float equality, so
@@ -698,7 +671,7 @@ def validate(table: PerformanceTable) -> ValidationReport:
                 warnings=tuple(warnings),
             )
         )
-    return ValidationReport(datasets=tuple(summaries))
+    return tuple(summaries)
 
 
 class HyperparamTable:

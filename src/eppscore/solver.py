@@ -28,8 +28,7 @@ from .special import sigmoid
 
 _MM_STALL_CHECK = 20  # iterations between stall checks; see _fit_mm
 _FIT_KEYS = (
-    "dataset", "models", "beta", "separation", "converged", "iterations",
-    "log_likelihood", "covariance",
+    "beta", "separation", "converged", "iterations", "log_likelihood", "covariance",
 )
 
 

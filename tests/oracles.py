@@ -317,7 +317,8 @@ def two_sort_tie_pairs(score, model):
 def rowwise_validate(table):
     """Per-dataset validation fields from the nested dicts, with sets and
     Counters: (dataset, n_models, split_ids, missing, constant, tie_pairs,
-    warnings), datasets sorted."""
+    warnings), datasets sorted. The models missing splits are one warning:
+    their count, the count of missing runs and the first 10 ids."""
     from collections import Counter
 
     out = []
@@ -326,24 +327,30 @@ def rowwise_validate(table):
         all_splits = set()
         for splits in by_model.values():
             all_splits.update(splits)
-        warnings, missing, constant = [], {}, []
+        missing, constant, constant_warnings = {}, [], []
         everything, within = Counter(), 0
         for model in sorted(by_model):
             splits = by_model[model]
             absent = tuple(sorted(all_splits - set(splits)))
             if absent:
                 missing[model] = absent
-                warnings.append(
-                    f"dataset {ds!r}: model {model!r} missing splits {', '.join(absent)}"
-                )
             if len(set(splits.values())) == 1 and len(splits) > 1:
                 constant.append(model)
-                warnings.append(
+                constant_warnings.append(
                     f"dataset {ds!r}: model {model!r} has a constant score "
                     f"across {len(splits)} splits"
                 )
             everything.update(splits.values())
             within += sum(c * (c - 1) // 2 for c in Counter(splits.values()).values())
+        warnings = []
+        if missing:
+            names = sorted(missing)
+            shown = names[:10] + (["..."] if len(names) > 10 else [])
+            warnings.append(
+                f"dataset {ds!r}: {len(names)} models missing splits "
+                f"({sum(len(a) for a in missing.values())} missing runs): {', '.join(shown)}"
+            )
+        warnings += constant_warnings
         ties = sum(c * (c - 1) // 2 for c in everything.values()) - within
         if ties:
             warnings.append(

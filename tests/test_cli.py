@@ -459,6 +459,31 @@ class TestFit:
                 for ds in "ab"
             ), jobs
 
+    def test_disconnected_graph_warnings_in_dataset_order_for_any_jobs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Each ledger is two pairs that never met; a's fit finishes last
+        # under --jobs 2 and 4, yet its warning still comes first.
+        n = np.kron(np.eye(2), 10 * (1 - np.eye(2)))
+        files = [tmp_path / f"counts_{ds}.json" for ds in "ab"]
+        for ds, path in zip("ab", files):
+            path.write_text(PairwiseCounts(ds, ("m0", "m1", "m2", "m3"), n / 2, n).to_json_text())
+        fit_epp = cli.fit_epp
+
+        def slow_a(counts, cfg):
+            if counts.dataset_id == "a":
+                time.sleep(0.2)
+            return fit_epp(counts, cfg)
+
+        monkeypatch.setattr(cli, "fit_epp", slow_a)
+        for jobs in ("1", "2", "4"):
+            assert main(["fit", "--counts", *map(str, files), "--jobs", jobs,
+                         "--out-dir", str(tmp_path / jobs)]) == 0
+            assert capsys.readouterr().err == "".join(
+                f"warning: dataset '{ds}': comparison graph has 2 connected components; "
+                "fitted separately\n" for ds in "ab"
+            ), jobs
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--ridge-lambda", "nan", "ridge_lambda must be finite and >= 0, got nan"),
         ("--ridge-lambda", "inf", "ridge_lambda must be finite and >= 0, got inf"),
@@ -536,11 +561,21 @@ class TestMalformedFiles:
     def _no_beta(obj):
         del obj["beta"]
 
+    @staticmethod
+    def _dataset_not_a_string(obj):
+        obj["dataset"] = 5
+
+    @staticmethod
+    def _model_listed_twice(obj):
+        obj["models"][1] = "m0"
+
     @pytest.mark.parametrize("corrupt, message", [
         ("_one_row_covariance", "covariance: shape [1, 4]"),
         ("_short_bytes", "covariance: 105 bytes do not hold shape [4, 4]"),
         ("_bad_base64", "covariance: base64 does not decode"),
         ("_no_beta", "missing key 'beta'"),
+        ("_dataset_not_a_string", "dataset: not a string"),
+        ("_model_listed_twice", "models: 'm0' is listed more than once"),
     ])
     @pytest.mark.parametrize("command", ["leaderboard", "compare", "embed", "recovery"])
     def test_corrupt_fit_file(self, fitted, tmp_path, capsys, corrupt, message, command):
@@ -591,6 +626,19 @@ class TestMalformedFiles:
             assert err.count("\n") == 1
             assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte ")
 
+    def test_bom_prefixed_json_and_config_files(self, fitted, tmp_path):
+        # A leading UTF-8 BOM is dropped from every input file, as from a CSV.
+        _, fit_json, counts = fitted
+        for path in (fit_json, counts):
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfformat = json\r\n")
+        assert main(["compare", "--fit", str(fit_json), "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "r")]) == 0
+        assert (tmp_path / "r" / "compare.json").exists()
+        assert main(["fit", "--counts", str(counts), "--out-dir", str(tmp_path / "f")]) == 0
+        assert (tmp_path / "f" / "epp_d1.json").exists()
+
     @pytest.mark.parametrize("command", ["leaderboard", "compare", "embed", "tunability"])
     def test_two_fits_of_one_dataset(self, fitted, tmp_path, capsys, command):
         # Both would fill one dataset's column, file or count with the second.
@@ -617,6 +665,8 @@ class TestMalformedFiles:
         (lambda obj: obj["n"].update(shape=[4, 3]), "n: shape [4, 3]"),
         (lambda obj: obj.pop("w"), "missing key 'w'"),
         (lambda obj: obj["w"].update(dtype="<f4"), "w: dtype '<f4' is not '<f8'"),
+        (lambda obj: obj.update(dataset=5), "dataset: not a string"),
+        (lambda obj: obj["models"].__setitem__(1, "m0"), "models: 'm0' is listed more than once"),
     ])
     def test_corrupt_counts_file(self, fitted, tmp_path, capsys, corrupt, message):
         _, _, counts = fitted
@@ -807,6 +857,49 @@ class TestReports:
         assert rc == 0
         text = (tmp_path / "tunability.csv").read_text()
         assert text.splitlines()[0].startswith("algorithm,parameter,target")
+
+    def test_embed_single_model_algorithm_warns_on_one_line(self, tmp_path, capsys):
+        scores = write_scores(tmp_path / "scores.csv", n_models=3)  # rf has m1 alone
+        main(["fit", str(scores), "--out-dir", str(tmp_path)])
+        capsys.readouterr()
+        assert main(["embed", "--fit", str(tmp_path / "epp_d1.json"),
+                     "--out-dir", str(tmp_path)]) == 0
+        err = capsys.readouterr().err
+        assert err == "warning: algorithm 'rf' has 1 model(s) on dataset 'd1'; spread set to 0\n"
+        assert "Warning" not in err and ".py" not in err
+
+    def test_tunability_warns_on_one_line_each_run(self, tmp_path, capsys):
+        main(["simulate", "--models", "4", "--splits", "10", "--seed", "1",
+              "--out-dir", str(tmp_path)])
+        main(["fit", str(tmp_path / "scores.csv"), "--out-dir", str(tmp_path)])
+        hp = tmp_path / "hp.csv"
+        hp.write_text("model,parameter,value\n" + "".join(f"m00{k},k,3\n" for k in range(4)))
+        capsys.readouterr()
+        for run in range(2):  # a warning printed once per process would miss the second
+            assert main(["tunability", "--fit", str(tmp_path / "epp_synthetic.json"),
+                         "--hyperparams", str(hp), "--out-dir", str(tmp_path)]) == 0
+            err = capsys.readouterr().err
+            assert err == "warning: parameter 'k' of 'sim' has a single distinct value; skipped\n"
+            assert "Warning" not in err and ".py" not in err
+
+    def test_leaderboard_refuses_ids_folding_to_one_file(self, tmp_path, capsys):
+        # 'a b' and 'a_b' would both write leaderboard_a_b.csv
+        fits = []
+        for seed, ds in enumerate(("a b", "a_b")):
+            scores = write_scores(tmp_path / f"{seed}.csv", dataset=ds, seed=seed)
+            main(["fit", str(scores), "--out-dir", str(tmp_path / str(seed))])
+            fits.append(str(tmp_path / str(seed) / "epp_a_b.json"))
+        both = tmp_path / "both.csv"
+        both.write_text((tmp_path / "0.csv").read_text()
+                        + "".join((tmp_path / "1.csv").read_text().splitlines(True)[1:]))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["leaderboard", "--fit", *fits, "--scores", str(both),
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: datasets 'a b' and 'a_b' would both write leaderboard_a_b.csv; rename one\n"
+        )
+        assert not out.exists()
 
     def test_tunability_naming_models_no_fit_holds_exits_2(self, tmp_path, capsys):
         # The simulated fit's models are m000..m003, not sim1..sim4.

@@ -135,6 +135,19 @@ class TestFitFile:
         with pytest.raises(FileFormatError, match="^" + message):
             PairwiseCounts.from_json_text(text)
 
+    @pytest.mark.parametrize("ids, message", [
+        ({"dataset": 5}, "dataset: not a string"),
+        ({"models": "abc"}, "models: not a list of strings"),
+        ({"models": ["a", 1, "c"]}, "models: not a list of strings"),
+        ({"models": ["a", "b", "a"]}, "models: 'a' is listed more than once"),
+    ])
+    def test_malformed_ids(self, ids, message):
+        for name, cls in (("epp_list_form.json", EppScores),
+                          ("counts_list_form.json", PairwiseCounts)):
+            text = json.dumps({**json.loads((DATA / name).read_text()), **ids})
+            with pytest.raises(FileFormatError, match="^" + message):
+                cls.from_json_text(text)
+
     def test_separation_flags_must_match_models(self):
         obj = json.loads((DATA / "epp_list_form.json").read_text())
         obj["separation"] = ["none"]

@@ -311,10 +311,8 @@ class TestColumnarMatchesRowwiseOracle:
                 assert _bits([negated.mean_scores(ds)[model]]) == _bits(
                     [sum(flipped) / len(flipped)]
                 )
-        for got, expected in zip(validate(table).datasets, rowwise_validate(ref), strict=True):
-            expected = DatasetValidation(*expected)
-            assert got == expected
-            assert got.folded_warnings() == expected.folded_warnings()
+        for got, expected in zip(validate(table), rowwise_validate(ref), strict=True):
+            assert got == DatasetValidation(*expected)
         self._check_matches(table, ref)
 
     @staticmethod
@@ -561,51 +559,48 @@ class TestValidate:
         for mi, alg in enumerate(["gbm", "glmnet", "kknn", "ranger"]):
             for s in range(20):
                 rows.append(f"d1,{alg}{mi},{alg},s{s:02d},0.{50 + mi}{s:02d}")
-        report = validate(parse_scores_csv(make_csv(rows)))
-        assert len(report.datasets) == 1
-        ds = report.datasets[0]
+        (ds,) = validate(parse_scores_csv(make_csv(rows)))
         assert ds.n_models == 4
         assert len(ds.split_ids) == 20
-        assert report.ok
+        assert ds.warnings == ()
 
     def test_missing_split_warns_with_names(self):
         rows = [f"d1,m1,gbm,s{k:02d},0.5{k:02d}" for k in range(20)]
         rows += [f"d1,m2,rf,s{k:02d},0.6{k:02d}" for k in range(19)]
-        report = validate(parse_scores_csv(make_csv(rows)))
-        assert any("m2" in w and "s19" in w for w in report.warnings)
-        assert report.datasets[0].missing_splits == {"m2": ("s19",)}
+        (ds,) = validate(parse_scores_csv(make_csv(rows)))
+        assert ds.warnings == ("dataset 'd1': 1 models missing splits (1 missing runs): m2",)
+        assert ds.missing_splits == {"m2": ("s19",)}
 
     def test_folded_warnings_keep_other_warnings(self):
         rows = [f"d1,m1,gbm,s{k},0.5" for k in range(3)]  # constant
         rows += ["d1,m2,rf,s0,0.1", "d1,m3,rf,s2,0.3"]  # two missing splits each
-        ds = validate(parse_scores_csv(make_csv(rows))).datasets[0]
-        assert len(ds.warnings) == 3
-        assert ds.folded_warnings() == [
+        (ds,) = validate(parse_scores_csv(make_csv(rows)))
+        assert ds.missing_splits == {"m2": ("s1", "s2"), "m3": ("s0", "s1")}
+        assert ds.warnings == (
             "dataset 'd1': 2 models missing splits (4 missing runs): m2, m3",
             "dataset 'd1': model 'm1' has a constant score across 3 splits",
-        ]
+        )
 
     def test_constant_model_flagged(self):
         rows = [f"d1,m1,gbm,s{k},0.5" for k in range(3)]
         rows += [f"d1,m2,rf,s{k},0.{k + 1}" for k in range(3)]
-        report = validate(parse_scores_csv(make_csv(rows)))
-        assert report.datasets[0].constant_models == ("m1",)
+        (ds,) = validate(parse_scores_csv(make_csv(rows)))
+        assert ds.constant_models == ("m1",)
 
     def test_exact_ties_counted(self):
         rows = ["d1,m1,gbm,s1,0.5", "d1,m2,rf,s1,0.5"]
-        report = validate(parse_scores_csv(make_csv(rows)))
-        assert report.datasets[0].exact_tie_pairs == 1
+        (ds,) = validate(parse_scores_csv(make_csv(rows)))
+        assert ds.exact_tie_pairs == 1
+        assert ds.warnings == ("dataset 'd1': 1 pairs of exactly equal scores (potential ties)",)
 
     def test_same_model_duplicates_are_not_tie_matches(self):
         # a model never plays itself, so its own repeated value is no tie
         rows = ["d1,m1,gbm,s1,0.5", "d1,m1,gbm,s2,0.5", "d1,m2,rf,s1,0.7"]
-        report = validate(parse_scores_csv(make_csv(rows)))
-        assert report.datasets[0].exact_tie_pairs == 0
+        (ds,) = validate(parse_scores_csv(make_csv(rows)))
+        assert ds.exact_tie_pairs == 0
 
     def test_empty_table_empty_report(self):
-        report = validate(PerformanceTable(*[_factorize([])] * 4, np.empty(0)))
-        assert report.datasets == ()
-        assert report.ok
+        assert validate(PerformanceTable(*[_factorize([])] * 4, np.empty(0))) == ()
 
 
 class TestSharedScoreOrder:
@@ -633,7 +628,7 @@ class TestSharedScoreOrder:
             np.array(scores),
         )
         for version in (table, table.negated()):
-            for summary in validate(version).datasets:
+            for summary in validate(version):
                 block = version.block(summary.dataset_id)
                 model = np.repeat(np.arange(len(block.models)), block.sizes)
                 assert np.array_equal(block.order, np.lexsort((model, block.score)))
