@@ -53,7 +53,8 @@ from .perf_table import (
     sha256_of,
     validate,
 )
-from .solver import EppScores, FitAlgorithm, FitConfig, SeparationFlag, fit_epp
+from .solver import (EppScores, FitAlgorithm, FitConfig, SeparationFlag,
+                     disconnected_warning, fit_epp)
 
 
 class OutputFormat(str, Enum):
@@ -151,13 +152,16 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         for key, default in _DEFAULTS.items():
             if not hasattr(args, key):
                 continue
-            value = getattr(args, key)
+            value, where = getattr(args, key), ""
             if value is None:
-                value = file_values.get(key)
+                value, where = file_values.get(key), f"{args.config}: {key}: "
             if value is None:
                 continue
             if isinstance(value, str):
-                value = (_parse_bool if isinstance(default, bool) else type(default))(value)
+                try:
+                    value = (_parse_bool if isinstance(default, bool) else type(default))(value)
+                except ValueError as exc:  # a file value names the file and its key
+                    raise ConfigError(f"{where}{exc}") from None
             (fit_part if key in _FIT_KEYS else rest)[key] = value
         return RunConfig(fit=FitConfig(**fit_part), **rest)
     except ValueError as exc:
@@ -198,16 +202,6 @@ def _parse_file(path: str, parse, data: bytes | None = None):
         raise EppError(f"{path}: {exc}") from None
 
 
-def _parse_counts(data: bytes) -> PairwiseCounts:
-    """A counts file's ledger, its accounting identities checked."""
-    counts = PairwiseCounts.from_json_text(_as_text(data))
-    try:
-        counts.check_invariants()
-    except ValueError as exc:
-        raise FileFormatError(str(exc)) from None
-    return counts
-
-
 def _load_fit_files(paths) -> list[EppScores]:
     """The fits in `paths`, refused if two hold one dataset: its reports
     would be written or counted twice."""
@@ -242,23 +236,16 @@ def _check_output_names(dataset_ids, files: str) -> None:
 
 
 def _algorithm_map(results: list[EppScores], scores_path: str | None) -> dict[str, str]:
-    mapping: dict[str, str] = {}
-    if scores_path:
-        table = _parse_file(scores_path, parse_scores_csv)
-        mapping.update(table.algorithm_of)
+    mapping = dict(_parse_file(scores_path, parse_scores_csv).algorithm_of) if scores_path else {}
     for r in results:
         for model, alg in r.algorithms.items():
             mapping.setdefault(model, alg)
-    missing = sorted(
-        {m for r in results for m in r.models if m not in mapping}
-    )
+    missing = sorted({m for r in results for m in r.models if m not in mapping})
     if missing:
-        raise EppError(
-            "no algorithm label for models: "
-            + ", ".join(missing[:10])
-            + ("..." if len(missing) > 10 else "")
-            + "; pass --scores or refit with the current version"
-        )
+        shown = ", ".join(missing[:10]) + ("..." if len(missing) > 10 else "")
+        hint = (f"{scores_path} has no rows of them" if scores_path else
+                "fits made from counts files hold no algorithm labels; --scores supplies them")
+        raise EppError(f"no algorithm label for models: {shown}; {hint}")
     return mapping
 
 
@@ -271,7 +258,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     out_dir = Path(cfg.out_dir)
     if args.counts:
         # Loaded up front: every dataset id is needed to check the file names.
-        loaded = [_parse_file(p, _parse_counts) for p in args.counts]
+        loaded = [_parse_file(p, lambda b: PairwiseCounts.from_json_text(_as_text(b)))
+                  for p in args.counts]
         _check_output_names((c.dataset_id for c in loaded), "epp_{}.csv/.json")
         table = None
         datasets, ledger = range(len(loaded)), loaded.__getitem__
@@ -317,11 +305,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         except (OSError, EppError) as exc:
             return [f"error: {exc}"]
         lines = []
-        if scores.n_components > 1:  # fit_epp's FitWarning, worded here in dataset order
-            lines.append(
-                f"warning: dataset {counts.dataset_id!r}: comparison graph has "
-                f"{scores.n_components} connected components; fitted separately"
-            )
+        if scores.n_components > 1:  # fit_epp's FitWarning, printed here in dataset order
+            lines.append(f"warning: {disconnected_warning(counts.dataset_id, scores.n_components)}")
         flagged = sum(f != SeparationFlag.NONE for f in scores.separation_flags)
         if flagged and cfg.fit.ridge_lambda == 0.0:
             lines.append(
@@ -332,7 +317,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         if not scores.converged:
             lines.append(
                 f"warning: dataset {counts.dataset_id!r} did not converge within "
-                f"{cfg.fit.max_iter} iterations"
+                f"{cfg.fit.max_iter} iteration{'s' * (cfg.fit.max_iter != 1)}"
             )
         return lines
 

@@ -80,9 +80,8 @@ def prob_vs_average(beta_i: float) -> float:
 
 
 def wald_test_difference(scores: EppScores, i, j) -> TestResult:
-    """Two-sided Wald test of equal strengths for models i and j."""
-    ii = scores.model_index(i) if isinstance(i, str) else int(i)
-    jj = scores.model_index(j) if isinstance(j, str) else int(j)
+    """Two-sided Wald test of equal strengths for models i and j (ids or indices)."""
+    ii, jj = scores.model_index(i), scores.model_index(j)
     diff = float(scores.beta[ii] - scores.beta[jj])
     cov = scores.covariance
     var = float(cov[ii, ii] + cov[jj, jj] - 2.0 * cov[ii, jj])
@@ -90,12 +89,12 @@ def wald_test_difference(scores: EppScores, i, j) -> TestResult:
 
 
 def wald_test_vs_average(scores: EppScores, i) -> TestResult:
-    """Wald test of beta_i = 0, i.e. against the average model.
+    """Wald test of beta_i = 0, i.e. against the average model (i an id or index).
 
     The virtual average model contributes no variance (its covariance row
     is zero), so the standard error is just sqrt(cov[i, i]).
     """
-    ii = scores.model_index(i) if isinstance(i, str) else int(i)
+    ii = scores.model_index(i)
     return _wald_from_diff(float(scores.beta[ii]), float(scores.covariance[ii, ii]))
 
 
@@ -140,15 +139,14 @@ def _merge_counts(counts: PairwiseCounts, ii: int, jj: int):
 def lr_test_difference(
     counts: PairwiseCounts, i, j, cfg: FitConfig | None = None
 ) -> TestResult:
-    """Likelihood-ratio test of equal strengths for models i and j.
+    """Likelihood-ratio test of equal strengths for two models i and j (ids or indices).
 
     The restricted model merges the two models into one; the matches they
     played against each other then have probability 1/2 exactly and
     contribute -n_ij * log 2 to the restricted likelihood.
     """
     cfg = cfg or FitConfig()
-    ii = counts.model_index(i) if isinstance(i, str) else int(i)
-    jj = counts.model_index(j) if isinstance(j, str) else int(j)
+    ii, jj = counts.model_index(i), counts.model_index(j)
     if ii == jj:
         raise ValueError("i and j must differ")
     full = fit_epp(counts, cfg)

@@ -6,7 +6,8 @@ order, base64-encoded, beside its dtype and shape, e.g.
 it then costs no per-float text conversion, and the decoded array is
 bit-identical to the encoded one (NaN, infinities and ``-0.0`` included).
 Files written before this encoding hold nested lists instead; they still
-load. Malformed files raise ``FileFormatError`` naming the problem.
+load. Malformed files raise ``FileFormatError`` naming the problem, a counts
+file whose ledger breaks its identities included (``from_json_text`` checks).
 Both kinds of file end with the `source` and `mean_score` of their data
 when these are known (:func:`add_provenance`).
 """

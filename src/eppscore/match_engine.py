@@ -27,12 +27,13 @@ split, O(m^2 s), accumulated in ``uint16`` between float64 flushes.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import PairedSplitsMismatchError, UndefinedWinRateError
+from .errors import FileFormatError, PairedSplitsMismatchError, UndefinedWinRateError
 from .jsonio import add_provenance, decode_array, encode_array, load_object, read_provenance
 from .perf_table import PerformanceTable
 
@@ -51,6 +52,24 @@ _CHECK_ELEMS = 1 << 16
 _PAIRED_FLUSH = np.iinfo(np.uint16).max
 
 
+class ModelLookup:
+    """The one model lookup of ledgers and fits, which hold their ids in `models`."""
+
+    def model_index(self, model) -> int:
+        """The position of `model`: its id, or an integer index in
+        ``range(len(models))``, numpy integers included. An unknown id raises
+        `KeyError`, any other index `IndexError`, negative ones included."""
+        if isinstance(model, str):
+            try:
+                return self.models.index(model)
+            except ValueError:
+                raise KeyError(f"unknown model {model!r}") from None
+        k = operator.index(model)
+        if not 0 <= k < len(self.models):
+            raise IndexError(f"model index {k} is not in range({len(self.models)})")
+        return k
+
+
 class PairingMode(str, Enum):
     """CROSS compares every split pair (s^2 matches); PAIRED identical splits only (s)."""
 
@@ -66,7 +85,7 @@ class TiePolicy(str, Enum):
 
 
 @dataclass
-class PairwiseCounts:
+class PairwiseCounts(ModelLookup):
     """Aggregated match ledger for one dataset.
 
     ``w[i, j]`` holds (possibly fractional) wins of model i over model j out
@@ -98,12 +117,6 @@ class PairwiseCounts:
     def n_models(self) -> int:
         return len(self.models)
 
-    def model_index(self, model_id: str) -> int:
-        try:
-            return self.models.index(model_id)
-        except ValueError:
-            raise KeyError(f"unknown model {model_id!r}") from None
-
     def check_invariants(self, atol: float = 1e-9) -> None:
         """Raise if the ledger's accounting identities are violated: the
         diagonals are zero, ``np.allclose(w + w.T, n, atol=atol)`` and
@@ -131,17 +144,23 @@ class PairwiseCounts:
 
     @classmethod
     def from_json_text(cls, text: str) -> "PairwiseCounts":
-        """Parse a counts file; `FileFormatError` names what is malformed."""
+        """Parse a counts file and :meth:`check_invariants` its ledger;
+        `FileFormatError` names what is malformed or which identity breaks."""
         obj = load_object(text, ("w", "n"))
         models = tuple(obj["models"])
         shape = (len(models), len(models))
-        return cls(
+        counts = cls(
             dataset_id=obj["dataset"],
             models=models,
             w=decode_array(obj["w"], shape, "w"),
             n=decode_array(obj["n"], shape, "n"),
             **read_provenance(obj, len(models)),
         )
+        try:
+            counts.check_invariants()
+        except ValueError as exc:
+            raise FileFormatError(str(exc)) from None
+        return counts
 
 
 def _block_size(m: int) -> int:
@@ -278,8 +297,7 @@ def build_matches(
 
 def empirical_win_rate(counts: PairwiseCounts, i, j) -> float:
     """Observed win fraction w[i, j] / n[i, j]; models given by id or index."""
-    ii = counts.model_index(i) if isinstance(i, str) else int(i)
-    jj = counts.model_index(j) if isinstance(j, str) else int(j)
+    ii, jj = counts.model_index(i), counts.model_index(j)
     n = counts.n[ii, jj]
     if n <= 0:
         raise UndefinedWinRateError(

@@ -635,8 +635,8 @@ def validate(table: PerformanceTable) -> tuple[DatasetValidation, ...]:
             runs = sum(map(len, missing.values()))
             shown = ", ".join(list(missing)[:10]) + (", ..." if len(missing) > 10 else "")
             warnings.append(
-                f"dataset {ds!r}: {len(missing)} models missing splits "
-                f"({runs} missing runs): {shown}"
+                f"dataset {ds!r}: {len(missing)} model{'s' * (len(missing) != 1)} missing "
+                f"splits ({runs} missing run{'s' * (runs != 1)}): {shown}"
             )
         constant_models = []
         for k in np.flatnonzero(constant).tolist():
@@ -657,7 +657,7 @@ def validate(table: PerformanceTable) -> tuple[DatasetValidation, ...]:
         tie_pairs = _pairs_in_runs(same_score) - _pairs_in_runs(same_model)
         if tie_pairs:
             warnings.append(
-                f"dataset {ds!r}: {tie_pairs} pairs of exactly equal scores "
+                f"dataset {ds!r}: {tie_pairs} pair{'s' * (tie_pairs != 1)} of exactly equal scores "
                 "(potential ties)"
             )
         summaries.append(

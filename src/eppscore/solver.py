@@ -22,7 +22,7 @@ import numpy as np
 from .blas import single_thread
 from .errors import FileFormatError, FitWarning, SeparationError
 from .jsonio import add_provenance, decode_array, encode_array, load_object, read_provenance
-from .match_engine import PairwiseCounts
+from .match_engine import ModelLookup, PairwiseCounts
 from .perf_table import csv_text
 from .special import sigmoid
 
@@ -69,7 +69,7 @@ class FitConfig:
 
 
 @dataclass
-class EppScores:
+class EppScores(ModelLookup):
     """Fitted scores for one dataset with diagnostics.
 
     `beta` is mean-centered. `covariance` is, per connected component, the
@@ -115,14 +115,8 @@ class EppScores:
     source: dict | None = None
     mean_score: np.ndarray | None = None
 
-    def model_index(self, model_id: str) -> int:
-        try:
-            return self.models.index(model_id)
-        except ValueError:
-            raise KeyError(f"unknown model {model_id!r}") from None
-
-    def beta_of(self, model_id: str) -> float:
-        return float(self.beta[self.model_index(model_id)])
+    def beta_of(self, model) -> float:
+        return float(self.beta[self.model_index(model)])
 
     def standard_errors(self) -> np.ndarray:
         return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
@@ -507,6 +501,12 @@ def _covariance(n, p, lam):
     return cov
 
 
+def disconnected_warning(dataset_id: str, n_components: int) -> str:
+    """The text of :func:`fit_epp`'s `FitWarning`, which `epp fit` prints itself."""
+    return (f"dataset {dataset_id!r}: comparison graph has {n_components} connected "
+            "components; fitted separately")
+
+
 def fit_epp(counts: PairwiseCounts, cfg: FitConfig | None = None) -> EppScores:
     """Fit mean-centered strength scores to a pairwise-count ledger.
 
@@ -522,10 +522,7 @@ def fit_epp(counts: PairwiseCounts, cfg: FitConfig | None = None) -> EppScores:
     components = _connected_components(n)
     if len(components) > 1:
         warnings.warn(
-            f"dataset {counts.dataset_id!r}: comparison graph has "
-            f"{len(components)} connected components; fitted separately",
-            FitWarning,
-            stacklevel=2,
+            disconnected_warning(counts.dataset_id, len(components)), FitWarning, stacklevel=2
         )
     fitter = _fit_mm if cfg.algorithm == FitAlgorithm.MM else _fit_newton
     converged = True

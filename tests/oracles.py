@@ -346,15 +346,17 @@ def rowwise_validate(table):
         if missing:
             names = sorted(missing)
             shown = names[:10] + (["..."] if len(names) > 10 else [])
+            runs = sum(len(a) for a in missing.values())
             warnings.append(
-                f"dataset {ds!r}: {len(names)} models missing splits "
-                f"({sum(len(a) for a in missing.values())} missing runs): {', '.join(shown)}"
+                f"dataset {ds!r}: {len(names)} model{'s' * (len(names) != 1)} missing "
+                f"splits ({runs} missing run{'s' * (runs != 1)}): {', '.join(shown)}"
             )
         warnings += constant_warnings
         ties = sum(c * (c - 1) // 2 for c in everything.values()) - within
         if ties:
             warnings.append(
-                f"dataset {ds!r}: {ties} pairs of exactly equal scores (potential ties)"
+                f"dataset {ds!r}: {ties} pair{'s' * (ties != 1)} of exactly equal scores "
+                "(potential ties)"
             )
         out.append(
             (ds, len(by_model), tuple(sorted(all_splits)), missing, tuple(constant), ties,

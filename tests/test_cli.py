@@ -346,7 +346,7 @@ class TestFit:
                    "--out-dir", str(out)])
         assert rc == 2
         warning, *err = capsys.readouterr().err.splitlines()
-        assert warning.startswith("warning: dataset 'bb': 1 models missing splits")
+        assert warning.startswith("warning: dataset 'bb': 1 model missing splits (1 missing run)")
         assert len(err) == 3 and all(line.startswith("error: ") for line in err)
         assert str(out / "epp_a.json") in err[0] and str(out / "epp_c.json") in err[2]
         assert err[1] == f"error: {PairedSplitsMismatchError('bb', ['m2'])}"
@@ -455,9 +455,19 @@ class TestFit:
             assert main(["fit", str(scores), "--max-iter", "1", "--jobs", jobs,
                          "--out-dir", str(tmp_path / jobs)]) == 0
             assert capsys.readouterr().err == "".join(
-                f"warning: dataset '{ds}' did not converge within 1 iterations\n"
+                f"warning: dataset '{ds}' did not converge within 1 iteration\n"
                 for ds in "ab"
             ), jobs
+
+    def test_newton_stops_at_max_iter(self, tmp_path, capsys):
+        scores = write_scores(tmp_path / "scores.csv")
+        assert main(["fit", str(scores), "--algorithm", "newton", "--max-iter", "1",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == (
+            "warning: dataset 'd1' did not converge within 1 iteration\n"
+        )
+        fit = json.loads((tmp_path / "epp_d1.json").read_text())
+        assert (fit["converged"], fit["iterations"], fit["rescue_steps"]) == (False, 1, 0)
 
     def test_disconnected_graph_warnings_in_dataset_order_for_any_jobs(
         self, tmp_path, capsys, monkeypatch
@@ -691,6 +701,17 @@ class TestMalformedFiles:
         assert not (tmp_path / "o").exists()
 
 
+    def test_counts_file_with_wins_above_matches(self, tmp_path, capsys):
+        bad = tmp_path / "bad_counts.json"
+        bad.write_text(json.dumps({
+            "dataset": "d", "models": ["a", "b"],
+            "w": [[0, 12], [-2, 0]], "n": [[0, 10], [10, 0]],
+        }))
+        assert main(["fit", "--counts", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: w entries must lie in [0, n]\n"
+        assert not (tmp_path / "o").exists()
+
+
 class TestMalformedCsvInputs:
     """A bad scores or hyperparameters CSV exits 2 with one line naming the
     file, whichever command reads it."""
@@ -881,6 +902,43 @@ class TestReports:
             err = capsys.readouterr().err
             assert err == "warning: parameter 'k' of 'sim' has a single distinct value; skipped\n"
             assert "Warning" not in err and ".py" not in err
+
+    @pytest.mark.parametrize("command", ["embed", "tunability"])
+    def test_fit_from_counts_needs_scores_for_labels(self, fitted, tmp_path, capsys, command):
+        scores, _ = fitted
+        main(["fit", str(scores), "--dump-counts", "--out-dir", str(tmp_path / "c")])
+        main(["fit", "--counts", str(tmp_path / "c" / "counts_d1.json"),
+              "--out-dir", str(tmp_path / "f")])
+        fit = tmp_path / "f" / "epp_d1.json"
+        assert json.loads(fit.read_text())["algorithms"] == {}
+        hp = tmp_path / "hp.csv"
+        hp.write_text("model,parameter,value\n" + "".join(f"m{k},k,{k}\n" for k in range(4)))
+        argv = [command, "--fit", str(fit), "--out-dir", str(tmp_path / "r")]
+        if command == "tunability":
+            argv += ["--hyperparams", str(hp)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: no algorithm label for models: m0, m1, m2, m3; fits made from counts "
+            "files hold no algorithm labels; --scores supplies them\n"
+        )
+        assert not (tmp_path / "r").exists()
+        assert main([*argv, "--scores", str(scores)]) == 0
+
+    def test_scores_without_the_models_names_itself(self, fitted, tmp_path, capsys):
+        _, fit = fitted
+        other = write_scores(tmp_path / "other.csv", n_models=2)
+        capsys.readouterr()
+        assert main(["embed", "--fit", str(fit), "--scores", str(other),
+                     "--out-dir", str(tmp_path / "r")]) == 0
+        obj = json.loads(fit.read_text())
+        obj["algorithms"] = {}
+        fit.write_text(json.dumps(obj))
+        assert main(["embed", "--fit", str(fit), "--scores", str(other),
+                     "--out-dir", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: no algorithm label for models: m2, m3; {other} has no rows of them\n"
+        )
 
     def test_leaderboard_refuses_ids_folding_to_one_file(self, tmp_path, capsys):
         # 'a b' and 'a_b' would both write leaderboard_a_b.csv
@@ -1393,6 +1451,21 @@ class TestConfigFile:
                 read |= {"format", "out_dir"}
             declared = {a.dest for a in sub._actions}
             assert read and read <= declared, (name, read - declared)
+
+    @pytest.mark.parametrize("line, message", [
+        ("jobs = two", "jobs: invalid literal for int() with base 10: 'two'"),
+        ("lower_is_better = maybe", "lower_is_better: expected a boolean, got 'maybe'"),
+        ("pairing = both", "pairing: 'both' is not a valid PairingMode"),
+        ("# settings\njobs 2", "config line 2: expected 'key = value'"),
+    ], ids=["int", "bool", "enum", "no-equals"])
+    def test_bad_config_line_names_file_and_key(self, tmp_path, capsys, line, message):
+        scores = write_scores(tmp_path / "scores.csv", n_models=2, n_splits=4)
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(line + "\n")
+        out = tmp_path / "o"
+        assert main(["fit", str(scores), "--config", str(cfg_file), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg_file}: {message}\n"
+        assert not out.exists()
 
     def test_config_file_not_utf8_exits_2(self, tmp_path, capsys):
         scores = write_scores(tmp_path / "scores.csv", n_models=2, n_splits=4)

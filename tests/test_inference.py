@@ -16,6 +16,7 @@ from eppscore import (
     SyntheticSpec,
     TestMethod,
     build_matches,
+    empirical_win_rate,
     fit_epp,
     leaderboard,
     lr_test_difference,
@@ -272,6 +273,63 @@ class TestLikelihoodRatio:
                 z2 = wald_test_difference(scores, i, j).statistic ** 2
                 lrt = lr_test_difference(counts, i, j).statistic
                 assert lrt == pytest.approx(z2, rel=0.15, abs=1e-3)
+
+
+class TestModelArguments:
+    """Every model argument is an id or an index in range(m), numpy integers
+    included; a negative index is refused, not wrapped."""
+
+    COUNTS = PairwiseCounts(
+        "d", ("a", "b", "c"),
+        np.array([[0, 6, 7], [4, 0, 5], [3, 5, 0]], float),
+        np.array([[0, 10, 10], [10, 0, 10], [10, 10, 0]], float),
+    )
+
+    @classmethod
+    def calls(cls):
+        """One call per model argument of each function, the others valid."""
+        counts, scores = cls.COUNTS, fit_epp(cls.COUNTS)
+        return [
+            lambda k: wald_test_difference(scores, k, 0),
+            lambda k: wald_test_difference(scores, 0, k),
+            lambda k: wald_test_vs_average(scores, k),
+            lambda k: lr_test_difference(counts, k, 1),
+            lambda k: lr_test_difference(counts, 1, k),
+            lambda k: empirical_win_rate(counts, k, 1),
+            lambda k: empirical_win_rate(counts, 1, k),
+            scores.beta_of,
+        ]
+
+    @pytest.mark.parametrize("index", [-1, 3, np.int64(-1), np.int64(3), -4])
+    def test_index_outside_range_raises(self, index):
+        for call in self.calls():
+            with pytest.raises(IndexError, match=rf"^model index {index} is not in range\(3\)$"):
+                call(index)
+
+    def test_unknown_id_raises(self):
+        for call in self.calls():
+            with pytest.raises(KeyError, match="unknown model 'z'"):
+                call("z")
+
+    def test_index_that_is_not_an_integer_raises(self):
+        for call in self.calls():
+            with pytest.raises(TypeError):
+                call(1.0)
+
+    def test_ids_ints_and_numpy_integers_agree(self):
+        counts, scores = self.COUNTS, fit_epp(self.COUNTS)
+        for i, j in [(np.int64(0), np.int32(2)), ("a", "c"), (0, "c")]:
+            assert wald_test_difference(scores, i, j) == wald_test_difference(scores, 0, 2)
+            assert wald_test_vs_average(scores, j) == wald_test_vs_average(scores, 2)
+            assert empirical_win_rate(counts, i, j) == empirical_win_rate(counts, 0, 2)
+            assert scores.beta_of(j) == scores.beta[2]
+        assert lr_test_difference(counts, np.int64(0), "c") == lr_test_difference(counts, 0, 2)
+
+    @pytest.mark.parametrize("i, j", [("c", "c"), (2, 2), ("c", np.int64(2))])
+    def test_lr_refuses_one_model_twice(self, i, j):
+        # (-1, 2) once wrapped to (c, c) and merged c with itself: statistic 0, p = 1
+        with pytest.raises(ValueError, match="i and j must differ"):
+            lr_test_difference(self.COUNTS, i, j)
 
 
 class TestSpearman:

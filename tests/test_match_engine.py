@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from unittest import mock
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eppscore import (
+    FileFormatError,
     PairedSplitsMismatchError,
     PairingMode,
     PairwiseCounts,
@@ -300,6 +302,18 @@ class TestSerialization:
         assert again.models == ("a", "b")
         assert np.array_equal(again.w, counts.w)
         assert np.array_equal(again.n, counts.n)
+
+    @pytest.mark.parametrize("w, n", [
+        ([[0, 12], [-2, 0]], [[0, 10], [10, 0]]),  # w[0, 1] > n[0, 1]
+        ([[0, 7], [4, 0]], [[0, 10], [10, 0]]),
+        ([[1, 7], [3, 0]], [[1, 10], [10, 0]]),
+    ], ids=["w-above-n", "w-plus-w-t", "diagonal"])
+    def test_reader_checks_the_ledger(self, w, n):
+        text = json.dumps({"dataset": "d", "models": ["a", "b"], "w": w, "n": n})
+        message = whole_matrix_invariant_error(np.array(w, float), np.array(n, float))
+        with pytest.raises(FileFormatError) as caught:
+            PairwiseCounts.from_json_text(text)
+        assert str(caught.value) == message
 
     def test_invariant_checker_rejects_bad_ledger(self):
         bad = PairwiseCounts(

@@ -568,7 +568,7 @@ class TestValidate:
         rows = [f"d1,m1,gbm,s{k:02d},0.5{k:02d}" for k in range(20)]
         rows += [f"d1,m2,rf,s{k:02d},0.6{k:02d}" for k in range(19)]
         (ds,) = validate(parse_scores_csv(make_csv(rows)))
-        assert ds.warnings == ("dataset 'd1': 1 models missing splits (1 missing runs): m2",)
+        assert ds.warnings == ("dataset 'd1': 1 model missing splits (1 missing run): m2",)
         assert ds.missing_splits == {"m2": ("s19",)}
 
     def test_folded_warnings_keep_other_warnings(self):
@@ -591,7 +591,7 @@ class TestValidate:
         rows = ["d1,m1,gbm,s1,0.5", "d1,m2,rf,s1,0.5"]
         (ds,) = validate(parse_scores_csv(make_csv(rows)))
         assert ds.exact_tie_pairs == 1
-        assert ds.warnings == ("dataset 'd1': 1 pairs of exactly equal scores (potential ties)",)
+        assert ds.warnings == ("dataset 'd1': 1 pair of exactly equal scores (potential ties)",)
 
     def test_same_model_duplicates_are_not_tie_matches(self):
         # a model never plays itself, so its own repeated value is no tie
