@@ -278,8 +278,8 @@ def embed(
             betas = np.array(groups[alg])
             if len(betas) < 2:
                 warnings.warn(
-                    f"algorithm {alg!r} has {len(betas)} model(s) on dataset "
-                    f"{r.dataset_id!r}; spread set to 0",
+                    f"algorithm {alg!r} has 1 model on dataset {r.dataset_id!r}; "
+                    "spread set to 0",
                     AnalysisWarning,
                     stacklevel=2,
                 )

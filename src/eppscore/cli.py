@@ -135,9 +135,11 @@ def _parse_bool(value: str) -> bool:
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config-file values, and explicit flags (flags win).
 
-    A string value is converted by the type of the setting's default; a
-    setting given neither way, or that the subcommand does not declare (a
-    file key it never reads), keeps its dataclass default.
+    A string value is converted by the type of the setting's default and
+    each value is range-checked alone, by the dataclass that holds it; a
+    file value's error names the file and the key. A setting given neither
+    way, or that the subcommand does not declare (a file key it never
+    reads), keeps its dataclass default.
     """
     file_values: dict = {}
     if getattr(args, "config", None):
@@ -148,24 +150,25 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 
     fit_part: dict = {}
     rest: dict = {}
-    try:
-        for key, default in _DEFAULTS.items():
-            if not hasattr(args, key):
-                continue
-            value, where = getattr(args, key), ""
-            if value is None:
-                value, where = file_values.get(key), f"{args.config}: {key}: "
-            if value is None:
-                continue
+    for key, default in _DEFAULTS.items():
+        if not hasattr(args, key):
+            continue
+        value, where = getattr(args, key), ""
+        if value is None:
+            value, where = file_values.get(key), f"{args.config}: {key}: "
+        if value is None:
+            continue
+        try:
             if isinstance(value, str):
-                try:
-                    value = (_parse_bool if isinstance(default, bool) else type(default))(value)
-                except ValueError as exc:  # a file value names the file and its key
-                    raise ConfigError(f"{where}{exc}") from None
-            (fit_part if key in _FIT_KEYS else rest)[key] = value
-        return RunConfig(fit=FitConfig(**fit_part), **rest)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+                value = (_parse_bool if isinstance(default, bool) else type(default))(value)
+            if key in _FIT_KEYS:
+                FitConfig(**{key: value})
+            else:
+                RunConfig(**{key: value})
+        except ValueError as exc:
+            raise ConfigError(f"{where}{exc}") from None
+        (fit_part if key in _FIT_KEYS else rest)[key] = value
+    return RunConfig(fit=FitConfig(**fit_part), **rest)
 
 
 def _write_atomic(path: Path, text: str) -> None:

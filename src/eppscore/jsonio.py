@@ -5,9 +5,13 @@ order, base64-encoded, beside its dtype and shape, e.g.
 ``{"dtype": "<f8", "shape": [m, m], "base64": "..."}``. Writing and reading
 it then costs no per-float text conversion, and the decoded array is
 bit-identical to the encoded one (NaN, infinities and ``-0.0`` included).
-Files written before this encoding hold nested lists instead; they still
-load. Malformed files raise ``FileFormatError`` naming the problem, a counts
-file whose ledger breaks its identities included (``from_json_text`` checks).
+A fit's covariance, which equals its transpose bit for bit, stores only its
+upper triangle, row by row, marked ``"triangle": "upper"``
+(:func:`encode_symmetric`); a matrix that is not exactly symmetric keeps the
+full form. Files written before these encodings hold full matrices or nested
+lists instead; they still load. Malformed files raise ``FileFormatError``
+naming the problem, a counts file whose ledger breaks its identities included
+(``from_json_text`` checks).
 Both kinds of file end with the `source` and `mean_score` of their data
 when these are known (:func:`add_provenance`).
 """
@@ -36,6 +40,68 @@ def encode_array(a: np.ndarray) -> dict:
     }
 
 
+def encode_symmetric(a: np.ndarray) -> dict:
+    """A square `a` as :func:`encode_array` stores it, but holding only the
+    m(m+1)/2 entries of its upper triangle, row by row, when `a` equals its
+    transpose bit for bit (``-0.0`` and NaN payloads included); otherwise
+    the full form, so that no matrix is changed by writing it."""
+    a = np.ascontiguousarray(a, dtype=_DTYPE)
+    bits = a.view(np.int64)
+    if not np.array_equal(bits, bits.T):
+        return encode_array(a)
+    return {
+        "dtype": _DTYPE,
+        "shape": list(a.shape),
+        "triangle": "upper",
+        "base64": base64.b64encode(a[_upper(len(a))].tobytes()).decode("ascii"),
+    }
+
+
+def decode_symmetric(value, m: int, what: str) -> np.ndarray:
+    """The m×m float64 matrix held by `value`: an upper triangle written by
+    :func:`encode_symmetric`, mirrored, or any form :func:`decode_array`
+    reads."""
+    if not isinstance(value, dict) or "triangle" not in value:
+        return decode_array(value, (m, m), what)
+    if value["triangle"] != "upper":
+        raise FileFormatError(f"{what}: triangle {value['triangle']!r} is not 'upper'")
+    raw = _checked_bytes(value, (m, m), m * (m + 1) // 2, what, "the upper triangle of ")
+    # Scattered straight from the read-only view of `raw` into a fresh
+    # array: the entries of row i go to row i and, through the transpose,
+    # to column i, in the same order.
+    tri = np.frombuffer(raw, dtype=_DTYPE)
+    upper = _upper(m)
+    out = np.empty((m, m))
+    out[upper] = tri
+    out.T[upper] = tri
+    return out
+
+
+def _upper(m: int) -> np.ndarray:
+    """The boolean mask of an m×m matrix's upper triangle, diagonal included;
+    a mask, not index arrays, which take about twice the time and memory."""
+    return np.triu(np.ones((m, m), dtype=bool))
+
+
+def _checked_bytes(value: dict, shape: tuple[int, ...], count: int, what: str,
+                   part: str = "") -> bytes:
+    """The base64 bytes of an encoded `value` of `shape`, checked to be
+    `count` float64 values (of `part` of the shape)."""
+    if value.get("dtype") != _DTYPE:
+        raise FileFormatError(f"{what}: dtype {value.get('dtype')!r} is not {_DTYPE!r}")
+    try:
+        raw = base64.b64decode(value.get("base64"), validate=True)
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError(f"{what}: base64 does not decode ({exc})") from None
+    if value.get("shape") != list(shape):
+        raise FileFormatError(
+            f"{what}: shape {value.get('shape')} is not the expected {list(shape)}"
+        )
+    if len(raw) != 8 * count:
+        raise FileFormatError(f"{what}: {len(raw)} bytes do not hold {part}shape {list(shape)}")
+    return raw
+
+
 def decode_array(value, shape: tuple[int, ...], what: str) -> np.ndarray:
     """The float64 array of `shape` held by `value`, in either form.
 
@@ -43,18 +109,7 @@ def decode_array(value, shape: tuple[int, ...], what: str) -> np.ndarray:
     exactly `shape`.
     """
     if isinstance(value, dict):
-        if value.get("dtype") != _DTYPE:
-            raise FileFormatError(f"{what}: dtype {value.get('dtype')!r} is not {_DTYPE!r}")
-        try:
-            raw = base64.b64decode(value.get("base64"), validate=True)
-        except (TypeError, ValueError) as exc:
-            raise FileFormatError(f"{what}: base64 does not decode ({exc})") from None
-        if value.get("shape") != list(shape):
-            raise FileFormatError(
-                f"{what}: shape {value.get('shape')} is not the expected {list(shape)}"
-            )
-        if len(raw) != 8 * math.prod(shape):
-            raise FileFormatError(f"{what}: {len(raw)} bytes do not hold shape {list(shape)}")
+        raw = _checked_bytes(value, shape, math.prod(shape), what)
         # astype copies: the frombuffer view over `raw` is read-only
         return np.frombuffer(raw, dtype=_DTYPE).astype(float).reshape(shape)
     try:

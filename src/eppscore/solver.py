@@ -21,7 +21,8 @@ import numpy as np
 
 from .blas import single_thread
 from .errors import FileFormatError, FitWarning, SeparationError
-from .jsonio import add_provenance, decode_array, encode_array, load_object, read_provenance
+from .jsonio import (add_provenance, decode_array, decode_symmetric, encode_symmetric,
+                     load_object, read_provenance)
 from .match_engine import ModelLookup, PairwiseCounts
 from .perf_table import csv_text
 from .special import sigmoid
@@ -149,7 +150,7 @@ class EppScores(ModelLookup):
             "rescue_steps": self.rescue_steps,
             "blas_threads": self.blas_threads,
             "log_likelihood": self.log_likelihood,
-            "covariance": encode_array(self.covariance),
+            "covariance": encode_symmetric(self.covariance),
             "n_components": self.n_components,
             "algorithms": self.algorithms,
         }
@@ -174,7 +175,7 @@ class EppScores(ModelLookup):
                 converged=bool(obj["converged"]),
                 iterations=int(obj["iterations"]),
                 log_likelihood=float(obj["log_likelihood"]),
-                covariance=decode_array(obj["covariance"], (m, m), "covariance"),
+                covariance=decode_symmetric(obj["covariance"], m, "covariance"),
                 separation_flags=flags,
                 n_components=int(obj.get("n_components", 1)),
                 algorithms=dict(obj.get("algorithms", {})),

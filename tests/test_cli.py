@@ -165,10 +165,14 @@ class TestFit:
         assert payload["dataset"] == "d1"
         assert payload["algorithms"]["m0"] == "gbm"
         enc = payload["covariance"]
-        assert enc["dtype"] == "<f8" and enc["shape"] == [4, 4]
-        cov = np.frombuffer(base64.b64decode(enc["base64"]), "<f8").reshape(enc["shape"])
+        assert enc["dtype"] == "<f8" and enc["shape"] == [4, 4] and enc["triangle"] == "upper"
+        values = iter(np.frombuffer(base64.b64decode(enc["base64"]), "<f8"))
+        cov = np.zeros((4, 4))
+        for i in range(4):  # the upper triangle, row by row
+            for j in range(i, 4):
+                cov[i, j] = cov[j, i] = next(values)
+        assert next(values, None) is None
         loaded = EppScores.from_json_text(json_path.read_text())
-        assert cov.shape == (4, 4)
         assert np.array_equal(cov.view(np.int64), loaded.covariance.view(np.int64))
 
     def test_paired_mismatch_exits_2_and_names_models(self, tmp_path, capsys):
@@ -564,6 +568,14 @@ class TestMalformedFiles:
         obj["covariance"]["base64"] = obj["covariance"]["base64"][:-32]
 
     @staticmethod
+    def _triangle_shape(obj):
+        obj["covariance"]["shape"] = [4, 3]
+
+    @staticmethod
+    def _unknown_triangle(obj):
+        obj["covariance"]["triangle"] = "lower"
+
+    @staticmethod
     def _bad_base64(obj):
         obj["covariance"]["base64"] = "@@@@"
 
@@ -581,7 +593,9 @@ class TestMalformedFiles:
 
     @pytest.mark.parametrize("corrupt, message", [
         ("_one_row_covariance", "covariance: shape [1, 4]"),
-        ("_short_bytes", "covariance: 105 bytes do not hold shape [4, 4]"),
+        ("_short_bytes", "covariance: 57 bytes do not hold the upper triangle of shape [4, 4]"),
+        ("_triangle_shape", "covariance: shape [4, 3] is not the expected [4, 4]"),
+        ("_unknown_triangle", "covariance: triangle 'lower' is not 'upper'"),
         ("_bad_base64", "covariance: base64 does not decode"),
         ("_no_beta", "missing key 'beta'"),
         ("_dataset_not_a_string", "dataset: not a string"),
@@ -886,7 +900,7 @@ class TestReports:
         assert main(["embed", "--fit", str(tmp_path / "epp_d1.json"),
                      "--out-dir", str(tmp_path)]) == 0
         err = capsys.readouterr().err
-        assert err == "warning: algorithm 'rf' has 1 model(s) on dataset 'd1'; spread set to 0\n"
+        assert err == "warning: algorithm 'rf' has 1 model on dataset 'd1'; spread set to 0\n"
         assert "Warning" not in err and ".py" not in err
 
     def test_tunability_warns_on_one_line_each_run(self, tmp_path, capsys):
@@ -1401,7 +1415,23 @@ class TestConfigFile:
             cfg_file.write_text(f"jobs = {jobs}\n")
             argv += ["--config", str(cfg_file)]
         assert main(argv) == 2
-        assert capsys.readouterr().err == f"error: jobs must be >= 1, got {jobs}\n"
+        where = "" if source == "flag" else f"{tmp_path / 'run.cfg'}: jobs: "
+        assert capsys.readouterr().err == f"error: {where}jobs must be >= 1, got {jobs}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("tol = -1", "tol: tol must be finite and > 0, got -1.0"),
+        ("ridge_lambda = nan", "ridge_lambda: ridge_lambda must be finite and >= 0, got nan"),
+        ("max_iter = 0", "max_iter: max_iter must be >= 1"),
+    ], ids=["tol", "ridge_lambda", "max_iter"])
+    def test_file_value_out_of_range_names_the_file_and_key(self, tmp_path, capsys,
+                                                             line, message):
+        scores = write_scores(tmp_path / "scores.csv", n_models=2, n_splits=4)
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{line}\n")
+        out = tmp_path / "o"
+        assert main(["fit", str(scores), "--config", str(cfg_file), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg_file}: {message}\n"
         assert not out.exists()
 
     def test_file_key_a_command_does_not_read_is_not_checked(self, tmp_path, capsys):
@@ -1414,7 +1444,7 @@ class TestConfigFile:
         assert (tmp_path / "o" / "compare.csv").exists()
         capsys.readouterr()
         assert main(["fit", str(scores), *argv]) == 2
-        assert capsys.readouterr().err == "error: jobs must be >= 1, got 0\n"
+        assert capsys.readouterr().err == f"error: {cfg_file}: jobs: jobs must be >= 1, got 0\n"
 
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     def test_unknown_file_key_exits_2_for_every_command(self, tmp_path, capsys, command):

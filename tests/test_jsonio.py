@@ -1,6 +1,9 @@
-"""The float64 array codec of the fit and counts files, and older list-form files."""
+"""The float64 array codec of the fit and counts files, the covariance's
+upper-triangle form, and older full-matrix and list-form files."""
 
+import base64
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eppscore import EppScores, FileFormatError, PairwiseCounts, fit_epp
+from eppscore import EppScores, FileFormatError, FitConfig, FitWarning, PairwiseCounts, fit_epp
 from eppscore.cli import main
-from eppscore.jsonio import decode_array, encode_array
+from eppscore.jsonio import decode_array, decode_symmetric, encode_array, encode_symmetric
 from oracles import neg_hessian, subspace_covariance
+from test_solver import _graph_counts
 
 DATA = Path(__file__).parent / "data"
 
@@ -78,13 +82,112 @@ class TestCodec:
             decode_array(value, (2, 2), "w")
 
 
+@st.composite
+def symmetric_matrices(draw):
+    a = draw(matrices())
+    # a copy of the upper triangle's bits below the diagonal, -0.0 and NaN
+    # payloads included (arithmetic would change them)
+    return np.where(np.tri(len(a), k=-1, dtype=bool), a.T, a)
+
+
+class TestSymmetricCodec:
+    @settings(max_examples=200, deadline=None)
+    @given(symmetric_matrices())
+    def test_triangle_round_trip_is_bit_exact(self, a):
+        value = json.loads(json.dumps(encode_symmetric(a)))
+        m = len(a)
+        assert list(value) == ["dtype", "shape", "triangle", "base64"]
+        assert value["triangle"] == "upper" and value["shape"] == [m, m]
+        assert len(base64.b64decode(value["base64"])) == 8 * m * (m + 1) // 2
+        again = decode_symmetric(value, m, "c")
+        assert again.dtype == np.float64 and again.flags.c_contiguous
+        assert np.array_equal(bits(again), bits(a))
+        again[...] = 0.0  # writable, not a view of the decoded bytes
+
+    @pytest.mark.parametrize("index, entry", [
+        ((0, 1), np.nextafter(0.25, 1.0)),
+        ((0, 2), -0.0),
+        ((1, 2), np.int64(0x7FF8000000000001).view(float)),
+    ], ids=["next-float", "negative-zero", "nan-payload"])
+    def test_matrix_not_equal_to_its_transpose_keeps_the_full_form(self, index, entry):
+        a = np.array([[1.0, 0.25, 0.0], [0.25, 2.0, np.nan], [0.0, np.nan, 3.0]])
+        a[index] = entry
+        value = encode_symmetric(a)
+        assert value == encode_array(a)
+        assert np.array_equal(bits(decode_symmetric(value, 3, "c")), bits(a))
+
+    @pytest.mark.parametrize("change, message", [
+        ({"triangle": "lower"}, "c: triangle 'lower' is not 'upper'"),
+        ({"triangle": None}, "c: triangle None is not 'upper'"),
+        ({"dtype": "<f4"}, "c: dtype '<f4' is not '<f8'"),
+        ({"base64": "AAAA@@@@"}, "c: base64 does not decode"),
+        ({"shape": [3, 2]}, "c: shape [3, 2] is not the expected [3, 3]"),
+        ({"shape": [6]}, "c: shape [6] is not the expected [3, 3]"),
+        ({"base64": base64.b64encode(bytes(40)).decode()},
+         "c: 40 bytes do not hold the upper triangle of shape [3, 3]"),
+        ({"base64": base64.b64encode(bytes(72)).decode()},
+         "c: 72 bytes do not hold the upper triangle of shape [3, 3]"),
+    ])
+    def test_malformed_triangle_names_the_problem(self, change, message):
+        value = {**encode_symmetric(np.ones((3, 3))), **change}
+        with pytest.raises(FileFormatError, match="^" + message.replace("[", r"\[")):
+            decode_symmetric(value, 3, "c")
+
+
 class TestFitFile:
     def test_covariance_written_as_base64_bytes(self):
         counts = PairwiseCounts.from_json_text((DATA / "counts_list_form.json").read_text())
         obj = json.loads(fit_epp(counts).to_json_text())
         assert obj["covariance"]["dtype"] == "<f8"
         assert obj["covariance"]["shape"] == [3, 3]
+        assert obj["covariance"]["triangle"] == "upper"
         assert list(obj)[-3:] == ["covariance", "n_components", "algorithms"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 9),
+        shape=st.sampled_from(["random", "islands", "path"]),
+        separated=st.lists(st.integers(0, 8), max_size=2),
+        algorithm=st.sampled_from(["mm", "newton"]),
+    )
+    def test_fitted_covariance_round_trips_as_its_triangle(self, seed, m, shape, separated,
+                                                           algorithm):
+        counts = _graph_counts(seed, m, shape, separated)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FitWarning)
+            fit = fit_epp(counts, FitConfig(algorithm=algorithm))
+        text = fit.to_json_text()
+        assert json.loads(text)["covariance"]["triangle"] == "upper"
+        again = EppScores.from_json_text(text)
+        assert np.array_equal(bits(again.covariance), bits(fit.covariance))
+        assert again.to_json_text() == text
+
+    def test_full_form_fit_file_loads_and_reports_as_its_rewrite(self, tmp_path):
+        # Written before covariances were stored as their upper triangle.
+        fixture = DATA / "epp_full_form.json"
+        obj = json.loads(fixture.read_text())
+        assert "triangle" not in obj["covariance"]
+        full = np.frombuffer(base64.b64decode(obj["covariance"]["base64"]), "<f8")
+        loaded = EppScores.from_json_text(fixture.read_text())
+        assert np.array_equal(bits(loaded.covariance), bits(full.reshape(5, 5)))
+        assert loaded.standard_errors().tolist() == obj["se"]
+        rewritten = tmp_path / "rewritten" / "epp_full.json"
+        rewritten.parent.mkdir()
+        rewritten.write_text(loaded.to_json_text())
+        assert json.loads(rewritten.read_text())["covariance"]["triangle"] == "upper"
+        assert main(["simulate", "--models", "5", "--splits", "8", "--seed", "3",
+                     "--dataset", "full", "--out-dir", str(tmp_path)]) == 0
+        for fmt in ("csv", "json"):
+            outputs = []
+            for fit in (fixture, rewritten):
+                out = tmp_path / f"{fmt}_{fit.parent.name}"
+                common = ["--fit", str(fit), "--format", fmt, "--out-dir", str(out)]
+                assert main(["leaderboard", *common, "--scores", str(tmp_path / "scores.csv")]) == 0
+                assert main(["compare", *common]) == 0
+                assert main(["embed", *common]) == 0
+                outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+            assert len(outputs[0]) == 4 and outputs[0] == outputs[1]
 
     def test_list_form_fit_file_loads_to_the_same_arrays(self):
         text = (DATA / "epp_list_form.json").read_text()
