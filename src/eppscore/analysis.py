@@ -16,7 +16,7 @@ from .inference import (
     mann_whitney,
     prob_vs_average,
     spearman,
-    wald_test_difference,
+    wald_tests,
 )
 from .perf_table import HyperparamTable, PerformanceTable, csv_text
 from .solver import EppScores
@@ -93,9 +93,9 @@ def leaderboard(
     )
     score_order = sorted(order, key=lambda k: (-means[k], scores.models[k]))
     mean_rank = {k: r + 1 for r, k in enumerate(score_order)}
+    vs_next = [*wald_tests(scores, order[:-1], order[1:]), None]
     rows = []
     for pos, k in enumerate(order):
-        nxt = order[pos + 1] if pos + 1 < len(order) else None
         note = None
         if mean_rank[k] != pos + 1:
             note = f"mean-score rank {mean_rank[k]} differs from EPP rank {pos + 1}"
@@ -106,9 +106,7 @@ def leaderboard(
                 beta=float(scores.beta[k]),
                 prob_vs_average=prob_vs_average(float(scores.beta[k])),
                 mean_score=means[k],
-                significance_vs_next=(
-                    wald_test_difference(scores, k, nxt) if nxt is not None else None
-                ),
+                significance_vs_next=vs_next[pos],
                 note=note,
             )
         )
@@ -234,10 +232,12 @@ def cross_dataset_compare(
             )
     cells: dict[tuple[str, str], ComparisonCell] = {}
     for r in results:
+        index = {model: k for k, model in enumerate(r.models)}
+        beta = r.beta.tolist()
         for model in models:
-            if model in r.models:
-                b = r.beta_of(model)
-                cells[(model, r.dataset_id)] = ComparisonCell(b, prob_vs_average(b))
+            k = index.get(model)
+            if k is not None:
+                cells[(model, r.dataset_id)] = ComparisonCell(beta[k], prob_vs_average(beta[k]))
     return ComparisonTable(models=models, datasets=datasets, cells=cells)
 
 

@@ -8,10 +8,12 @@ bit-identical to the encoded one (NaN, infinities and ``-0.0`` included).
 A fit's covariance, which equals its transpose bit for bit, stores only its
 upper triangle, row by row, marked ``"triangle": "upper"``
 (:func:`encode_symmetric`); a matrix that is not exactly symmetric keeps the
-full form. Files written before these encodings hold full matrices or nested
-lists instead; they still load. Malformed files raise ``FileFormatError``
-naming the problem, a counts file whose ledger breaks its identities included
-(``from_json_text`` checks).
+full form. :func:`load_symmetric` checks an encoded covariance in full when
+its file is loaded but leaves the decode to its first read, so reports that
+never read it never pay for it. Files written before these encodings hold
+full matrices or nested lists instead; they still load. Malformed files raise
+``FileFormatError`` naming the problem, a counts file whose ledger breaks its
+identities included (``from_json_text`` checks).
 Both kinds of file end with the `source` and `mean_score` of their data
 when these are known (:func:`add_provenance`).
 """
@@ -22,12 +24,14 @@ import base64
 import json
 import math
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import FileFormatError
 
 _DTYPE = "<f8"
+_BASE64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 
 
 def encode_array(a: np.ndarray) -> dict:
@@ -77,6 +81,29 @@ def decode_symmetric(value, m: int, what: str) -> np.ndarray:
     return out
 
 
+class EncodedMatrix(NamedTuple):
+    """An encoded m×m matrix that :func:`decode_symmetric` is sure to decode
+    without error, decoded only when asked."""
+
+    value: dict
+    m: int
+    what: str
+
+    def decode(self) -> np.ndarray:
+        return decode_symmetric(self.value, self.m, self.what)
+
+
+def load_symmetric(value, m: int, what: str) -> np.ndarray | EncodedMatrix:
+    """What :func:`decode_symmetric` makes of `value`, or, when `value` is
+    base64 that it is sure to decode without error, an :class:`EncodedMatrix`
+    that decodes it when asked. Every error is raised here, with the same
+    text: a value that fails the check goes through :func:`decode_symmetric`
+    at once."""
+    if _decodes(value, m):
+        return EncodedMatrix(value, m, what)
+    return decode_symmetric(value, m, what)
+
+
 def _upper(m: int) -> np.ndarray:
     """The boolean mask of an m×m matrix's upper triangle, diagonal included;
     a mask, not index arrays, which take about twice the time and memory."""
@@ -100,6 +127,32 @@ def _checked_bytes(value: dict, shape: tuple[int, ...], count: int, what: str,
     if len(raw) != 8 * count:
         raise FileFormatError(f"{what}: {len(raw)} bytes do not hold {part}shape {list(shape)}")
     return raw
+
+
+def _decodes(value, m: int) -> bool:
+    """Whether :func:`decode_symmetric` reads `value`, a triangle or a full
+    m×m matrix in base64, without error; decided without decoding it. Only
+    canonical base64 passes: the alphabet, then 0-2 ``=`` that pad the
+    string to a multiple of 4 characters and give exactly the matrix's byte
+    count. Other values that decode, over-padded base64 for one, fail here
+    and are decoded at once."""
+    if not isinstance(value, dict) or value.get("dtype") != _DTYPE:
+        return False
+    if value.get("shape") != [m, m]:
+        return False
+    if "triangle" in value:
+        if value["triangle"] != "upper":
+            return False
+        count = m * (m + 1) // 2
+    else:
+        count = m * m
+    text = value.get("base64")
+    if not isinstance(text, str) or not text.isascii():
+        return False
+    data = text.encode("ascii")
+    pad = data.translate(None, _BASE64_ALPHABET)
+    return (pad in (b"", b"=", b"==") and data.endswith(pad) and len(data) % 4 == 0
+            and len(data) // 4 * 3 - len(pad) == 8 * count)
 
 
 def decode_array(value, shape: tuple[int, ...], what: str) -> np.ndarray:

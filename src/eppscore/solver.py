@@ -21,8 +21,8 @@ import numpy as np
 
 from .blas import single_thread
 from .errors import FileFormatError, FitWarning, SeparationError
-from .jsonio import (add_provenance, decode_array, decode_symmetric, encode_symmetric,
-                     load_object, read_provenance)
+from .jsonio import (EncodedMatrix, add_provenance, decode_array, encode_symmetric,
+                     load_object, load_symmetric, read_provenance)
 from .match_engine import ModelLookup, PairwiseCounts
 from .perf_table import csv_text
 from .special import sigmoid
@@ -66,7 +66,7 @@ class FitConfig:
         if not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
         if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
 
 
 @dataclass
@@ -77,7 +77,9 @@ class EppScores(ModelLookup):
     inverse of the gauge-augmented negative Hessian ``H + c 11^T`` at the
     optimum, double-centered: H's inverse on the mean-zero subspace, rows
     summing to ~0 (older files held a pseudo-inverse form, off by up to a unit
-    in the 6th `se` digit). `log_likelihood` is the unpenalized value at `beta`.
+    in the 6th `se` digit). A fit file's covariance is checked when the file is
+    loaded and decoded on its first read. `log_likelihood` is the
+    unpenalized value at `beta`.
     Models that won or lost every match are flagged: their magnitudes depend
     on the ridge penalty, not the data alone.
 
@@ -175,7 +177,7 @@ class EppScores(ModelLookup):
                 converged=bool(obj["converged"]),
                 iterations=int(obj["iterations"]),
                 log_likelihood=float(obj["log_likelihood"]),
-                covariance=decode_symmetric(obj["covariance"], m, "covariance"),
+                covariance=load_symmetric(obj["covariance"], m, "covariance"),
                 separation_flags=flags,
                 n_components=int(obj.get("n_components", 1)),
                 algorithms=dict(obj.get("algorithms", {})),
@@ -191,6 +193,21 @@ class EppScores(ModelLookup):
             raise
         except (TypeError, ValueError) as exc:
             raise FileFormatError(f"malformed fit file ({exc})") from None
+
+
+def _read_covariance(self: EppScores) -> np.ndarray:
+    if isinstance(self._covariance, EncodedMatrix):
+        self._covariance = self._covariance.decode()  # drops the base64 text
+    return self._covariance
+
+
+def _write_covariance(self: EppScores, value: np.ndarray | EncodedMatrix) -> None:
+    self._covariance = value
+
+
+# Set after the class body, where a property would be taken for the
+# dataclass field's default value.
+EppScores.covariance = property(_read_covariance, _write_covariance)
 
 
 def _evaluate(w: np.ndarray, beta: np.ndarray, lam: float) -> tuple[np.ndarray, float]:

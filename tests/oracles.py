@@ -156,6 +156,18 @@ def exact_binomial_two_sided(k, n):
     return float(min(1, 2 * min(upper, lower)))
 
 
+def scalar_wald(beta, cov, i, j):
+    """(z, p) of the two-sided Wald test of beta_i = beta_j, in plain floats
+    one pair at a time; (0, 1) for zero variance and zero difference, None
+    for zero variance and a nonzero one."""
+    diff = float(beta[i]) - float(beta[j])
+    var = (float(cov[i][i]) + float(cov[j][j])) - 2.0 * float(cov[i][j])
+    if var <= 0.0:
+        return (0.0, 1.0) if diff == 0.0 else None
+    z = diff / math.sqrt(var)
+    return z, math.erfc(abs(z) / math.sqrt(2.0))
+
+
 def spearman_rank_formula(x, y):
     """1 - 6 sum d^2 / (n(n^2-1)); valid only without ties."""
     n = len(x)

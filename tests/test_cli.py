@@ -993,6 +993,41 @@ class TestReports:
         )
 
 
+class TestCovarianceDecode:
+    """A fit file's covariance is checked when loaded but decoded only by
+    the one report that reads it, `leaderboard`."""
+
+    @pytest.mark.parametrize("command", ["compare", "embed", "tunability", "recovery",
+                                         "leaderboard"])
+    def test_only_leaderboard_decodes_the_covariance(self, tmp_path, monkeypatch, command):
+        main(["simulate", "--models", "5", "--splits", "10", "--seed", "1",
+              "--out-dir", str(tmp_path)])
+        main(["fit", str(tmp_path / "scores.csv"), "--out-dir", str(tmp_path)])
+        fit_json = tmp_path / "epp_synthetic.json"
+        covariance = json.loads(fit_json.read_text())["covariance"]["base64"]
+        hp = tmp_path / "hp.csv"
+        hp.write_text("model,parameter,value\n" + "".join(f"m00{k},depth,{k}\n" for k in range(5)))
+        decoded = []
+        b64decode = base64.b64decode
+
+        def spy(s, *args, **kwargs):
+            decoded.append(s)
+            return b64decode(s, *args, **kwargs)
+
+        monkeypatch.setattr(base64, "b64decode", spy)
+        extra = {
+            "compare": [],
+            "embed": [],
+            "tunability": ["--hyperparams", str(hp)],
+            "recovery": ["--truth", str(tmp_path / "truth.csv")],
+            "leaderboard": ["--scores", str(tmp_path / "scores.csv")],
+        }[command]
+        assert main([command, "--fit", str(fit_json), *extra,
+                     "--out-dir", str(tmp_path / "r")]) == 0
+        assert decoded  # the spy sees the fit's other base64 values
+        assert (covariance in decoded) == (command == "leaderboard")
+
+
 class TestQuotedIdsRoundTrip:
     """Ids holding a comma, a quote and a space come back field for field
     from every report CSV, next to the 6-digit values of its JSON twin."""
@@ -1422,7 +1457,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("line, message", [
         ("tol = -1", "tol: tol must be finite and > 0, got -1.0"),
         ("ridge_lambda = nan", "ridge_lambda: ridge_lambda must be finite and >= 0, got nan"),
-        ("max_iter = 0", "max_iter: max_iter must be >= 1"),
+        ("max_iter = 0", "max_iter: max_iter must be >= 1, got 0"),
     ], ids=["tol", "ridge_lambda", "max_iter"])
     def test_file_value_out_of_range_names_the_file_and_key(self, tmp_path, capsys,
                                                              line, message):

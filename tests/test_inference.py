@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from eppscore import (
     ConstantInputError,
     DegenerateVarianceError,
+    EppScores,
     FitConfig,
     PairingMode,
     PairwiseCounts,
+    SeparationFlag,
     SyntheticSpec,
     TestMethod,
     build_matches,
@@ -29,7 +31,7 @@ from eppscore import (
     wald_test_vs_average,
     win_probability,
 )
-from eppscore.inference import _merge_counts, _midranks
+from eppscore.inference import _merge_counts, _midranks, wald_tests
 from eppscore.special import (
     betainc_reg,
     chi2_sf_1df,
@@ -42,6 +44,7 @@ from oracles import (
     loop_merge_counts,
     mann_whitney_u_bruteforce,
     position_midranks,
+    scalar_wald,
     spearman_rank_formula,
 )
 
@@ -229,6 +232,85 @@ class TestWald:
         assert wald_test_difference(scores, "a", "b") == wald_test_difference(
             scores, 0, 1
         )
+
+
+def _scores(beta, cov):
+    m = len(beta)
+    return EppScores(
+        dataset_id="d",
+        models=tuple(f"m{k}" for k in range(m)),
+        beta=np.array(beta, dtype=float),
+        converged=True,
+        iterations=1,
+        log_likelihood=0.0,
+        covariance=np.array(cov, dtype=float),
+        separation_flags=(SeparationFlag.NONE,) * m,
+    )
+
+
+def _float_bits(x):
+    return np.float64(x).view(np.int64)
+
+
+class TestWaldPairs:
+    """`wald_tests`, the many-pair path under `wald_test_difference` and the
+    leaderboard, against the one-pair oracle `scalar_wald`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_array_path_is_the_scalar_oracle_bitwise(self, data):
+        m = data.draw(st.integers(1, 7))
+        # few distinct values, so that ties in beta are common
+        beta = data.draw(st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.5, -2.0, 5e-324]),
+                      st.floats(-5.0, 5.0)),
+            min_size=m, max_size=m))
+        # L Lᵀ with rows of zeros often (zero variances), or any symmetric
+        # matrix (negative variances too)
+        entries = data.draw(st.lists(
+            st.one_of(st.just(0.0), st.floats(-3.0, 3.0)), min_size=m * m, max_size=m * m))
+        square = np.array(entries).reshape(m, m)
+        if data.draw(st.booleans()):
+            cov = square @ square.T
+        else:
+            cov = np.triu(square) + np.triu(square, 1).T
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)),
+                                   max_size=10))
+        i, j = [p[0] for p in pairs], [p[1] for p in pairs]
+        expected = [scalar_wald(beta, cov, a, b) for a, b in pairs]
+        scores = _scores(beta, cov)
+        # the pairs before the first of zero variance and nonzero difference
+        k = expected.index(None) if None in expected else len(pairs)
+        if k < len(pairs):
+            diff = float(beta[i[k]]) - float(beta[j[k]])
+            with pytest.raises(DegenerateVarianceError) as exc:
+                wald_tests(scores, i, j)
+            assert str(exc.value) == f"zero variance for a nonzero difference {diff!r}"
+        results = wald_tests(scores, i[:k], j[:k])
+        assert len(results) == k
+        for r, (z, p), (a, b) in zip(results, expected, pairs):
+            assert _float_bits(r.statistic) == _float_bits(z)
+            assert _float_bits(r.p_value) == _float_bits(p)
+            assert r.stars == stars_for(p) and r.method == TestMethod.WALD
+            assert r == wald_test_difference(scores, a, b)
+
+    def test_zero_variance(self):
+        scores = _scores([1.0, 1.0, 0.0], np.zeros((3, 3)))
+        (tied,) = wald_tests(scores, [0], [1])
+        assert (tied.statistic, tied.p_value, tied.stars) == (0.0, 1.0, "")
+        # the first pair of nonzero difference in the given order is named
+        with pytest.raises(DegenerateVarianceError,
+                           match=r"^zero variance for a nonzero difference -1\.0$"):
+            wald_tests(scores, [0, 2, 0], [1, 1, 2])
+
+    def test_leaderboard_tests_adjacent_ranks(self):
+        spec = SyntheticSpec.with_linear_skills(6, n_splits=10, seed=2)
+        scores = fit_epp(build_matches(simulate_scores(spec), "synthetic", PairingMode.CROSS))
+        rows = leaderboard(scores, None)
+        for upper, lower in zip(rows, rows[1:]):
+            assert upper.significance_vs_next == wald_test_difference(
+                scores, upper.model_id, lower.model_id)
+        assert rows[-1].significance_vs_next is None
 
 
 class TestLikelihoodRatio:

@@ -1,5 +1,6 @@
 """The float64 array codec of the fit and counts files, the covariance's
-upper-triangle form, and older full-matrix and list-form files."""
+upper-triangle form and its deferred decode, and older full-matrix and
+list-form files."""
 
 import base64
 import json
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 from eppscore import EppScores, FileFormatError, FitConfig, FitWarning, PairwiseCounts, fit_epp
 from eppscore.cli import main
-from eppscore.jsonio import decode_array, decode_symmetric, encode_array, encode_symmetric
+from eppscore.jsonio import (EncodedMatrix, decode_array, decode_symmetric, encode_array,
+                             encode_symmetric, load_symmetric)
 from oracles import neg_hessian, subspace_covariance
 from test_solver import _graph_counts
 
@@ -132,6 +134,98 @@ class TestSymmetricCodec:
         value = {**encode_symmetric(np.ones((3, 3))), **change}
         with pytest.raises(FileFormatError, match="^" + message.replace("[", r"\[")):
             decode_symmetric(value, 3, "c")
+
+
+def _outcome(decode):
+    """The bits `decode()` returns, or the text of the `FileFormatError` it raises."""
+    try:
+        return bits(decode()).tolist()
+    except FileFormatError as exc:
+        return str(exc)
+
+
+@st.composite
+def encoded_values(draw):
+    """A covariance value as a fit file holds it: a triangle or a full
+    matrix of 0-40 floats in canonical base64, often of the right count for
+    its shape, then perhaps cut short, padded wrong, or given a byte outside
+    the alphabet or whitespace."""
+    m = draw(st.integers(0, 8))
+    triangle = draw(st.booleans())
+    count = m * (m + 1) // 2 if triangle else m * m
+    n = draw(st.one_of(st.just(count), st.integers(0, 40)))
+    floats = draw(st.lists(st.floats(allow_nan=True, allow_infinity=True),
+                           min_size=n, max_size=n))
+    text = base64.b64encode(np.array(floats, dtype="<f8").tobytes()).decode("ascii")
+    at = draw(st.integers(0, len(text)))
+    edit = draw(st.sampled_from(["none", "truncate", "strip_padding", "add_padding",
+                                 "insert_padding", "misplace_padding", "foreign_byte",
+                                 "whitespace"]))
+    if edit == "truncate":
+        text = text[:at]
+    elif edit == "strip_padding":
+        text = text.rstrip("=")
+    elif edit == "add_padding":
+        text += "=" * draw(st.integers(1, 3))
+    elif edit == "insert_padding":
+        text = text[:at] + "=" + text[at:]
+    elif edit == "misplace_padding":  # the same length and count of "="
+        body = text.rstrip("=")
+        text = body[:at] + text[len(body):] + body[at:]
+    elif edit in ("foreign_byte", "whitespace"):
+        chars = "=@-_.*\x00\x7fé€" if edit == "foreign_byte" else " \n\t\r"
+        text = text[:at] + draw(st.sampled_from(chars)) + text[at + 1:]
+    value = {"dtype": "<f8", "shape": [m, m], "base64": text}
+    if triangle:
+        value["triangle"] = "upper"
+    return value, m, edit
+
+
+class TestDeferredDecode:
+    @settings(max_examples=400, deadline=None)
+    @given(encoded_values())
+    def test_load_time_check_accepts_what_the_decode_accepts(self, drawn):
+        value, m, edit = drawn
+        expected = _outcome(lambda: decode_symmetric(value, m, "c"))
+        try:
+            loaded = load_symmetric(value, m, "c")
+        except FileFormatError as exc:
+            assert str(exc) == expected  # raised at load, in the same words
+            return
+        if isinstance(loaded, EncodedMatrix):
+            # deferred only what decodes without error, to the same bits
+            assert not isinstance(expected, str)
+            assert bits(loaded.decode()).tolist() == expected
+        else:
+            assert bits(loaded).tolist() == expected
+        if edit == "none" and not isinstance(expected, str):
+            assert isinstance(loaded, EncodedMatrix)
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrices(), st.booleans())
+    def test_written_values_are_deferred(self, a, symmetric):
+        if symmetric:
+            a = np.where(np.tri(len(a), k=-1, dtype=bool), a.T, a)
+        for value in (encode_symmetric(a), encode_array(a)):
+            assert isinstance(load_symmetric(value, len(a), "c"), EncodedMatrix)
+
+    @pytest.mark.parametrize("form", ["triangle", "full", "list"])
+    def test_first_read_decodes_to_the_eager_bits(self, form):
+        # bits that arithmetic would not keep: -0.0, a subnormal, NaN, inf
+        cov = np.array([[-0.0, 0.25, np.nan], [0.25, 5e-324, 1.0 / 3.0],
+                        [np.nan, 1.0 / 3.0, np.inf]])
+        value = {"triangle": encode_symmetric(cov), "full": encode_array(cov),
+                 "list": cov.tolist()}[form]
+        obj = json.loads((DATA / "epp_list_form.json").read_text())
+        obj["covariance"] = value
+        eager = decode_symmetric(json.loads(json.dumps(value)), 3, "covariance")
+        scores = EppScores.from_json_text(json.dumps(obj))
+        assert isinstance(scores._covariance, EncodedMatrix) == (form != "list")
+        first = scores.covariance
+        assert isinstance(first, np.ndarray) and scores.covariance is first
+        assert not isinstance(scores._covariance, EncodedMatrix)  # base64 text dropped
+        assert np.array_equal(bits(first), bits(eager))
+        assert np.array_equal(bits(first), bits(cov))
 
 
 class TestFitFile:
