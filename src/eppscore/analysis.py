@@ -10,7 +10,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import AnalysisWarning, ConstantInputError, EppError, UnknownModelError
+from .errors import AnalysisWarning, ConstantInputError, EppError, UnknownModelError, first_ids
 from .inference import (
     TestResult,
     mann_whitney,
@@ -78,8 +78,7 @@ def leaderboard(
         missing = [model for model in scores.models if model not in mean_of]
         if missing:
             raise EppError(
-                f"dataset {ds!r}: the scores table has no rows of models "
-                + ", ".join(missing[:10]) + (", ..." if len(missing) > 10 else "")
+                f"dataset {ds!r}: the scores table has no rows of models {first_ids(missing)}"
             )
         means = [mean_of[model] for model in scores.models]
     elif scores.mean_score is not None:

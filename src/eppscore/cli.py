@@ -42,6 +42,7 @@ from .errors import (
     FitWarning,
     PairedSplitsMismatchError,
     TableParseError,
+    first_ids,
 )
 from .match_engine import PairingMode, PairwiseCounts, TiePolicy, build_matches
 from .perf_table import (
@@ -245,10 +246,9 @@ def _algorithm_map(results: list[EppScores], scores_path: str | None) -> dict[st
             mapping.setdefault(model, alg)
     missing = sorted({m for r in results for m in r.models if m not in mapping})
     if missing:
-        shown = ", ".join(missing[:10]) + ("..." if len(missing) > 10 else "")
         hint = (f"{scores_path} has no rows of them" if scores_path else
                 "fits made from counts files hold no algorithm labels; --scores supplies them")
-        raise EppError(f"no algorithm label for models: {shown}; {hint}")
+        raise EppError(f"no algorithm label for models: {first_ids(missing)}; {hint}")
     return mapping
 
 

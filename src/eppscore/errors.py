@@ -1,6 +1,12 @@
 """Exception and warning types shared across the package."""
 
 
+def first_ids(ids, limit: int = 10) -> str:
+    """`ids` for a one-line message: the first `limit`, then ``, ...`` if more."""
+    ids = list(ids)
+    return ", ".join(ids[:limit]) + (", ..." if len(ids) > limit else "")
+
+
 class EppError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -14,12 +20,12 @@ class TableParseError(EppError, ValueError):
 
 
 class PairedSplitsMismatchError(EppError, ValueError):
-    """Paired mode requires identical split sets; `models` lists offenders."""
+    """Paired mode requires identical split sets; `models` lists every offender."""
 
     def __init__(self, dataset_id: str, models: list[str]):
         super().__init__(
             f"dataset {dataset_id!r}: paired mode needs identical split ids "
-            f"across models; mismatched models: {', '.join(models)}"
+            f"across models; mismatched models: {first_ids(models)}"
         )
         self.dataset_id = dataset_id
         self.models = list(models)

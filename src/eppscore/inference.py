@@ -131,20 +131,16 @@ def _merge_counts(counts: PairwiseCounts, ii: int, jj: int):
     """Collapse models ii and jj into one; self-matches between them drop out
     of the merged ledger but are accounted for separately at p = 1/2."""
     w = counts.w.copy()
-    n = counts.n.copy()
     w[ii] += w[jj]
     w[:, ii] += w[:, jj]
-    n[ii] += n[jj]
-    n[:, ii] = n[ii]
-    w[ii, ii] = n[ii, ii] = 0.0
+    w[ii, ii] = 0.0
     keep = np.arange(counts.n_models) != jj
     merged = PairwiseCounts(
         dataset_id=counts.dataset_id,
         models=(*counts.models[:jj], *counts.models[jj + 1 :]),
         w=w[np.ix_(keep, keep)],
-        n=n[np.ix_(keep, keep)],
     )
-    dropped = float(counts.n[ii, jj])
+    dropped = float(counts.w[ii, jj] + counts.w[jj, ii])
     return merged, dropped
 
 

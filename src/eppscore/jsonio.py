@@ -11,7 +11,8 @@ upper triangle, row by row, marked ``"triangle": "upper"``
 full form. :func:`load_symmetric` checks an encoded covariance in full when
 its file is loaded but leaves the decode to its first read, so reports that
 never read it never pay for it. Files written before these encodings hold
-full matrices or nested lists instead; they still load. Malformed files raise
+full matrices or nested lists instead, and older counts files the matches
+``n = w + w.T`` beside the wins ``w``; they still load. Malformed files raise
 ``FileFormatError`` naming the problem, a counts file whose ledger breaks its
 identities included (``from_json_text`` checks).
 Both kinds of file end with the `source` and `mean_score` of their data

@@ -1,8 +1,8 @@
 """Pairwise match construction from per-split scores.
 
 A match compares two models' scores; the higher score wins. Matches are
-aggregated immediately into per-dataset win/count matrices, never stored
-row by row: the downstream fit depends only on these sufficient statistics.
+aggregated immediately into a per-dataset win matrix, never stored row by
+row: the downstream fit depends only on this sufficient statistic.
 
 Both pairings count only ``gt[i, j]``, the matches i wins outright; ties
 are ``n - gt - gt.T``, exactly: scores are finite (the table rejects the
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from enum import Enum
 
 import numpy as np
@@ -43,10 +43,6 @@ from .perf_table import PerformanceTable
 # 2**18 took 4.8 s at a 121 MB traced peak, 2**20 3.7 s at 137 MB and
 # 2**22 4.0 s at 183 MB.
 _GROUP_ELEMS = 1 << 20
-
-# Entries in one block of rows that PairwiseCounts.check_invariants checks
-# at a time.
-_CHECK_ELEMS = 1 << 16
 
 # uint16 holds the PAIRED comparisons of this many splits without overflow.
 _PAIRED_FLUSH = np.iinfo(np.uint16).max
@@ -88,9 +84,9 @@ class TiePolicy(str, Enum):
 class PairwiseCounts(ModelLookup):
     """Aggregated match ledger for one dataset.
 
-    ``w[i, j]`` holds (possibly fractional) wins of model i over model j out
-    of ``n[i, j]`` matches; both matrices have zero diagonals and satisfy
-    ``w + w.T == n`` elementwise.
+    ``w[i, j]`` holds the (possibly fractional) wins of model i over model
+    j, a tie half a win for each side; the diagonal is zero. The matches
+    each pair played are ``n = w + w.T``, derived on each read of `n`.
 
     Set by :func:`build_matches` (None when not known, as in files written
     before they existed): `source` records how the ledger was made, as
@@ -102,64 +98,63 @@ class PairwiseCounts(ModelLookup):
     dataset_id: str
     models: tuple[str, ...]
     w: np.ndarray
-    n: np.ndarray
+    _: KW_ONLY
     source: dict | None = None
     mean_score: np.ndarray | None = None
 
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=float)
-        self.n = np.asarray(self.n, dtype=float)
         m = len(self.models)
-        if self.w.shape != (m, m) or self.n.shape != (m, m):
-            raise ValueError("w and n must be m x m for m models")
+        if self.w.shape != (m, m):
+            raise ValueError("w must be m x m for m models")
+
+    @property
+    def n(self) -> np.ndarray:
+        """Matches played by each pair, ``w + w.T``: a new m x m array."""
+        return self.w + self.w.T
 
     @property
     def n_models(self) -> int:
         return len(self.models)
 
     def check_invariants(self, atol: float = 1e-9) -> None:
-        """Raise if the ledger's accounting identities are violated: the
-        diagonals are zero, ``np.allclose(w + w.T, n, atol=atol)`` and
-        ``-atol <= w <= n + atol``. The last two are checked on blocks of
-        rows of about `_CHECK_ELEMS` entries, so no temporary is m x m."""
-        w, n = self.w, self.n
-        if np.any(np.diag(w) != 0.0) or np.any(np.diag(n) != 0.0):
-            raise ValueError("diagonal of w and n must be zero")
-        step = max(_CHECK_ELEMS // max(len(w), 1), 1)
-        rows = [slice(lo, lo + step) for lo in range(0, len(w), step)]
-        if not all(np.allclose(w[r] + w[:, r].T, n[r], atol=atol) for r in rows):
-            raise ValueError("w[i,j] + w[j,i] must equal n[i,j]")
-        if any(np.any(w[r] < -atol) or np.any(w[r] > n[r] + atol) for r in rows):
-            raise ValueError("w entries must lie in [0, n]")
+        """Raise unless `w`'s diagonal is zero and every entry finite and
+        ``>= -atol`` (NaN fails both); whole-array reductions, no m x m temporary."""
+        w = self.w
+        if np.any(np.diag(w) != 0.0):
+            raise ValueError("diagonal of w must be zero")
+        if w.size and not (w.min() >= -atol and w.max() < np.inf):
+            raise ValueError("w entries must be finite and >= 0")
 
     def to_json_text(self) -> str:
         obj = {
             "dataset": self.dataset_id,
             "models": list(self.models),
             "w": encode_array(self.w),
-            "n": encode_array(self.n),
         }
         add_provenance(obj, self.source, self.mean_score)
         return json.dumps(obj, indent=2) + "\n"
 
     @classmethod
     def from_json_text(cls, text: str) -> "PairwiseCounts":
-        """Parse a counts file and :meth:`check_invariants` its ledger;
+        """Parse a counts file and check its ledger, an older file's ``n`` too;
         `FileFormatError` names what is malformed or which identity breaks."""
-        obj = load_object(text, ("w", "n"))
+        obj = load_object(text, ("w",))
         models = tuple(obj["models"])
         shape = (len(models), len(models))
         counts = cls(
             dataset_id=obj["dataset"],
             models=models,
             w=decode_array(obj["w"], shape, "w"),
-            n=decode_array(obj["n"], shape, "n"),
             **read_provenance(obj, len(models)),
         )
         try:
             counts.check_invariants()
         except ValueError as exc:
             raise FileFormatError(str(exc)) from None
+        n = obj.get("n")
+        if n is not None and not np.allclose(counts.n, decode_array(n, shape, "n"), atol=1e-9):
+            raise FileFormatError("w[i,j] + w[j,i] must equal n[i,j]")
         return counts
 
 
@@ -276,11 +271,9 @@ def build_matches(
     if ties == TiePolicy.HALF:
         # The ties, nmat - gt - gt.T, are exact: see the module docstring.
         w = gt + 0.5 * (nmat - gt - gt.T)
-        n = nmat
     else:
-        w, n = gt, gt + gt.T
+        w = gt
     np.fill_diagonal(w, 0.0)
-    np.fill_diagonal(n, 0.0)
     source = {
         "sha256": table.sha256,
         "lower_is_better": table.lower_is_better,
@@ -288,7 +281,7 @@ def build_matches(
         "ties": TiePolicy(ties).value,
     }
     counts = PairwiseCounts(
-        dataset_id=dataset_id, models=models, w=w, n=n,
+        dataset_id=dataset_id, models=models, w=w,
         source=source, mean_score=np.fromiter(table.mean_scores(dataset_id).values(), float, m),
     )
     counts.check_invariants()
@@ -298,7 +291,7 @@ def build_matches(
 def empirical_win_rate(counts: PairwiseCounts, i, j) -> float:
     """Observed win fraction w[i, j] / n[i, j]; models given by id or index."""
     ii, jj = counts.model_index(i), counts.model_index(j)
-    n = counts.n[ii, jj]
+    n = counts.w[ii, jj] + counts.w[jj, ii]
     if n <= 0:
         raise UndefinedWinRateError(
             f"no matches recorded between {counts.models[ii]!r} and "

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import TableParseError
+from .errors import TableParseError, first_ids
 
 SCORES_HEADER = ("dataset", "model", "algorithm", "split", "score")
 HYPERPARAMS_HEADER = ("model", "parameter", "value")
@@ -633,10 +633,9 @@ def validate(table: PerformanceTable) -> tuple[DatasetValidation, ...]:
         warnings: list[str] = []
         if missing:
             runs = sum(map(len, missing.values()))
-            shown = ", ".join(list(missing)[:10]) + (", ..." if len(missing) > 10 else "")
             warnings.append(
                 f"dataset {ds!r}: {len(missing)} model{'s' * (len(missing) != 1)} missing "
-                f"splits ({runs} missing run{'s' * (runs != 1)}): {shown}"
+                f"splits ({runs} missing run{'s' * (runs != 1)}): {first_ids(missing)}"
             )
         constant_models = []
         for k in np.flatnonzero(constant).tolist():

@@ -31,6 +31,8 @@ _MM_STALL_CHECK = 20  # iterations between stall checks; see _fit_mm
 _FIT_KEYS = (
     "beta", "separation", "converged", "iterations", "log_likelihood", "covariance",
 )
+# Fit-file keys whose JSON type is checked exactly: `true` is no integer.
+_TYPED_KEYS = {"converged": bool, "iterations": int, "n_components": int}
 
 
 class FitAlgorithm(str, Enum):
@@ -169,17 +171,21 @@ class EppScores(ModelLookup):
             flags = tuple(SeparationFlag(s) for s in obj["separation"])
             if len(flags) != m:
                 raise FileFormatError(f"separation: {len(flags)} flags for {m} models")
+            for key, kind in _TYPED_KEYS.items():
+                if key in obj and type(obj[key]) is not kind:
+                    word = "boolean" if kind is bool else "integer"
+                    raise FileFormatError(f"{key}: not a JSON {word}")
             per_component = obj.get("iterations_per_component")
             return cls(
                 dataset_id=obj["dataset"],
                 models=models,
                 beta=decode_array(obj["beta"], (m,), "beta"),
-                converged=bool(obj["converged"]),
-                iterations=int(obj["iterations"]),
+                converged=obj["converged"],
+                iterations=obj["iterations"],
                 log_likelihood=float(obj["log_likelihood"]),
                 covariance=load_symmetric(obj["covariance"], m, "covariance"),
                 separation_flags=flags,
-                n_components=int(obj.get("n_components", 1)),
+                n_components=obj.get("n_components", 1),
                 algorithms=dict(obj.get("algorithms", {})),
                 grad_norm=obj.get("grad_norm"),
                 rescue_steps=obj.get("rescue_steps"),
@@ -265,12 +271,10 @@ def two_model_closed_form(w: float, n: float) -> tuple[float, float]:
 
 
 def detect_separation(counts: PairwiseCounts) -> tuple[SeparationFlag, ...]:
-    """Flag models that won or lost every match they played."""
-    w, n = counts.w, counts.n
-    unplayed = ~(n > 0)
-    played_any = ~unplayed.all(axis=1)
-    wins = played_any & ((w == n) | unplayed).all(axis=1)
-    losses = played_any & ((w == 0.0) | unplayed).all(axis=1)
+    """Flag models that won some match (half a win too) and lost none, or the reverse."""
+    won = counts.w > 0
+    beat_any, lost_any = won.any(axis=1), won.any(axis=0)
+    wins, losses = beat_any & ~lost_any, lost_any & ~beat_any
     flag_of = (SeparationFlag.NONE, SeparationFlag.ALL_WINS, SeparationFlag.ALL_LOSSES)
     return tuple(flag_of[k] for k in (wins + 2 * losses).tolist())
 
@@ -409,8 +413,8 @@ class _Sums(NamedTuple):
 
 def _newman_sums(w, wins, beta, lam, pair, scratch) -> _Sums:
     """The sums at `beta` from one m x m pass, in the buffers `pair` and
-    `scratch`. Since ``n = w + w^T``, the rate is the row sums of ``s`` plus
-    ``b``, and the log-likelihood is ``sum_i wins_i beta_i -
+    `scratch`. The matches are ``n = w + w^T``, so the rate is the row sums
+    of ``s`` plus ``b``, and the log-likelihood is ``sum_i wins_i beta_i -
     sum_ij w_ij log(pi_i + pi_j)``. No BLAS call (`einsum` without
     `optimize` has its own loops), so the bits do not depend on the BLAS
     thread count."""
@@ -534,7 +538,7 @@ def fit_epp(counts: PairwiseCounts, cfg: FitConfig | None = None) -> EppScores:
     """
     cfg = cfg or FitConfig()
     m = counts.n_models
-    w, n = counts.w, counts.n
+    w, n = counts.w, counts.n  # n = w + w.T, derived once per fit
     beta = np.zeros(m)
     covariance = np.zeros((m, m))
     components = _connected_components(n)

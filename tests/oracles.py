@@ -40,16 +40,26 @@ def naive_pairwise_counts(score_lists, paired, half_ties):
     return w, n
 
 
-def whole_matrix_invariant_error(w, n, atol=1e-9):
-    """The message `PairwiseCounts.check_invariants` raises for (w, n), or
-    None: its three identities as whole-matrix expressions, checked in turn."""
-    if np.any(np.diag(w) != 0.0) or np.any(np.diag(n) != 0.0):
-        return "diagonal of w and n must be zero"
-    if not np.allclose(w + w.T, n, atol=atol):
-        return "w[i,j] + w[j,i] must equal n[i,j]"
-    if np.any(w < -atol) or np.any(w > n + atol):
-        return "w entries must lie in [0, n]"
+def whole_matrix_invariant_error(w, atol=1e-9):
+    """The message `PairwiseCounts.check_invariants` raises for `w`, or
+    None: its identities as whole-matrix expressions, checked in turn."""
+    if np.any(np.diag(w) != 0.0):
+        return "diagonal of w must be zero"
+    if not np.all(np.isfinite(w)) or np.any(w < -atol):
+        return "w entries must be finite and >= 0"
     return None
+
+
+def separation_from_matches(w, n):
+    """`detect_separation`'s former formula, read from the wins and the
+    matches: a model that played and whose every played pair it won whole
+    (``w == n``) or lost whole (``w == 0``). Flag values as strings."""
+    unplayed = ~(n > 0)
+    played_any = ~unplayed.all(axis=1)
+    wins = played_any & ((w == n) | unplayed).all(axis=1)
+    losses = played_any & ((w == 0.0) | unplayed).all(axis=1)
+    flag_of = ("none", "all_wins", "all_losses")
+    return tuple(flag_of[k] for k in (wins + 2 * losses).tolist())
 
 
 def loglik_plain(w, n, beta, lam=0.0):

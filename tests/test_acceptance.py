@@ -41,21 +41,17 @@ def two_model_counts(w, n):
     return PairwiseCounts(
         "d", ("a", "b"),
         np.array([[0.0, w], [n - w, 0.0]]),
-        np.array([[0.0, n], [n, 0.0]]),
     )
 
 
 def random_interior_counts(rng, m, n_max=50):
     iu = np.triu_indices(m, 1)
-    n = np.zeros((m, m))
     w = np.zeros((m, m))
     n_up = rng.integers(5, n_max + 1, size=len(iu[0]))
     w_up = rng.integers(1, n_up)
-    n[iu] = n_up
-    n.T[iu] = n_up
     w[iu] = w_up
     w.T[iu] = n_up - w_up
-    return PairwiseCounts("d", tuple(f"m{i}" for i in range(m)), w, n)
+    return PairwiseCounts("d", tuple(f"m{i}" for i in range(m)), w)
 
 
 @pytest.mark.acceptance(1, "win_probability spot values 0.547 and 0.833")
@@ -172,7 +168,6 @@ def test_criterion_7_property_suite():
         "d",
         tuple(counts.models[k] for k in perm),
         counts.w[np.ix_(perm, perm)],
-        counts.n[np.ix_(perm, perm)],
     )
     base, other = fit_epp(counts), fit_epp(permuted)
     for k, model in enumerate(permuted.models):
@@ -189,12 +184,9 @@ def test_criterion_7_property_suite():
         players = sorted({p for match in matches for p in match})
         idx = {p: k for k, p in enumerate(players)}
         w = np.zeros((3, 3))
-        n = np.zeros((3, 3))
         for winner, loser in matches:
             w[idx[winner], idx[loser]] += 1
-            n[idx[winner], idx[loser]] += 1
-            n[idx[loser], idx[winner]] += 1
-        return PairwiseCounts("d", tuple(players), w, n)
+        return PairwiseCounts("d", tuple(players), w)
 
     assert np.array_equal(
         fit_epp(ledger(cycle)).beta, fit_epp(ledger(list(reversed(cycle)))).beta
@@ -257,9 +249,7 @@ def test_criterion_10_desk_scale_performance():
     wins_up = rng.binomial(400, p[iu]).astype(float)
     w[iu] = wins_up
     w.T[iu] = 400.0 - wins_up
-    n = np.full((m, m), 400.0)
-    np.fill_diagonal(n, 0.0)
-    dense = PairwiseCounts("big", tuple(f"m{i:03d}" for i in range(m)), w, n)
+    dense = PairwiseCounts("big", tuple(f"m{i:03d}" for i in range(m)), w)
     start = time.perf_counter()
     scores = fit_epp(dense)
     fit_elapsed = time.perf_counter() - start

@@ -180,12 +180,9 @@ class TestRecovery:
             players = sorted({p for match in matches for p in match})
             idx = {p: k for k, p in enumerate(players)}
             w = np.zeros((3, 3))
-            n = np.zeros((3, 3))
             for winner, loser in matches:
                 w[idx[winner], idx[loser]] += 1
-                n[idx[winner], idx[loser]] += 1
-                n[idx[loser], idx[winner]] += 1
-            return PairwiseCounts("d", tuple(players), w, n)
+            return PairwiseCounts("d", tuple(players), w)
 
         f1 = fit_epp(counts_from(cycle))
         f2 = fit_epp(counts_from(list(reversed(cycle))))

@@ -39,6 +39,7 @@ from eppscore.cli import (
     main,
     parse_config_text,
 )
+from eppscore.jsonio import encode_array
 from eppscore.perf_table import SCORES_HEADER, csv_text, sha256_of
 
 SUBCOMMANDS = [
@@ -481,7 +482,7 @@ class TestFit:
         n = np.kron(np.eye(2), 10 * (1 - np.eye(2)))
         files = [tmp_path / f"counts_{ds}.json" for ds in "ab"]
         for ds, path in zip("ab", files):
-            path.write_text(PairwiseCounts(ds, ("m0", "m1", "m2", "m3"), n / 2, n).to_json_text())
+            path.write_text(PairwiseCounts(ds, ("m0", "m1", "m2", "m3"), n / 2).to_json_text())
         fit_epp = cli.fit_epp
 
         def slow_a(counts, cfg):
@@ -522,14 +523,11 @@ class TestFit:
         n_up = rng.integers(5, 40, len(iu[0])).astype(float)
         w_up = rng.binomial(n_up.astype(int), 1.0 / (1.0 + np.exp(skill[iu[1]] - skill[iu[0]])))
         w = np.zeros((m, m))
-        n = np.zeros((m, m))
-        n[iu] = n_up
-        n.T[iu] = n_up
         w[iu] = w_up
         w.T[iu] = n_up - w_up
         counts = tmp_path / "counts.json"
         models = tuple(f"m{k:03d}" for k in range(m))
-        counts.write_text(PairwiseCounts("big", models, w, n).to_json_text())
+        counts.write_text(PairwiseCounts("big", models, w).to_json_text())
         src = str(Path(eppscore.__file__).resolve().parents[1])
         for algorithm in ("newton", "mm"):
             files = []
@@ -591,6 +589,18 @@ class TestMalformedFiles:
     def _model_listed_twice(obj):
         obj["models"][1] = "m0"
 
+    @staticmethod
+    def _converged_as_text(obj):
+        obj["converged"] = "false"
+
+    @staticmethod
+    def _fractional_iterations(obj):
+        obj["iterations"] = 3.7
+
+    @staticmethod
+    def _boolean_components(obj):
+        obj["n_components"] = True
+
     @pytest.mark.parametrize("corrupt, message", [
         ("_one_row_covariance", "covariance: shape [1, 4]"),
         ("_short_bytes", "covariance: 57 bytes do not hold the upper triangle of shape [4, 4]"),
@@ -600,6 +610,9 @@ class TestMalformedFiles:
         ("_no_beta", "missing key 'beta'"),
         ("_dataset_not_a_string", "dataset: not a string"),
         ("_model_listed_twice", "models: 'm0' is listed more than once"),
+        ("_converged_as_text", "converged: not a JSON boolean"),
+        ("_fractional_iterations", "iterations: not a JSON integer"),
+        ("_boolean_components", "n_components: not a JSON integer"),
     ])
     @pytest.mark.parametrize("command", ["leaderboard", "compare", "embed", "recovery"])
     def test_corrupt_fit_file(self, fitted, tmp_path, capsys, corrupt, message, command):
@@ -686,7 +699,8 @@ class TestMalformedFiles:
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("corrupt, message", [
-        (lambda obj: obj["n"].update(shape=[4, 3]), "n: shape [4, 3]"),
+        # a file written with the matches n as well, n of the wrong shape
+        (lambda obj: obj.update(n={**obj["w"], "shape": [4, 3]}), "n: shape [4, 3]"),
         (lambda obj: obj.pop("w"), "missing key 'w'"),
         (lambda obj: obj["w"].update(dtype="<f4"), "w: dtype '<f4' is not '<f8'"),
         (lambda obj: obj.update(dataset=5), "dataset: not a string"),
@@ -711,8 +725,36 @@ class TestMalformedFiles:
             "w": [[3, 12], [1, 0]], "n": [[5, 10], [10, 0]],
         }))
         assert main(["fit", "--counts", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == f"error: {bad}: diagonal of w and n must be zero\n"
+        assert capsys.readouterr().err == f"error: {bad}: diagonal of w must be zero\n"
         assert not (tmp_path / "o").exists()
+
+    def test_counts_file_whose_n_is_not_w_plus_its_transpose(self, fitted, tmp_path, capsys):
+        _, _, counts = fitted
+        obj = json.loads(counts.read_text())
+        n = PairwiseCounts.from_json_text(counts.read_text()).n
+        n[0, 1] += 1.0
+        obj["n"] = n.tolist()
+        bad = tmp_path / "bad_counts.json"
+        bad.write_text(json.dumps(obj))
+        assert main(["fit", "--counts", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: w[i,j] + w[j,i] must equal n[i,j]\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_counts_file_with_n_fits_as_without(self, fitted, tmp_path):
+        # Counts files once held the matches n = w + w.T as well: such a
+        # file fits to the same bytes as the file without them.
+        _, _, counts = fitted
+        obj = json.loads(counts.read_text())
+        assert "n" not in obj
+        obj["n"] = encode_array(PairwiseCounts.from_json_text(counts.read_text()).n)
+        old = tmp_path / "old" / counts.name
+        old.parent.mkdir()
+        old.write_text(json.dumps(obj, indent=2) + "\n")
+        for path, out in ((counts, "new_fit"), (old, "old_fit")):
+            assert main(["fit", "--counts", str(path), "--out-dir", str(tmp_path / out)]) == 0
+        for name in ("epp_d1.csv", "epp_d1.json"):
+            assert (tmp_path / "old_fit" / name).read_bytes() == (
+                tmp_path / "new_fit" / name).read_bytes()
 
 
     def test_counts_file_with_wins_above_matches(self, tmp_path, capsys):
@@ -722,7 +764,7 @@ class TestMalformedFiles:
             "w": [[0, 12], [-2, 0]], "n": [[0, 10], [10, 0]],
         }))
         assert main(["fit", "--counts", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == f"error: {bad}: w entries must lie in [0, n]\n"
+        assert capsys.readouterr().err == f"error: {bad}: w entries must be finite and >= 0\n"
         assert not (tmp_path / "o").exists()
 
 
@@ -952,6 +994,20 @@ class TestReports:
                      "--out-dir", str(tmp_path / "r")]) == 2
         assert capsys.readouterr().err == (
             f"error: no algorithm label for models: m2, m3; {other} has no rows of them\n"
+        )
+
+    def test_unlabelled_models_are_listed_ten_at_most(self, tmp_path, capsys):
+        scores = write_scores(tmp_path / "scores.csv", n_models=12, n_splits=3)
+        main(["fit", str(scores), "--dump-counts", "--out-dir", str(tmp_path / "c")])
+        main(["fit", "--counts", str(tmp_path / "c" / "counts_d1.json"),
+              "--out-dir", str(tmp_path / "f")])
+        capsys.readouterr()
+        assert main(["embed", "--fit", str(tmp_path / "f" / "epp_d1.json"),
+                     "--out-dir", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == (
+            "error: no algorithm label for models: m0, m1, m10, m11, m2, m3, m4, m5, m6, "
+            "m7, ...; fits made from counts files hold no algorithm labels; --scores "
+            "supplies them\n"
         )
 
     def test_leaderboard_refuses_ids_folding_to_one_file(self, tmp_path, capsys):

@@ -53,7 +53,6 @@ def counts_2model(w=264.0, n=400.0):
     return PairwiseCounts(
         "d", ("a", "b"),
         np.array([[0.0, w], [n - w, 0.0]]),
-        np.array([[0.0, n], [n, 0.0]]),
     )
 
 
@@ -330,8 +329,7 @@ class TestLikelihoodRatio:
     def test_identical_match_records_statistic_zero(self):
         # models a and b both beat c 7/10 and split evenly against each other
         w = np.array([[0, 5, 7], [5, 0, 7], [3, 3, 0]], float)
-        n = np.array([[0, 10, 10], [10, 0, 10], [10, 10, 0]], float)
-        counts = PairwiseCounts("d", ("a", "b", "c"), w, n)
+        counts = PairwiseCounts("d", ("a", "b", "c"), w)
         result = lr_test_difference(counts, 0, 1, FitConfig(ridge_lambda=0.0))
         assert result.statistic == pytest.approx(0.0, abs=1e-6)
         assert result.p_value == pytest.approx(1.0, abs=1e-3)
@@ -340,8 +338,6 @@ class TestLikelihoodRatio:
         rng = np.random.default_rng(3)
         beta_true = np.array([0.25, 0.05, -0.1, -0.2])
         m = 4
-        n = np.full((m, m), 400.0)
-        np.fill_diagonal(n, 0.0)
         for trial in range(3):
             w = np.zeros((m, m))
             for i in range(m):
@@ -349,7 +345,7 @@ class TestLikelihoodRatio:
                     p = 1 / (1 + math.exp(-(beta_true[i] - beta_true[j])))
                     w[i, j] = rng.binomial(400, p)
                     w[j, i] = 400 - w[i, j]
-            counts = PairwiseCounts("d", tuple("abcd"), w, n)
+            counts = PairwiseCounts("d", tuple("abcd"), w)
             scores = fit_epp(counts)
             for i, j in [(0, 1), (1, 2), (2, 3)]:
                 z2 = wald_test_difference(scores, i, j).statistic ** 2
@@ -364,7 +360,6 @@ class TestModelArguments:
     COUNTS = PairwiseCounts(
         "d", ("a", "b", "c"),
         np.array([[0, 6, 7], [4, 0, 5], [3, 5, 0]], float),
-        np.array([[0, 10, 10], [10, 0, 10], [10, 10, 0]], float),
     )
 
     @classmethod
@@ -570,7 +565,7 @@ class TestRankAndMergeOracles:
         ii = data.draw(st.integers(0, m - 1))
         jj = data.draw(st.integers(0, m - 1).filter(lambda k: k != ii))
         models = tuple(f"m{k}" for k in range(m))
-        merged, dropped = _merge_counts(PairwiseCounts("d", models, w, n), ii, jj)
+        merged, dropped = _merge_counts(PairwiseCounts("d", models, w), ii, jj)
         ow, on, omodels, odropped = loop_merge_counts(w, n, models, ii, jj)
         assert np.array_equal(merged.w.view(np.int64), ow.view(np.int64))
         assert np.array_equal(merged.n.view(np.int64), on.view(np.int64))

@@ -19,6 +19,7 @@ from eppscore import (
     match_engine,
     parse_scores_csv,
 )
+from eppscore.jsonio import encode_array
 from oracles import naive_pairwise_counts, whole_matrix_invariant_error
 
 
@@ -81,6 +82,18 @@ class TestBuildMatches:
         with pytest.raises(PairedSplitsMismatchError) as err:
             build_matches(table, "d1", PairingMode.PAIRED)
         assert err.value.models == ["c"]
+
+    def test_paired_mismatch_names_ten_models_at_most(self):
+        # 13 models lack the second split: the message names the first 10,
+        # `models` every one of them.
+        scores = {f"m{k:02d}": [1.0] for k in range(13)}
+        table = table_from_matrix({"a": [1.0, 2.0], **scores})
+        with pytest.raises(PairedSplitsMismatchError) as err:
+            build_matches(table, "d1", PairingMode.PAIRED)
+        assert err.value.models == list(scores)
+        assert str(err.value).endswith(
+            "mismatched models: m00, m01, m02, m03, m04, m05, m06, m07, m08, m09, ..."
+        )
 
     def test_unknown_dataset(self):
         table = table_from_matrix({"a": [1.0]})
@@ -182,7 +195,8 @@ class TestBuildMatches:
             raw = rng.integers(0, 3, size=(m, s)).astype(float)
             table = table_from_matrix({f"m{i}": list(raw[i]) for i in range(m)})
             counts = build_matches(table, "d1")
-            assert np.allclose(counts.w + counts.w.T, counts.n)
+            # every CROSS pair plays s * s matches, ties half a win each side
+            assert np.array_equal(counts.n, s * s * (1.0 - np.eye(m)))
             assert np.all(np.diag(counts.w) == 0)
 
 
@@ -262,42 +276,49 @@ class TestPairedKernel:
 
 class TestEmpiricalWinRate:
     def test_values(self):
-        counts = PairwiseCounts(
-            "d", ("a", "b"), np.array([[0, 264.0], [136.0, 0]]),
-            np.array([[0, 400.0], [400.0, 0]]),
-        )
+        counts = PairwiseCounts("d", ("a", "b"), np.array([[0, 264.0], [136.0, 0]]))
         assert empirical_win_rate(counts, "a", "b") == pytest.approx(0.66)
         assert empirical_win_rate(counts, 1, 0) == pytest.approx(0.34)
 
     def test_near_even_win_rate(self):
-        counts = PairwiseCounts(
-            "d", ("gbm", "ranger"), np.array([[0, 201.0], [199.0, 0]]),
-            np.array([[0, 400.0], [400.0, 0]]),
-        )
+        counts = PairwiseCounts("d", ("gbm", "ranger"), np.array([[0, 201.0], [199.0, 0]]))
         assert empirical_win_rate(counts, 0, 1) == pytest.approx(0.5025)
 
     def test_zero_wins(self):
-        counts = PairwiseCounts(
-            "d", ("a", "b"), np.array([[0, 0.0], [5.0, 0]]),
-            np.array([[0, 5.0], [5.0, 0]]),
-        )
+        counts = PairwiseCounts("d", ("a", "b"), np.array([[0, 0.0], [5.0, 0]]))
         assert empirical_win_rate(counts, 0, 1) == 0.0
 
     def test_no_matches_error(self):
-        counts = PairwiseCounts(
-            "d", ("a", "b"), np.zeros((2, 2)), np.zeros((2, 2))
-        )
+        counts = PairwiseCounts("d", ("a", "b"), np.zeros((2, 2)))
         with pytest.raises(UndefinedWinRateError):
             empirical_win_rate(counts, 0, 1)
 
 
+class TestLedger:
+    def test_n_is_w_plus_its_transpose(self):
+        w = np.array([[0, 2.5, 1.0], [1.5, 0, 0.0], [3.0, 0.0, 0]])
+        counts = PairwiseCounts("d", ("a", "b", "c"), w)
+        assert counts.n.tolist() == [[0, 4.0, 4.0], [4.0, 0, 0.0], [4.0, 0.0, 0]]
+
+    def test_source_and_mean_score_are_keyword_only(self):
+        # A stale positional n would otherwise bind to `source`.
+        w = np.array([[0, 2.0], [2.0, 0]])
+        with pytest.raises(TypeError):
+            PairwiseCounts("d", ("a", "b"), w, w + w.T)
+        counts = PairwiseCounts("d", ("a", "b"), w, source={"ties": "half"})
+        assert counts.source == {"ties": "half"}
+
+    def test_w_must_be_square_over_the_models(self):
+        with pytest.raises(ValueError, match="w must be m x m"):
+            PairwiseCounts("d", ("a", "b"), np.zeros((2, 3)))
+
+
 class TestSerialization:
     def test_json_round_trip(self):
-        counts = PairwiseCounts(
-            "d1", ("a", "b"), np.array([[0, 2.5], [1.5, 0]]),
-            np.array([[0, 4.0], [4.0, 0]]),
-        )
-        again = PairwiseCounts.from_json_text(counts.to_json_text())
+        counts = PairwiseCounts("d1", ("a", "b"), np.array([[0, 2.5], [1.5, 0]]))
+        text = counts.to_json_text()
+        assert "n" not in json.loads(text)
+        again = PairwiseCounts.from_json_text(text)
         assert again.dataset_id == "d1"
         assert again.models == ("a", "b")
         assert np.array_equal(again.w, counts.w)
@@ -309,72 +330,112 @@ class TestSerialization:
         ([[1, 7], [3, 0]], [[1, 10], [10, 0]]),
     ], ids=["w-above-n", "w-plus-w-t", "diagonal"])
     def test_reader_checks_the_ledger(self, w, n):
+        # Files written with the matches n too: w is checked first, then
+        # w + w.T against n.
         text = json.dumps({"dataset": "d", "models": ["a", "b"], "w": w, "n": n})
-        message = whole_matrix_invariant_error(np.array(w, float), np.array(n, float))
+        w = np.array(w, float)
+        message = whole_matrix_invariant_error(w) or "w[i,j] + w[j,i] must equal n[i,j]"
         with pytest.raises(FileFormatError) as caught:
             PairwiseCounts.from_json_text(text)
         assert str(caught.value) == message
 
+    def test_file_with_n_loads_as_without(self):
+        counts = PairwiseCounts("d1", ("a", "b", "c"), np.array(
+            [[0, 2.5, 1.0], [1.5, 0, 0.0], [3.0, 0.0, 0]]))
+        obj = json.loads(counts.to_json_text())
+        obj["n"] = encode_array(counts.n)
+        again = PairwiseCounts.from_json_text(json.dumps(obj))
+        assert again.to_json_text() == counts.to_json_text()
+
     def test_invariant_checker_rejects_bad_ledger(self):
-        bad = PairwiseCounts(
-            "d", ("a", "b"), np.array([[0, 3.0], [2.0, 0]]),
-            np.array([[0, 4.0], [4.0, 0]]),
-        )
+        bad = PairwiseCounts("d", ("a", "b"), np.array([[0, 3.0], [-2.0, 0]]))
         with pytest.raises(ValueError):
             bad.check_invariants()
 
 
-def _ledger(draw):
-    """(w, n): a valid ledger of up to 9 models, half-win ties included, then
-    up to three entries of w or n replaced or nudged, diagonals included."""
+def _wins(draw):
+    """A valid `w` of up to 9 models, half-win ties and unplayed pairs
+    included, then up to three entries replaced or nudged, the diagonal
+    included."""
     m = draw(st.integers(0, 9), label="m")
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     n = np.triu(rng.integers(0, 6, (m, m)).astype(float), 1)
-    n += n.T
-    w = np.triu(rng.integers(0, 2 * n + 1) / 2.0, 1)  # wins and half-win ties
-    w += np.tril(n - w.T, -1)
+    w = rng.integers(0, 2 * n + 1) / 2.0  # wins and half-win ties
+    w += np.tril(n.T - w.T, -1)
     values = st.sampled_from([
-        0.0, -0.0, 0.5, 3.0, -1.0, -1e-10, -2e-9, 1e-10, 1e-300,
+        0.0, -0.0, 0.5, 3.0, -1.0, -1e-10, -2e-9, 1e-10, 1e-300, 1e308,
         np.nan, np.inf, -np.inf,
     ])
     for _ in range(draw(st.integers(0, 3), label="faults") if m else 0):
-        matrix = draw(st.sampled_from([w, n]))
         i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
         if draw(st.booleans()):
-            matrix[i, j] = draw(values)
-        else:  # just within or beyond np.allclose's rtol of 1e-5
-            matrix[i, j] *= 1.0 + draw(st.sampled_from([5e-6, 2e-5, -2e-5]))
-    return w, n
+            w[i, j] = draw(values)
+        else:
+            w[i, j] *= draw(st.sampled_from([-1.0, 1.0 + 2e-5]))
+    return w
 
 
 class TestCheckInvariants:
-    """`check_invariants`, block of rows by block of rows, against today's
-    whole-matrix expressions: the same message, or none, on valid and
-    perturbed ledgers."""
+    """`check_invariants` by whole-array reductions against whole-matrix
+    expressions: the same message, or none, on valid and perturbed ledgers."""
 
-    @pytest.mark.parametrize("elems", [1, 7, 30, match_engine._CHECK_ELEMS])
+    # `scale` multiplies the whole ledger, faults included: the same wins
+    # over that many times the matches, up to 2**16 splits' worth, where
+    # small negatives leave atol and 1e308 overflows to inf.
+    @pytest.mark.parametrize("scale", [1, 7, 30, 1 << 16])
     @settings(deadline=None, max_examples=300)
     @given(data=st.data())
-    def test_property_matches_whole_matrix_oracle(self, elems, data):
-        w, n = _ledger(data.draw)
+    def test_property_matches_whole_matrix_oracle(self, scale, data):
+        with np.errstate(over="ignore"):
+            w = scale * _wins(data.draw)
         atol = data.draw(st.sampled_from([1e-9, 0.0, 0.5]), label="atol")
-        counts = PairwiseCounts("d", tuple(f"m{k}" for k in range(len(w))), w, n)
-        with mock.patch.object(match_engine, "_CHECK_ELEMS", elems):
-            try:
-                counts.check_invariants(atol)
-                got = None
-            except ValueError as exc:
-                got = str(exc)
-        assert got == whole_matrix_invariant_error(w, n, atol)
+        counts = PairwiseCounts("d", tuple(f"m{k}" for k in range(len(w))), w)
+        try:
+            counts.check_invariants(atol)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == whole_matrix_invariant_error(w, atol)
+
+    @pytest.mark.parametrize("value, message", [
+        (np.nan, "w entries must be finite and >= 0"),
+        (np.inf, "w entries must be finite and >= 0"),
+        (-np.inf, "w entries must be finite and >= 0"),
+        (-1e-3, "w entries must be finite and >= 0"),
+        (-1e-10, None),  # within atol
+    ])
+    def test_one_bad_entry(self, value, message):
+        w = np.full((3, 3), 2.0) - 2.0 * np.eye(3)
+        w[2, 0] = value
+        got = None
+        try:
+            PairwiseCounts("d", ("a", "b", "c"), w).check_invariants()
+        except ValueError as exc:
+            got = str(exc)
+        assert got == message == whole_matrix_invariant_error(w)
+
+    @pytest.mark.parametrize("value", [1.0, np.nan, np.inf])
+    def test_nonzero_diagonal(self, value):
+        w = np.zeros((2, 2))
+        w[1, 1] = value
+        with pytest.raises(ValueError, match="^diagonal of w must be zero$"):
+            PairwiseCounts("d", ("a", "b"), w).check_invariants()
+
+    def test_all_inf_ledger_is_refused(self):
+        w = np.full((2, 2), np.inf)
+        np.fill_diagonal(w, 0.0)
+        text = json.dumps({"dataset": "d", "models": ["a", "b"], "w": encode_array(w)})
+        with pytest.raises(FileFormatError, match="w entries must be finite"):
+            PairwiseCounts.from_json_text(text)
 
     def test_no_m_by_m_temporary(self):
         m = 600
-        n = np.ones((m, m)) - np.eye(m)
-        counts = PairwiseCounts("d", tuple(f"m{k}" for k in range(m)), n / 2, n)
+        w = 0.5 * (np.ones((m, m)) - np.eye(m))
+        counts = PairwiseCounts("d", tuple(f"m{k}" for k in range(m)), w)
         tracemalloc.start()
         try:
             counts.check_invariants()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= m * m * 8  # at most one m x m float64 temporary
+        assert peak <= 16 * m * 8  # a few vectors of m entries at most

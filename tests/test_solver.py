@@ -46,6 +46,7 @@ from oracles import (
     newton_fit,
     pinv_covariance,
     projected_gradient_fit,
+    separation_from_matches,
     sigmoid_gradient,
     subspace_covariance,
     triu_loglik,
@@ -56,21 +57,17 @@ def counts_2model(w=264.0, n=400.0):
     return PairwiseCounts(
         "d", ("a", "b"),
         np.array([[0.0, w], [n - w, 0.0]]),
-        np.array([[0.0, n], [n, 0.0]]),
     )
 
 
 def random_counts(rng, m, n_max=50):
     iu = np.triu_indices(m, 1)
-    n = np.zeros((m, m))
     w = np.zeros((m, m))
     n_up = rng.integers(5, n_max + 1, size=len(iu[0]))
     w_up = rng.integers(1, n_up)  # interior wins: never separated
-    n[iu] = n_up
-    n.T[iu] = n_up
     w[iu] = w_up
     w.T[iu] = n_up - w_up
-    return PairwiseCounts("d", tuple(f"m{i}" for i in range(m)), w, n)
+    return PairwiseCounts("d", tuple(f"m{i}" for i in range(m)), w)
 
 
 # Value computed by the golden-section oracle over the 1-D two-model
@@ -120,7 +117,7 @@ class TestGradient:
         m = 3
         n = np.full((m, m), 10.0)
         np.fill_diagonal(n, 0.0)
-        counts = PairwiseCounts("d", ("a", "b", "c"), n / 2.0, n)
+        counts = PairwiseCounts("d", ("a", "b", "c"), n / 2.0)
         assert np.allclose(gradient(counts, np.zeros(m)), 0.0)
 
     def test_matches_finite_differences(self):
@@ -169,22 +166,19 @@ class TestTwoModelClosedForm:
 class TestDetectSeparation:
     def test_all_wins_all_losses_none(self):
         w = np.array([[0, 5, 5], [0, 0, 3], [0, 2, 0]], float)
-        n = np.array([[0, 5, 5], [5, 0, 5], [5, 5, 0]], float)
-        counts = PairwiseCounts("d", ("win", "mid", "lose"), w, n)
+        counts = PairwiseCounts("d", ("win", "mid", "lose"), w)
         flags = detect_separation(counts)
         assert flags[0] == SeparationFlag.ALL_WINS
         assert flags[1] == SeparationFlag.NONE
         assert flags[2] == SeparationFlag.NONE
         # model that loses everything
         w2 = np.array([[0, 0.0], [4.0, 0]])
-        n2 = np.array([[0, 4.0], [4.0, 0]])
-        flags2 = detect_separation(PairwiseCounts("d", ("a", "b"), w2, n2))
+        flags2 = detect_separation(PairwiseCounts("d", ("a", "b"), w2))
         assert flags2 == (SeparationFlag.ALL_LOSSES, SeparationFlag.ALL_WINS)
 
     def test_one_win_one_loss_is_none(self):
         w = np.array([[0, 1.0], [1.0, 0]])
-        n = np.array([[0, 2.0], [2.0, 0]])
-        assert detect_separation(PairwiseCounts("d", ("a", "b"), w, n)) == (
+        assert detect_separation(PairwiseCounts("d", ("a", "b"), w)) == (
             SeparationFlag.NONE,
             SeparationFlag.NONE,
         )
@@ -203,7 +197,7 @@ class TestFitEpp:
         m = 4
         n = np.full((m, m), 20.0)
         np.fill_diagonal(n, 0.0)
-        counts = PairwiseCounts("d", tuple("abcd"), n / 2, n)
+        counts = PairwiseCounts("d", tuple("abcd"), n / 2)
         scores = fit_epp(counts, FitConfig(ridge_lambda=0.0))
         assert np.allclose(scores.beta, 0.0, atol=1e-12)
 
@@ -239,7 +233,7 @@ class TestFitEpp:
             iu = np.triu_indices(4, 1)
             w[iu] += 0.5
             w.T[iu] -= 0.5
-            frac = PairwiseCounts("d", counts.models, w, counts.n)
+            frac = PairwiseCounts("d", counts.models, w)
             mm = fit_epp(frac, FitConfig(algorithm="mm"))
             newton = fit_epp(frac, FitConfig(algorithm="newton"))
             assert mm.converged and newton.converged
@@ -252,8 +246,7 @@ class TestFitEpp:
         # solvers only agree to (gradient tolerance / lambda); a tight tol
         # pins them together.
         w = np.array([[0, 10, 10], [0, 0, 5], [0, 5, 0]], float)
-        n = np.array([[0, 10, 10], [10, 0, 10], [10, 10, 0]], float)
-        counts = PairwiseCounts("d", ("top", "x", "y"), w, n)
+        counts = PairwiseCounts("d", ("top", "x", "y"), w)
         cfg = dict(tol=1e-13, max_iter=50_000)
         mm = fit_epp(counts, FitConfig(algorithm="mm", **cfg))
         newton = fit_epp(counts, FitConfig(algorithm="newton", **cfg))
@@ -283,7 +276,6 @@ class TestFitEpp:
             "d",
             tuple(counts.models[k] for k in perm),
             counts.w[np.ix_(perm, perm)],
-            counts.n[np.ix_(perm, perm)],
         )
         base = fit_epp(counts)
         other = fit_epp(permuted)
@@ -314,10 +306,9 @@ class TestFitEpp:
     def test_disconnected_components_fit_separately_with_warning(self):
         # two 2-model islands
         w = np.zeros((4, 4))
-        n = np.zeros((4, 4))
-        w[0, 1], w[1, 0], n[0, 1], n[1, 0] = 6.0, 4.0, 10.0, 10.0
-        w[2, 3], w[3, 2], n[2, 3], n[3, 2] = 9.0, 1.0, 10.0, 10.0
-        counts = PairwiseCounts("d", ("a", "b", "c", "e"), w, n)
+        w[0, 1], w[1, 0] = 6.0, 4.0
+        w[2, 3], w[3, 2] = 9.0, 1.0
+        counts = PairwiseCounts("d", ("a", "b", "c", "e"), w)
         with pytest.warns(FitWarning, match="2 connected components"):
             scores = fit_epp(counts, FitConfig(ridge_lambda=0.0))
         assert scores.n_components == 2
@@ -391,7 +382,7 @@ class TestFitEpp:
         n[:3, :3] = 10.0 - 10.0 * np.identity(3)
         w[:3, :3] = [[0, 10, 10], [0, 0, 5], [0, 5, 0]]
         w[3, 4], w[4, 3], n[3, 4], n[4, 3] = 6.0, 4.0, 10.0, 10.0
-        counts = PairwiseCounts("d", ("a", "b", "c", "e", "f", "z"), w, n)
+        counts = PairwiseCounts("d", ("a", "b", "c", "e", "f", "z"), w)
         with pytest.warns(FitWarning):
             mm = fit_epp(counts)
         with pytest.warns(FitWarning):
@@ -408,7 +399,7 @@ class TestFitEpp:
         assert newton.rescue_steps == 0
 
     def test_single_model_dataset(self):
-        counts = PairwiseCounts("d", ("only",), np.zeros((1, 1)), np.zeros((1, 1)))
+        counts = PairwiseCounts("d", ("only",), np.zeros((1, 1)))
         scores = fit_epp(counts)
         assert scores.beta[0] == 0.0
         assert scores.converged
@@ -417,23 +408,19 @@ class TestFitEpp:
 def separated_counts():
     """Model a wins all 20 of its matches; b and c split theirs 5-5."""
     w = np.array([[0, 10, 10], [0, 0, 5], [0, 5, 0]], float)
-    n = np.array([[0, 10, 10], [10, 0, 10], [10, 10, 0]], float)
-    return PairwiseCounts("d", ("a", "b", "c"), w, n)
+    return PairwiseCounts("d", ("a", "b", "c"), w)
 
 
 def _counts_from(rng, m, half_ties):
     iu = np.triu_indices(m, 1)
-    n = np.zeros((m, m))
     w = np.zeros((m, m))
     n_up = rng.integers(0, 31, size=len(iu[0])).astype(float)
     w_up = rng.integers(0, n_up + 1).astype(float)
     if half_ties:
         w_up = np.minimum(w_up + 0.5 * (w_up < n_up), n_up)
-    n[iu] = n_up
-    n.T[iu] = n_up
     w[iu] = w_up
     w.T[iu] = n_up - w_up
-    return PairwiseCounts("d", tuple(f"m{i}" for i in range(m)), w, n)
+    return PairwiseCounts("d", tuple(f"m{i}" for i in range(m)), w)
 
 
 class TestMMStopTest:
@@ -492,14 +479,15 @@ class TestMMStopTest:
         )
 
 
-def _graph_counts(seed, m, shape, separated):
+def _graph_counts(seed, m, shape, separated, beaten=(), half_ties=False):
     """A ledger on a random comparison graph.
 
     `shape` is "random" (each pair compared with probability 0.3, so lone
     models and islands occur), "islands" (pairs compared only within one of
     three groups) or "path" (a single path through the models in shuffled
     order, the graph of largest diameter). `separated` models win every
-    match they play.
+    match they play, `beaten` ones lose every match; with `half_ties` a
+    pair's wins come in halves, as tie credit does.
     """
     rng = np.random.default_rng(seed)
     iu = np.triu_indices(m, 1)
@@ -514,7 +502,10 @@ def _graph_counts(seed, m, shape, separated):
     else:
         edge = rng.random(len(iu[0])) < 0.3
     n_up = np.where(edge, rng.integers(1, 12, len(iu[0])), 0).astype(float)
-    w_up = rng.integers(0, n_up + 1).astype(float)
+    if half_ties:
+        w_up = rng.integers(0, 2 * n_up + 1) / 2.0
+    else:
+        w_up = rng.integers(0, n_up + 1).astype(float)
     n = np.zeros((m, m))
     w = np.zeros((m, m))
     n[iu] = n_up
@@ -525,7 +516,11 @@ def _graph_counts(seed, m, shape, separated):
         if k < m:
             w[k, :] = n[k, :]
             w[:, k] = 0.0
-    return PairwiseCounts("d", tuple(f"m{i}" for i in range(m)), w, n)
+    for k in beaten:
+        if k < m:
+            w[:, k] = n[:, k]
+            w[k, :] = 0.0
+    return PairwiseCounts("d", tuple(f"m{i}" for i in range(m)), w)
 
 
 class TestGraphHelpers:
@@ -546,6 +541,25 @@ class TestGraphHelpers:
         assert [c.tolist() for c in found] == [c.tolist() for c in expected]
         flags = detect_separation(counts)
         assert tuple(f.value for f in flags) == loop_separation(counts.w, counts.n)
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 20),
+        shape=st.sampled_from(["random", "islands", "path"]),
+        separated=st.lists(st.integers(0, 19), max_size=3),
+        beaten=st.lists(st.integers(0, 19), max_size=3),
+        half_ties=st.booleans(),
+    )
+    def test_flags_from_wins_match_the_matches_formula(
+        self, seed, m, shape, separated, beaten, half_ties
+    ):
+        # Unplayed pairs, lone models, islands and half-win ties: the flags
+        # read from w alone are those of w and n = w + w.T together.
+        counts = _graph_counts(seed, m, shape, separated, beaten, half_ties)
+        flags = detect_separation(counts)
+        w = counts.w
+        assert tuple(f.value for f in flags) == separation_from_matches(w, w + w.T)
 
     def test_isolated_models_and_long_shuffled_path(self):
         m = 300
