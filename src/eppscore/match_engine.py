@@ -34,7 +34,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import FileFormatError, PairedSplitsMismatchError, UndefinedWinRateError
-from .jsonio import add_provenance, decode_array, encode_array, load_object, read_provenance
+from .jsonio import COUNTS_FORMAT, PROVENANCE, decode_array, encode_array, load_object
 from .perf_table import PerformanceTable
 
 # Cap on the elements of one CROSS group's temporaries: S and P of a group
@@ -88,10 +88,10 @@ class PairwiseCounts(ModelLookup):
     j, a tie half a win for each side; the diagonal is zero. The matches
     each pair played are ``n = w + w.T``, derived on each read of `n`.
 
-    Set by :func:`build_matches` (None when not known, as in files written
-    before they existed): `source` records how the ledger was made, as
-    ``{"sha256", "lower_is_better", "pairing", "ties"}`` (the table's digest
-    and orientation, see :class:`PerformanceTable`), and ``mean_score[k]`` is
+    Set by :func:`build_matches` (None, and ``null`` in its file, when not
+    known): `source` records how the ledger was made, as ``{"sha256",
+    "lower_is_better", "pairing", "ties"}`` (the table's digest and
+    orientation, see :class:`PerformanceTable`), and ``mean_score[k]`` is
     ``table.mean_scores(dataset_id)[models[k]]``, bit for bit.
     """
 
@@ -128,34 +128,30 @@ class PairwiseCounts(ModelLookup):
 
     def to_json_text(self) -> str:
         obj = {
+            "format": COUNTS_FORMAT,
             "dataset": self.dataset_id,
             "models": list(self.models),
             "w": encode_array(self.w),
+            "source": self.source,
+            "mean_score": None if self.mean_score is None else encode_array(self.mean_score),
         }
-        add_provenance(obj, self.source, self.mean_score)
         return json.dumps(obj, indent=2) + "\n"
 
     @classmethod
     def from_json_text(cls, text: str) -> "PairwiseCounts":
-        """Parse a counts file and check its ledger, an older file's ``n`` too;
-        `FileFormatError` names what is malformed or which identity breaks."""
-        obj = load_object(text, ("w",))
-        models = tuple(obj["models"])
-        shape = (len(models), len(models))
-        counts = cls(
-            dataset_id=obj["dataset"],
-            models=models,
-            w=decode_array(obj["w"], shape, "w"),
-            **read_provenance(obj, len(models)),
-        )
+        """Parse a counts file and check its ledger; `FileFormatError` names
+        what is malformed or which identity breaks."""
+        obj = load_object(text, COUNTS_FORMAT, _COUNTS_READERS)
+        counts = cls(dataset_id=obj.pop("dataset"), **obj)
         try:
             counts.check_invariants()
         except ValueError as exc:
             raise FileFormatError(str(exc)) from None
-        n = obj.get("n")
-        if n is not None and not np.allclose(counts.n, decode_array(n, shape, "n"), atol=1e-9):
-            raise FileFormatError("w[i,j] + w[j,i] must equal n[i,j]")
         return counts
+
+
+# The one JSON form of each key a counts file is read from.
+_COUNTS_READERS = {"w": lambda value, m, key: decode_array(value, (m, m), key), **PROVENANCE}
 
 
 def _block_size(m: int) -> int:

@@ -20,19 +20,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .blas import single_thread
-from .errors import FileFormatError, FitWarning, SeparationError
-from .jsonio import (EncodedMatrix, add_provenance, decode_array, encode_symmetric,
-                     load_object, load_symmetric, read_provenance)
+from .errors import FitWarning, SeparationError
+from .jsonio import (BOOLEAN, FIT_FORMAT, INTEGER, INTEGERS, NUMBER, NUMBERS, PROVENANCE,
+                     STRING_MAP, EncodedMatrix, encode_array, encode_symmetric, load_object,
+                     load_symmetric, nullable, reader)
 from .match_engine import ModelLookup, PairwiseCounts
 from .perf_table import csv_text
 from .special import sigmoid
 
 _MM_STALL_CHECK = 20  # iterations between stall checks; see _fit_mm
-_FIT_KEYS = (
-    "beta", "separation", "converged", "iterations", "log_likelihood", "covariance",
-)
-# Fit-file keys whose JSON type is checked exactly: `true` is no integer.
-_TYPED_KEYS = {"converged": bool, "iterations": int, "n_components": int}
 
 
 class FitAlgorithm(str, Enum):
@@ -78,8 +74,7 @@ class EppScores(ModelLookup):
     `beta` is mean-centered. `covariance` is, per connected component, the
     inverse of the gauge-augmented negative Hessian ``H + c 11^T`` at the
     optimum, double-centered: H's inverse on the mean-zero subspace, rows
-    summing to ~0 (older files held a pseudo-inverse form, off by up to a unit
-    in the 6th `se` digit). A fit file's covariance is checked when the file is
+    summing to ~0. A fit file's covariance is checked when the file is
     loaded and decoded on its first read. `log_likelihood` is the
     unpenalized value at `beta`.
     Models that won or lost every match are flagged: their magnitudes depend
@@ -94,8 +89,8 @@ class EppScores(ModelLookup):
     `iterations_per_component` lists each connected component's iterations
     (0 for an isolated model). `blas_threads` is the OpenBLAS thread count
     the fit's linear algebra ran on: 1, or None where the BLAS library
-    offers no thread control (see :mod:`eppscore.blas`). They are None when
-    read from a file written before they existed.
+    offers no thread control (see :mod:`eppscore.blas`). They are None, and
+    ``null`` in its file, for scores built other than by :func:`fit_epp`.
 
     Provenance, copied from the ledger by :func:`fit_epp` (None when the
     ledger does not record it): `source` is the ledger's ``source`` plus the
@@ -138,6 +133,7 @@ class EppScores(ModelLookup):
 
     def to_json_text(self) -> str:
         obj = {
+            "format": FIT_FORMAT,
             "dataset": self.dataset_id,
             "models": list(self.models),
             "beta": self.beta.tolist(),
@@ -145,11 +141,7 @@ class EppScores(ModelLookup):
             "separation": [f.value for f in self.separation_flags],
             "converged": self.converged,
             "iterations": self.iterations,
-            "iterations_per_component": (
-                None
-                if self.iterations_per_component is None
-                else list(self.iterations_per_component)
-            ),
+            "iterations_per_component": self.iterations_per_component,  # a tuple or None
             "grad_norm": self.grad_norm,
             "rescue_steps": self.rescue_steps,
             "blas_threads": self.blas_threads,
@@ -157,48 +149,40 @@ class EppScores(ModelLookup):
             "covariance": encode_symmetric(self.covariance),
             "n_components": self.n_components,
             "algorithms": self.algorithms,
+            "source": self.source,
+            "mean_score": None if self.mean_score is None else encode_array(self.mean_score),
         }
-        add_provenance(obj, self.source, self.mean_score)
         return json.dumps(obj, indent=2) + "\n"
 
     @classmethod
     def from_json_text(cls, text: str) -> "EppScores":
         """Parse a fit file; `FileFormatError` names what is malformed."""
-        obj = load_object(text, _FIT_KEYS)
-        try:
-            models = tuple(obj["models"])
-            m = len(models)
-            flags = tuple(SeparationFlag(s) for s in obj["separation"])
-            if len(flags) != m:
-                raise FileFormatError(f"separation: {len(flags)} flags for {m} models")
-            for key, kind in _TYPED_KEYS.items():
-                if key in obj and type(obj[key]) is not kind:
-                    word = "boolean" if kind is bool else "integer"
-                    raise FileFormatError(f"{key}: not a JSON {word}")
-            per_component = obj.get("iterations_per_component")
-            return cls(
-                dataset_id=obj["dataset"],
-                models=models,
-                beta=decode_array(obj["beta"], (m,), "beta"),
-                converged=obj["converged"],
-                iterations=obj["iterations"],
-                log_likelihood=float(obj["log_likelihood"]),
-                covariance=load_symmetric(obj["covariance"], m, "covariance"),
-                separation_flags=flags,
-                n_components=obj.get("n_components", 1),
-                algorithms=dict(obj.get("algorithms", {})),
-                grad_norm=obj.get("grad_norm"),
-                rescue_steps=obj.get("rescue_steps"),
-                blas_threads=obj.get("blas_threads"),
-                iterations_per_component=(
-                    None if per_component is None else tuple(per_component)
-                ),
-                **read_provenance(obj, m),
-            )
-        except FileFormatError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise FileFormatError(f"malformed fit file ({exc})") from None
+        obj = load_object(text, FIT_FORMAT, _FIT_READERS)
+        return cls(dataset_id=obj.pop("dataset"), separation_flags=obj.pop("separation"), **obj)
+
+
+# The one JSON form of each key a fit file is read from, in the order it is
+# written; `se`, the square roots of the covariance's diagonal, is not read.
+_FLAGS = {f.value: f for f in SeparationFlag}
+_FIT_READERS = {
+    "beta": NUMBERS,
+    "separation": reader(
+        lambda v, m: type(v) is list and len(v) == m and set(map(type, v)) <= {str}
+        and set(v) <= _FLAGS.keys(),
+        f"a list of one of {', '.join(_FLAGS)} per model", lambda v: tuple(map(_FLAGS.get, v)),
+    ),
+    "converged": BOOLEAN,
+    "iterations": INTEGER,
+    "iterations_per_component": nullable(INTEGERS),
+    "grad_norm": nullable(NUMBER),
+    "rescue_steps": nullable(INTEGER),
+    "blas_threads": nullable(INTEGER),
+    "log_likelihood": NUMBER,
+    "covariance": load_symmetric,
+    "n_components": INTEGER,
+    "algorithms": STRING_MAP,
+    **PROVENANCE,
+}
 
 
 def _read_covariance(self: EppScores) -> np.ndarray:

@@ -424,10 +424,9 @@ class TestFit:
 
     def test_ridge_zero_warns_once_per_separated_dataset(self, tmp_path, capsys):
         # a wins all 20 of its matches; b and c split theirs
-        w = [[0, 10, 10], [0, 0, 5], [0, 5, 0]]
-        n = [[0, 10, 10], [10, 0, 10], [10, 10, 0]]
+        w = np.array([[0, 10, 10], [0, 0, 5], [0, 5, 0]])
         counts = tmp_path / "counts.json"
-        counts.write_text(json.dumps({"dataset": "d", "models": ["a", "b", "c"], "w": w, "n": n}))
+        counts.write_text(PairwiseCounts("d", ("a", "b", "c"), w).to_json_text())
         for algorithm in ("mm", "newton"):
             capsys.readouterr()
             rc = main(["fit", "--counts", str(counts), "--ridge-lambda", "0",
@@ -559,7 +558,7 @@ class TestMalformedFiles:
 
     @staticmethod
     def _one_row_covariance(obj):
-        obj["covariance"] = [[0.1, 0.0, 0.0, -0.1]]
+        obj["covariance"] = {**encode_array(np.array([[0.1, 0.0, 0.0, -0.1]])), "triangle": "upper"}
 
     @staticmethod
     def _short_bytes(obj):
@@ -601,6 +600,15 @@ class TestMalformedFiles:
     def _boolean_components(obj):
         obj["n_components"] = True
 
+    @staticmethod
+    def _algorithm_not_a_string(obj):
+        # `embed` sorted these labels and crashed on the int among the strings
+        obj["algorithms"]["m0"] = 3
+
+    @staticmethod
+    def _no_format(obj):
+        del obj["format"]
+
     @pytest.mark.parametrize("corrupt, message", [
         ("_one_row_covariance", "covariance: shape [1, 4]"),
         ("_short_bytes", "covariance: 57 bytes do not hold the upper triangle of shape [4, 4]"),
@@ -613,6 +621,9 @@ class TestMalformedFiles:
         ("_converged_as_text", "converged: not a JSON boolean"),
         ("_fractional_iterations", "iterations: not a JSON integer"),
         ("_boolean_components", "n_components: not a JSON integer"),
+        ("_algorithm_not_a_string", "algorithms: not a JSON object of strings"),
+        ("_no_format", "format: 'epp-fit/2' expected, the file has none; "
+                       "fit its scores again with epp fit"),
     ])
     @pytest.mark.parametrize("command", ["leaderboard", "compare", "embed", "recovery"])
     def test_corrupt_fit_file(self, fitted, tmp_path, capsys, corrupt, message, command):
@@ -699,8 +710,8 @@ class TestMalformedFiles:
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("corrupt, message", [
-        # a file written with the matches n as well, n of the wrong shape
-        (lambda obj: obj.update(n={**obj["w"], "shape": [4, 3]}), "n: shape [4, 3]"),
+        (lambda obj: obj.pop("format"), "format: 'epp-counts/2' expected, the file has none; "
+                                        "count its scores again with epp fit --dump-counts"),
         (lambda obj: obj.pop("w"), "missing key 'w'"),
         (lambda obj: obj["w"].update(dtype="<f4"), "w: dtype '<f4' is not '<f8'"),
         (lambda obj: obj.update(dataset=5), "dataset: not a string"),
@@ -720,49 +731,14 @@ class TestMalformedFiles:
     def test_counts_file_breaking_ledger_identities(self, tmp_path, capsys):
         # fitted as is, this ledger ran all 10,000 iterations and exited 0
         bad = tmp_path / "bad_counts.json"
-        bad.write_text(json.dumps({
-            "dataset": "d", "models": ["a", "b"],
-            "w": [[3, 12], [1, 0]], "n": [[5, 10], [10, 0]],
-        }))
+        bad.write_text(PairwiseCounts("d", ("a", "b"), np.array([[3, 12], [1, 0]])).to_json_text())
         assert main(["fit", "--counts", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"error: {bad}: diagonal of w must be zero\n"
         assert not (tmp_path / "o").exists()
 
-    def test_counts_file_whose_n_is_not_w_plus_its_transpose(self, fitted, tmp_path, capsys):
-        _, _, counts = fitted
-        obj = json.loads(counts.read_text())
-        n = PairwiseCounts.from_json_text(counts.read_text()).n
-        n[0, 1] += 1.0
-        obj["n"] = n.tolist()
-        bad = tmp_path / "bad_counts.json"
-        bad.write_text(json.dumps(obj))
-        assert main(["fit", "--counts", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == f"error: {bad}: w[i,j] + w[j,i] must equal n[i,j]\n"
-        assert not (tmp_path / "o").exists()
-
-    def test_counts_file_with_n_fits_as_without(self, fitted, tmp_path):
-        # Counts files once held the matches n = w + w.T as well: such a
-        # file fits to the same bytes as the file without them.
-        _, _, counts = fitted
-        obj = json.loads(counts.read_text())
-        assert "n" not in obj
-        obj["n"] = encode_array(PairwiseCounts.from_json_text(counts.read_text()).n)
-        old = tmp_path / "old" / counts.name
-        old.parent.mkdir()
-        old.write_text(json.dumps(obj, indent=2) + "\n")
-        for path, out in ((counts, "new_fit"), (old, "old_fit")):
-            assert main(["fit", "--counts", str(path), "--out-dir", str(tmp_path / out)]) == 0
-        for name in ("epp_d1.csv", "epp_d1.json"):
-            assert (tmp_path / "old_fit" / name).read_bytes() == (
-                tmp_path / "new_fit" / name).read_bytes()
-
-
     def test_counts_file_with_wins_above_matches(self, tmp_path, capsys):
         bad = tmp_path / "bad_counts.json"
-        bad.write_text(json.dumps({
-            "dataset": "d", "models": ["a", "b"],
-            "w": [[0, 12], [-2, 0]], "n": [[0, 10], [10, 0]],
-        }))
+        bad.write_text(PairwiseCounts("d", ("a", "b"), np.array([[0, 12], [-2, 0]])).to_json_text())
         assert main(["fit", "--counts", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"error: {bad}: w entries must be finite and >= 0\n"
         assert not (tmp_path / "o").exists()

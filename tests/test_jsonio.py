@@ -1,25 +1,21 @@
-"""The float64 array codec of the fit and counts files, the covariance's
-upper-triangle form and its deferred decode, and older full-matrix and
-list-form files."""
+"""The fit and counts files: their `format` key, the one JSON form of each
+key, the float64 array codec, and the covariance's upper-triangle form and
+its deferred decode."""
 
 import base64
 import json
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eppscore import EppScores, FileFormatError, FitConfig, FitWarning, PairwiseCounts, fit_epp
-from eppscore.cli import main
-from eppscore.jsonio import (EncodedMatrix, decode_array, decode_symmetric, encode_array,
-                             encode_symmetric, load_symmetric)
-from oracles import neg_hessian, subspace_covariance
+from eppscore import (EppScores, FileFormatError, FitConfig, FitWarning, PairwiseCounts,
+                      build_matches, fit_epp, parse_scores_csv)
+from eppscore.jsonio import (COUNTS_FORMAT, FIT_FORMAT, EncodedMatrix, decode_array,
+                             decode_symmetric, encode_array, encode_symmetric, load_symmetric)
 from test_solver import _graph_counts
-
-DATA = Path(__file__).parent / "data"
 
 SPECIAL = [
     0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
@@ -64,10 +60,6 @@ class TestCodec:
         for view in (np.asfortranarray(a), a.T.T, a[:, ::-1][:, ::-1]):
             assert encode_array(view) == encode_array(a)
 
-    def test_list_form_decodes(self):
-        again = decode_array([[0.0, -1.5], [2.5, 0.0]], (2, 2), "w")
-        assert np.array_equal(again, np.array([[0.0, -1.5], [2.5, 0.0]]))
-
     @pytest.mark.parametrize("value, message", [
         ({"dtype": "<f8", "shape": [2, 2], "base64": "@@@@"}, "w: base64 does not decode"),
         ({"dtype": "<f8", "shape": [2, 2]}, "w: base64 does not decode"),
@@ -75,9 +67,7 @@ class TestCodec:
         ({"dtype": "<f8", "shape": [1, 4], "base64": ""}, "w: shape [1, 4] is not the expected [2, 2]"),
         ({"dtype": "<f8", "shape": [2, 2], "base64": "AAAAAAAAAAA="},
          "w: 8 bytes do not hold shape [2, 2]"),
-        ([[0.0, 1.0]], "w: shape [1, 2] is not the expected [2, 2]"),
-        ([[0.0, 1.0], [2.0]], "w: not an array of numbers"),
-        ([["x", 1.0], [2.0, 0.0]], "w: not an array of numbers"),
+        ([[0.0, 1.0], [2.0, 0.0]], "w: not an object of dtype, shape and base64"),
     ])
     def test_malformed_values_name_the_problem(self, value, message):
         with pytest.raises(FileFormatError, match="^" + message.replace("[", r"\[")):
@@ -111,12 +101,14 @@ class TestSymmetricCodec:
         ((0, 2), -0.0),
         ((1, 2), np.int64(0x7FF8000000000001).view(float)),
     ], ids=["next-float", "negative-zero", "nan-payload"])
-    def test_matrix_not_equal_to_its_transpose_keeps_the_full_form(self, index, entry):
+    def test_matrix_not_equal_to_its_transpose_is_refused(self, index, entry):
+        # Its triangle would not hold it; no fit makes one (see
+        # TestFitFile::test_fitted_covariance_round_trips_as_its_triangle).
         a = np.array([[1.0, 0.25, 0.0], [0.25, 2.0, np.nan], [0.0, np.nan, 3.0]])
+        encode_symmetric(a)
         a[index] = entry
-        value = encode_symmetric(a)
-        assert value == encode_array(a)
-        assert np.array_equal(bits(decode_symmetric(value, 3, "c")), bits(a))
+        with pytest.raises(ValueError, match="^matrix is not its own transpose bit for bit$"):
+            encode_symmetric(a)
 
     @pytest.mark.parametrize("change, message", [
         ({"triangle": "lower"}, "c: triangle 'lower' is not 'upper'"),
@@ -146,10 +138,11 @@ def _outcome(decode):
 
 @st.composite
 def encoded_values(draw):
-    """A covariance value as a fit file holds it: a triangle or a full
-    matrix of 0-40 floats in canonical base64, often of the right count for
-    its shape, then perhaps cut short, padded wrong, or given a byte outside
-    the alphabet or whitespace."""
+    """A covariance value as a fit file holds it, or as no reader takes it:
+    a triangle, or a full matrix without the triangle key, of 0-40 floats in
+    canonical base64, often of the right count for its shape, then perhaps
+    cut short, padded wrong, or given a byte outside the alphabet or
+    whitespace."""
     m = draw(st.integers(0, 8))
     triangle = draw(st.booleans())
     count = m * (m + 1) // 2 if triangle else m * m
@@ -202,25 +195,23 @@ class TestDeferredDecode:
             assert isinstance(loaded, EncodedMatrix)
 
     @settings(max_examples=100, deadline=None)
-    @given(matrices(), st.booleans())
-    def test_written_values_are_deferred(self, a, symmetric):
-        if symmetric:
-            a = np.where(np.tri(len(a), k=-1, dtype=bool), a.T, a)
-        for value in (encode_symmetric(a), encode_array(a)):
-            assert isinstance(load_symmetric(value, len(a), "c"), EncodedMatrix)
+    @given(symmetric_matrices())
+    def test_written_values_are_deferred(self, a):
+        assert isinstance(load_symmetric(encode_symmetric(a), len(a), "c"), EncodedMatrix)
+        # the whole matrix, which no fit file holds, is refused at once
+        with pytest.raises(FileFormatError, match="^c: triangle None is not 'upper'$"):
+            load_symmetric(encode_array(a), len(a), "c")
 
-    @pytest.mark.parametrize("form", ["triangle", "full", "list"])
-    def test_first_read_decodes_to_the_eager_bits(self, form):
+    def test_first_read_decodes_to_the_eager_bits(self):
         # bits that arithmetic would not keep: -0.0, a subnormal, NaN, inf
         cov = np.array([[-0.0, 0.25, np.nan], [0.25, 5e-324, 1.0 / 3.0],
                         [np.nan, 1.0 / 3.0, np.inf]])
-        value = {"triangle": encode_symmetric(cov), "full": encode_array(cov),
-                 "list": cov.tolist()}[form]
-        obj = json.loads((DATA / "epp_list_form.json").read_text())
+        value = encode_symmetric(cov)
+        obj = json.loads(_fit_text())
         obj["covariance"] = value
         eager = decode_symmetric(json.loads(json.dumps(value)), 3, "covariance")
         scores = EppScores.from_json_text(json.dumps(obj))
-        assert isinstance(scores._covariance, EncodedMatrix) == (form != "list")
+        assert isinstance(scores._covariance, EncodedMatrix)
         first = scores.covariance
         assert isinstance(first, np.ndarray) and scores.covariance is first
         assert not isinstance(scores._covariance, EncodedMatrix)  # base64 text dropped
@@ -228,14 +219,31 @@ class TestDeferredDecode:
         assert np.array_equal(bits(first), bits(cov))
 
 
+def _counts() -> PairwiseCounts:
+    """A 3-model ledger with its source and mean scores, as `epp fit` counts it."""
+    rows = "".join(f"toy,m{k},alg,s{s},{0.1 * k + 0.05 * ((3 * s + k) % 4)!r}\n"
+                   for k in range(3) for s in range(4))
+    return build_matches(parse_scores_csv("dataset,model,algorithm,split,score\n" + rows), "toy")
+
+
+def _fit_text() -> str:
+    fit = fit_epp(_counts())
+    fit.algorithms = {"m0": "alg", "m1": "alg", "m2": "alg"}
+    return fit.to_json_text()
+
+
+KINDS = {"fit": (EppScores, _fit_text),
+         "counts": (PairwiseCounts, lambda: _counts().to_json_text())}
+
+
 class TestFitFile:
     def test_covariance_written_as_base64_bytes(self):
-        counts = PairwiseCounts.from_json_text((DATA / "counts_list_form.json").read_text())
-        obj = json.loads(fit_epp(counts).to_json_text())
+        obj = json.loads(fit_epp(_counts()).to_json_text())
         assert obj["covariance"]["dtype"] == "<f8"
         assert obj["covariance"]["shape"] == [3, 3]
         assert obj["covariance"]["triangle"] == "upper"
-        assert list(obj)[-3:] == ["covariance", "n_components", "algorithms"]
+        assert list(obj)[-5:] == ["covariance", "n_components", "algorithms", "source",
+                                  "mean_score"]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -257,80 +265,16 @@ class TestFitFile:
         assert np.array_equal(bits(again.covariance), bits(fit.covariance))
         assert again.to_json_text() == text
 
-    def test_full_form_fit_file_loads_and_reports_as_its_rewrite(self, tmp_path):
-        # Written before covariances were stored as their upper triangle.
-        fixture = DATA / "epp_full_form.json"
-        obj = json.loads(fixture.read_text())
-        assert "triangle" not in obj["covariance"]
-        full = np.frombuffer(base64.b64decode(obj["covariance"]["base64"]), "<f8")
-        loaded = EppScores.from_json_text(fixture.read_text())
-        assert np.array_equal(bits(loaded.covariance), bits(full.reshape(5, 5)))
-        assert loaded.standard_errors().tolist() == obj["se"]
-        rewritten = tmp_path / "rewritten" / "epp_full.json"
-        rewritten.parent.mkdir()
-        rewritten.write_text(loaded.to_json_text())
-        assert json.loads(rewritten.read_text())["covariance"]["triangle"] == "upper"
-        assert main(["simulate", "--models", "5", "--splits", "8", "--seed", "3",
-                     "--dataset", "full", "--out-dir", str(tmp_path)]) == 0
-        for fmt in ("csv", "json"):
-            outputs = []
-            for fit in (fixture, rewritten):
-                out = tmp_path / f"{fmt}_{fit.parent.name}"
-                common = ["--fit", str(fit), "--format", fmt, "--out-dir", str(out)]
-                assert main(["leaderboard", *common, "--scores", str(tmp_path / "scores.csv")]) == 0
-                assert main(["compare", *common]) == 0
-                assert main(["embed", *common]) == 0
-                outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-            assert len(outputs[0]) == 4 and outputs[0] == outputs[1]
-
-    def test_list_form_fit_file_loads_to_the_same_arrays(self):
-        text = (DATA / "epp_list_form.json").read_text()
-        obj = json.loads(text)
-        loaded = EppScores.from_json_text(text)
-        assert loaded.models == ("m0", "m1", "m2")
-        assert np.array_equal(bits(loaded.beta), bits(np.array(obj["beta"])))
-        assert np.array_equal(bits(loaded.covariance), bits(np.array(obj["covariance"])))
-        assert loaded.standard_errors().tolist() == obj["se"]
-        again = EppScores.from_json_text(loaded.to_json_text())
-        assert np.array_equal(bits(again.covariance), bits(loaded.covariance))
-
-    def test_list_form_counts_file_loads_and_refits(self, tmp_path):
-        counts_path = DATA / "counts_list_form.json"
-        obj = json.loads(counts_path.read_text())
-        counts = PairwiseCounts.from_json_text(counts_path.read_text())
-        assert np.array_equal(counts.w, np.array(obj["w"]))
-        assert np.array_equal(counts.n, np.array(obj["n"]))
-        again = PairwiseCounts.from_json_text(counts.to_json_text())
-        assert np.array_equal(bits(again.w), bits(counts.w))
-        assert np.array_equal(bits(again.n), bits(counts.n))
-        rc = main(["fit", "--counts", str(counts_path), "--out-dir", str(tmp_path)])
-        assert rc == 0
-        refit = EppScores.from_json_text((tmp_path / "epp_toy.json").read_text())
-        fixture = EppScores.from_json_text((DATA / "epp_list_form.json").read_text())
-        assert np.allclose(refit.beta, fixture.beta, rtol=1e-9, atol=1e-12)
-        # The fixture's covariance came from the pseudo-inverse form, about
-        # 2e-10 (relative) off the exact inverse; the refit is held to that.
-        exact = subspace_covariance(neg_hessian(counts.n, refit.beta, 1e-6))
-        assert np.allclose(refit.covariance, exact, rtol=1e-9, atol=1e-12)
-
-    def test_reports_read_list_form_fit_files(self, tmp_path):
-        rc = main(["compare", "--fit", str(DATA / "epp_list_form.json"),
-                   "--out-dir", str(tmp_path)])
-        assert rc == 0
-        assert (tmp_path / "compare.csv").read_text().splitlines()[0] == (
-            "model,toy_epp,toy_p_vs_avg"
-        )
-
     @pytest.mark.parametrize("text, message", [
         ('{"dataset": "d", "models": [', "not valid JSON"),
         ("[1, 2]", "not a JSON object"),
         ('{"dataset": "d"}', "missing key 'models'"),
     ])
     def test_malformed_text(self, text, message):
-        with pytest.raises(FileFormatError, match="^" + message):
-            EppScores.from_json_text(text)
-        with pytest.raises(FileFormatError, match="^" + message):
-            PairwiseCounts.from_json_text(text)
+        for cls, fmt in ((EppScores, FIT_FORMAT), (PairwiseCounts, COUNTS_FORMAT)):
+            # an object holds the right format, so the reader gets past it
+            with pytest.raises(FileFormatError, match="^" + message):
+                cls.from_json_text(text.replace("{", '{"format": "%s", ' % fmt, 1))
 
     @pytest.mark.parametrize("ids, message", [
         ({"dataset": 5}, "dataset: not a string"),
@@ -339,17 +283,101 @@ class TestFitFile:
         ({"models": ["a", "b", "a"]}, "models: 'a' is listed more than once"),
     ])
     def test_malformed_ids(self, ids, message):
-        for name, cls in (("epp_list_form.json", EppScores),
-                          ("counts_list_form.json", PairwiseCounts)):
-            text = json.dumps({**json.loads((DATA / name).read_text()), **ids})
+        for cls, write in KINDS.values():
+            text = json.dumps({**json.loads(write()), **ids})
             with pytest.raises(FileFormatError, match="^" + message):
                 cls.from_json_text(text)
 
     def test_separation_flags_must_match_models(self):
-        obj = json.loads((DATA / "epp_list_form.json").read_text())
-        obj["separation"] = ["none"]
-        with pytest.raises(FileFormatError, match="separation: 1 flags for 3 models"):
-            EppScores.from_json_text(json.dumps(obj))
-        obj["separation"] = ["none", "none", "maybe"]
-        with pytest.raises(FileFormatError, match="malformed fit file"):
-            EppScores.from_json_text(json.dumps(obj))
+        message = "^separation: not a list of one of none, all_wins, all_losses per model$"
+        obj = json.loads(_fit_text())
+        for flags in (["none"], ["none", "none", "maybe"]):
+            obj["separation"] = flags
+            with pytest.raises(FileFormatError, match=message):
+                EppScores.from_json_text(json.dumps(obj))
+
+
+class TestFormat:
+    """Each file holds its format first; a file without it, or with
+    another, is refused before any other key is read."""
+
+    def test_every_file_starts_with_its_format(self):
+        for kind, fmt in (("fit", "epp-fit/2"), ("counts", "epp-counts/2")):
+            assert next(iter(json.loads(KINDS[kind][1]()).items())) == ("format", fmt)
+
+    @pytest.mark.parametrize("kind, fmt, message", [
+        ("fit", None, "'epp-fit/2' expected, the file has none; "
+                      "fit its scores again with epp fit"),
+        ("fit", "epp-fit/1", "'epp-fit/2' expected, the file has 'epp-fit/1'; "
+                             "fit its scores again with epp fit"),
+        ("fit", "epp-counts/2", "'epp-fit/2' expected, the file has 'epp-counts/2'; "
+                                "fit its scores again with epp fit"),
+        ("counts", None, "'epp-counts/2' expected, the file has none; "
+                         "count its scores again with epp fit --dump-counts"),
+        ("counts", "epp-fit/2", "'epp-counts/2' expected, the file has 'epp-fit/2'; "
+                                "count its scores again with epp fit --dump-counts"),
+        ("counts", 2, "'epp-counts/2' expected, the file has 2; "
+                      "count its scores again with epp fit --dump-counts"),
+    ])
+    def test_missing_or_other_format_is_refused(self, kind, fmt, message):
+        cls, write = KINDS[kind]
+        obj = json.loads(write())
+        if fmt is None:
+            del obj["format"]
+            # as in files written before the key: the covariance or wins as lists
+            key = "covariance" if kind == "fit" else "w"
+            obj[key] = np.eye(3).tolist()
+        else:
+            obj["format"] = fmt
+        with pytest.raises(FileFormatError) as caught:
+            cls.from_json_text(json.dumps(obj))
+        assert str(caught.value) == "format: " + message
+
+
+# Each key with a value of another JSON type, or of its type but another form.
+WRONG_VALUES = [
+    ("fit", "beta", [True, 0.0, 0.0]),
+    ("fit", "beta", [0.5, -0.5]),
+    ("fit", "beta", encode_array(np.zeros(3))),
+    ("fit", "separation", "none"),
+    ("fit", "converged", "false"),
+    ("fit", "converged", 0),
+    ("fit", "iterations", 3.7),
+    ("fit", "iterations", True),
+    ("fit", "iterations_per_component", "ab"),
+    ("fit", "iterations_per_component", [1.0]),
+    ("fit", "grad_norm", [1]),
+    ("fit", "grad_norm", "1e-9"),
+    ("fit", "grad_norm", False),
+    ("fit", "rescue_steps", "x"),
+    ("fit", "rescue_steps", 0.0),
+    ("fit", "blas_threads", "x"),
+    ("fit", "blas_threads", True),
+    ("fit", "log_likelihood", True),
+    ("fit", "log_likelihood", "1.5"),
+    ("fit", "log_likelihood", None),
+    ("fit", "covariance", np.eye(3).tolist()),
+    ("fit", "covariance", encode_array(np.eye(3))),
+    ("fit", "n_components", True),
+    ("fit", "n_components", None),
+    ("fit", "algorithms", [["m0", "alg"]]),
+    ("fit", "algorithms", {"m0": 3, "m1": "alg", "m2": "alg"}),
+    ("fit", "source", 1),
+    ("fit", "mean_score", [0.1, 0.2, 0.3]),
+    ("counts", "w", np.ones((3, 3)).tolist()),
+    ("counts", "w", None),
+    ("counts", "source", "sha256"),
+    ("counts", "mean_score", [0.1, 0.2, 0.3]),
+    ("counts", "mean_score", encode_array(np.zeros(2))),
+]
+
+
+@pytest.mark.parametrize("kind, key, value", WRONG_VALUES,
+                         ids=[f"{k}-{key}={json.dumps(v)[:30]}" for k, key, v in WRONG_VALUES])
+def test_each_key_is_read_in_one_form(kind, key, value):
+    cls, write = KINDS[kind]
+    obj = json.loads(write())
+    assert key in obj
+    obj[key] = value
+    with pytest.raises(FileFormatError, match=f"^{key}: "):
+        cls.from_json_text(json.dumps(obj))

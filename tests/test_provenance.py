@@ -15,6 +15,7 @@ from eppscore.analysis import leaderboard
 from eppscore.baselines import SyntheticSpec, simulate_scores
 from eppscore.cli import main
 from eppscore.errors import FileFormatError, FitWarning
+from eppscore.jsonio import encode_array
 from eppscore.match_engine import PairingMode, PairwiseCounts, TiePolicy, build_matches
 from eppscore.perf_table import parse_scores_csv, sha256_of
 from eppscore.solver import EppScores, FitConfig, fit_epp
@@ -50,12 +51,12 @@ def fit_files(tmp_path, scores, *flags, out="fits"):
 
 
 def strip_source(paths, out_dir):
-    """Copies of the fit files without `source`, as files written before it."""
+    """Copies of the fit files whose `source` is not known: null."""
     out_dir.mkdir()
     stripped = []
     for path in paths:
         obj = json.loads(path.read_text())
-        del obj["source"]
+        obj["source"] = None
         stripped.append(out_dir / path.name)
         stripped[-1].write_text(json.dumps(obj, indent=2) + "\n")
     return stripped
@@ -224,23 +225,30 @@ def test_counts_file_carries_the_source_to_its_fit(tmp_path):
 
 
 def test_files_without_provenance_still_load(tmp_path):
+    # A ledger built other than by build_matches, and its fit, record no
+    # provenance: their files hold null, and the keys are never left out.
     table = parse_scores_csv(write_scores(tmp_path / "scores.csv").read_bytes())
     counts = build_matches(table, "d1")
     fit = fit_epp(counts)
-    for obj, cls in ((json.loads(counts.to_json_text()), PairwiseCounts),
-                     (json.loads(fit.to_json_text()), EppScores)):
-        del obj["source"], obj["mean_score"]
-        old = cls.from_json_text(json.dumps(obj))
+    bare = PairwiseCounts(counts.dataset_id, counts.models, counts.w)
+    for made, cls in ((bare, PairwiseCounts), (fit_epp(bare), EppScores)):
+        text = made.to_json_text()
+        obj = json.loads(text)
+        assert obj["source"] is None and obj["mean_score"] is None
+        old = cls.from_json_text(text)
         assert old.source is None and old.mean_score is None
-    stripped = EppScores.from_json_text(json.dumps(obj))
+        assert old.to_json_text() == text
+        del obj["source"]
+        with pytest.raises(FileFormatError, match="^missing key 'source'$"):
+            cls.from_json_text(json.dumps(obj))
     with pytest.raises(ValueError, match="records no mean scores"):
-        leaderboard(stripped, None)
-    assert leaderboard(stripped, table) == leaderboard(fit, None)
+        leaderboard(old, None)
+    assert leaderboard(old, table) == leaderboard(fit, None)
 
 
 @pytest.mark.parametrize("key, value, message", [
     ("source", [1], "source: not a JSON object"),
-    ("mean_score", [1.0], r"mean_score: shape \[1\] is not the expected \[4\]"),
+    ("mean_score", encode_array([1.0]), r"mean_score: shape \[1\] is not the expected \[4\]"),
 ])
 def test_malformed_provenance_is_refused(tmp_path, key, value, message):
     table = parse_scores_csv(write_scores(tmp_path / "scores.csv").read_bytes())

@@ -3,6 +3,7 @@ import math
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -364,10 +365,15 @@ class TestFitEpp:
     def test_json_without_diagnostics_still_loads(self):
         from eppscore import EppScores
 
-        obj = json.loads(fit_epp(random_counts(np.random.default_rng(19), 3)).to_json_text())
-        for key in ("grad_norm", "rescue_steps", "iterations_per_component", "blas_threads"):
-            del obj[key]
-        again = EppScores.from_json_text(json.dumps(obj))
+        # Scores built other than by fit_epp hold no diagnostics; their
+        # file holds null for each, and reads back as written.
+        keys = ("grad_norm", "rescue_steps", "iterations_per_component", "blas_threads")
+        fit = fit_epp(random_counts(np.random.default_rng(19), 3))
+        text = replace(fit, **dict.fromkeys(keys)).to_json_text()
+        obj = json.loads(text)
+        assert all(obj[key] is None for key in keys)
+        again = EppScores.from_json_text(text)
+        assert again.to_json_text() == text
         assert again.blas_threads is None
         assert again.grad_norm is None
         assert again.rescue_steps is None
