@@ -195,9 +195,16 @@ NUMBERS = reader(lambda v, m: type(v) is list and len(v) == m and set(map(type, 
                  "a list of JSON numbers, one per model", lambda v: np.array(v, dtype=float))
 STRING_MAP = reader(lambda v, m: type(v) is dict and all(type(x) is str for x in v.values()),
                     "a JSON object of strings")
+# The entries of `source` that a report reads, each of its type or null (as
+# when absent); the rest are carried as written.
+_SOURCE_TYPES = {"sha256": str, "lower_is_better": bool}
 # `source` and `mean_score`, which end both kinds of file
 PROVENANCE = {
-    "source": nullable(reader(lambda v, m: type(v) is dict, "a JSON object or null")),
+    "source": nullable(reader(
+        lambda v, m: type(v) is dict and all(
+            type(v.get(k)) in (t, type(None)) for k, t in _SOURCE_TYPES.items()),
+        "a JSON object or null, whose sha256 is a string or null "
+        "and lower_is_better a boolean or null")),
     "mean_score": nullable(lambda value, m, key: decode_array(value, (m,), key)),
 }
 

@@ -524,12 +524,14 @@ def fit_epp(counts: PairwiseCounts, cfg: FitConfig | None = None) -> EppScores:
     m = counts.n_models
     w, n = counts.w, counts.n  # n = w + w.T, derived once per fit
     beta = np.zeros(m)
-    covariance = np.zeros((m, m))
     components = _connected_components(n)
     if len(components) > 1:
         warnings.warn(
             disconnected_warning(counts.dataset_id, len(components)), FitWarning, stacklevel=2
         )
+    # A component of all m models is fitted on the ledger itself; only the
+    # blocks of a split ledger are copied out and their covariances back.
+    whole = len(components) == 1 and m > 1
     fitter = _fit_mm if cfg.algorithm == FitAlgorithm.MM else _fit_newton
     converged = True
     grad_norm = 0.0
@@ -540,7 +542,7 @@ def fit_epp(counts: PairwiseCounts, cfg: FitConfig | None = None) -> EppScores:
             if len(comp) == 1:
                 per_component.append(0)
                 continue  # isolated model keeps beta 0 and zero variance
-            block = np.ix_(comp, comp)
+            block = ... if whole else np.ix_(comp, comp)
             fit = fitter(w[block], n[block], cfg)
             beta[comp] = fit.beta - fit.beta.mean()
             converged = converged and fit.converged
@@ -549,10 +551,14 @@ def fit_epp(counts: PairwiseCounts, cfg: FitConfig | None = None) -> EppScores:
             per_component.append(fit.iterations)
         # Each component's block of p is its own probabilities at its scores.
         p, loglik = _evaluate(w, beta, 0.0)
-        for comp in components:
-            if len(comp) > 1:
-                block = np.ix_(comp, comp)
-                covariance[block] = _covariance(n[block], p[block], cfg.ridge_lambda)
+        if whole:
+            covariance = _covariance(n, p, cfg.ridge_lambda)
+        else:
+            covariance = np.zeros((m, m))
+            for comp in components:
+                if len(comp) > 1:
+                    block = np.ix_(comp, comp)
+                    covariance[block] = _covariance(n[block], p[block], cfg.ridge_lambda)
     return EppScores(
         dataset_id=counts.dataset_id,
         models=counts.models,

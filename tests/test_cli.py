@@ -407,6 +407,35 @@ class TestFit:
             for kind, ext in (("counts", "json"), ("epp", "csv"), ("epp", "json"))
         )
 
+    def test_unexpected_error_is_raised_after_every_fit(self, tmp_path, monkeypatch):
+        # b's fit raises an error fit_one does not catch: a's and c's files
+        # are still written, on at most --jobs worker threads, and the error
+        # leaves main, as it does from a serial run.
+        rows = []
+        for seed, ds in enumerate("abc"):
+            write_scores(tmp_path / "one.csv", n_models=3, dataset=ds, seed=seed)
+            rows += (tmp_path / "one.csv").read_text().splitlines(True)[1:]
+        scores = tmp_path / "scores.csv"
+        scores.write_text("dataset,model,algorithm,split,score\n" + "".join(rows))
+        fit_epp = cli.fit_epp
+        threads = []
+
+        def broken_b(counts, cfg):
+            threads.append(threading.active_count())
+            if counts.dataset_id == "b":
+                raise RuntimeError("b failed")
+            return fit_epp(counts, cfg)
+
+        monkeypatch.setattr(cli, "fit_epp", broken_b)
+        out = tmp_path / "out"
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="^b failed$"):
+            main(["fit", str(scores), "--jobs", "2", "--out-dir", str(out)])
+        assert len(threads) == 3 and max(threads) <= before + 2
+        assert threading.active_count() == before
+        assert sorted(p.name for p in out.iterdir()) == [
+            "epp_a.csv", "epp_a.json", "epp_c.csv", "epp_c.json"]
+
     def test_colliding_counts_files_exit_2(self, tmp_path, capsys):
         counts = []
         for ds in ("a b", "a_b"):
@@ -609,6 +638,15 @@ class TestMalformedFiles:
     def _no_format(obj):
         del obj["format"]
 
+    @staticmethod
+    def _digest_not_a_string(obj):
+        # leaderboard printed "fit was made from scores sha256 5"
+        obj["source"]["sha256"] = 5
+
+    @staticmethod
+    def _orientation_not_a_boolean(obj):
+        obj["source"]["lower_is_better"] = "no"
+
     @pytest.mark.parametrize("corrupt, message", [
         ("_one_row_covariance", "covariance: shape [1, 4]"),
         ("_short_bytes", "covariance: 57 bytes do not hold the upper triangle of shape [4, 4]"),
@@ -624,6 +662,9 @@ class TestMalformedFiles:
         ("_algorithm_not_a_string", "algorithms: not a JSON object of strings"),
         ("_no_format", "format: 'epp-fit/2' expected, the file has none; "
                        "fit its scores again with epp fit"),
+        ("_digest_not_a_string", "source: not a JSON object or null, whose sha256 is a "
+                                 "string or null and lower_is_better a boolean or null"),
+        ("_orientation_not_a_boolean", "source: not a JSON object or null, whose sha256"),
     ])
     @pytest.mark.parametrize("command", ["leaderboard", "compare", "embed", "recovery"])
     def test_corrupt_fit_file(self, fitted, tmp_path, capsys, corrupt, message, command):

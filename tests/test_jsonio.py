@@ -363,10 +363,14 @@ WRONG_VALUES = [
     ("fit", "algorithms", [["m0", "alg"]]),
     ("fit", "algorithms", {"m0": 3, "m1": "alg", "m2": "alg"}),
     ("fit", "source", 1),
+    ("fit", "source", {"sha256": 5}),
+    ("fit", "source", {"sha256": "ab", "lower_is_better": 0}),
     ("fit", "mean_score", [0.1, 0.2, 0.3]),
     ("counts", "w", np.ones((3, 3)).tolist()),
     ("counts", "w", None),
     ("counts", "source", "sha256"),
+    ("counts", "source", {"sha256": ["ab"], "lower_is_better": False}),
+    ("counts", "source", {"lower_is_better": "false"}),
     ("counts", "mean_score", [0.1, 0.2, 0.3]),
     ("counts", "mean_score", encode_array(np.zeros(2))),
 ]
@@ -381,3 +385,15 @@ def test_each_key_is_read_in_one_form(kind, key, value):
     obj[key] = value
     with pytest.raises(FileFormatError, match=f"^{key}: "):
         cls.from_json_text(json.dumps(obj))
+
+
+@pytest.mark.parametrize("source", [{}, {"ties": "half"}, {"sha256": None, "lower_is_better": None},
+                                    {"sha256": "ab", "lower_is_better": True, "pairing": 1}])
+@pytest.mark.parametrize("kind", ["fit", "counts"])
+def test_source_reads_only_its_digest_and_orientation(kind, source):
+    # An absent entry is not known, as null is; entries no report reads
+    # are carried as written.
+    cls, write = KINDS[kind]
+    obj = json.loads(write())
+    obj["source"] = source
+    assert cls.from_json_text(json.dumps(obj)).source == source

@@ -130,3 +130,20 @@ class TestStartUp:
         )
         assert _probe(probe) is False
         assert (tmp_path / "tunability.csv").exists()
+
+    def test_fit_with_jobs_imports_no_concurrent_futures(self, tmp_path):
+        # `fit --jobs` runs its datasets on plain threads: concurrent.futures
+        # would load logging, traceback, string and queue, 6-12 ms.
+        rows = "".join(f"{ds},m{k},alg,s{s},{0.1 * k + 0.01 * (s % 3)!r}\n"
+                       for ds in "ab" for k in range(4) for s in range(5))
+        (tmp_path / "two.csv").write_text("dataset,model,algorithm,split,score\n" + rows)
+        probe = (
+            "import json, os, sys\n"
+            "from eppscore import cli\n"
+            f"os.chdir({str(tmp_path)!r})\n"
+            "assert cli.main(['fit', 'two.csv', '--jobs', '2']) == 0\n"
+            "print(json.dumps(sorted(m for m in ('concurrent.futures', 'logging')"
+            " if m in sys.modules)))"
+        )
+        assert _probe(probe) == []
+        assert (tmp_path / "epp_a.json").exists() and (tmp_path / "epp_b.json").exists()

@@ -320,6 +320,33 @@ class TestFitEpp:
         # cross-component covariance stays zero
         assert np.all(scores.covariance[:2, 2:] == 0.0)
 
+    @pytest.mark.parametrize("algorithm", ["mm", "newton"])
+    def test_one_component_fit_matches_its_block_fit(self, algorithm):
+        # A ledger of one component is fitted on itself, not on a copy; the
+        # same ledger beside an isolated model is fitted on its block. The
+        # shared models get the same bits either way.
+        counts = random_counts(np.random.default_rng(23), 6)
+        w = np.zeros((7, 7))
+        w[:6, :6] = counts.w
+        split = PairwiseCounts("d", (*counts.models, "z"), w)
+        cfg = FitConfig(algorithm=algorithm)
+        whole = fit_epp(counts, cfg)
+        with pytest.warns(FitWarning, match="2 connected components"):
+            blocks = fit_epp(split, cfg)
+        assert blocks.beta[:6].tobytes() == whole.beta.tobytes()
+        assert blocks.covariance[:6, :6].tobytes() == whole.covariance.tobytes()
+        assert blocks.beta[6] == 0.0
+        assert not blocks.covariance[6].any() and not blocks.covariance[:, 6].any()
+
+    @pytest.mark.parametrize("algorithm", ["mm", "newton"])
+    def test_fit_leaves_the_ledger_as_it_was(self, algorithm):
+        counts = random_counts(np.random.default_rng(24), 5)
+        counts.w[0, 1] += 0.5  # a half-win tie
+        counts.w[1, 0] += 0.5
+        before = counts.w.copy()
+        fit_epp(counts, FitConfig(algorithm=algorithm))
+        assert counts.w.tobytes() == before.tobytes()
+
     def test_covariance_properties(self):
         rng = np.random.default_rng(17)
         counts = random_counts(rng, 5)
