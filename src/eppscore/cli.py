@@ -35,7 +35,7 @@ else:
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
-from . import analysis, baselines, svg
+from . import analysis, svg
 from .errors import (
     AnalysisWarning,
     ConfigError,
@@ -261,6 +261,8 @@ def _algorithm_map(results: list[EppScores], scores_path: str | None) -> dict[st
 def _cmd_fit(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
     out_dir = Path(cfg.out_dir)
+    if args.scores is not None and args.counts is not None:
+        raise ConfigError("give a scores CSV or --counts files, not both")
     if args.counts:
         # Loaded up front: every dataset id is needed to check the file names.
         loaded = [_parse_file(p, lambda b: PairwiseCounts.from_json_text(_as_text(b)))
@@ -337,10 +339,10 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         per_dataset = [fit_one(ledger(ds)) for ds in datasets]
     # Every dataset is fitted whatever the others do, and its lines are
     # printed here in dataset order, so neither the files written nor stderr
-    # depend on --jobs.
+    # depend on --jobs; in one write, not one per line as print would make.
     lines = [line for dataset_lines in per_dataset for line in dataset_lines]
-    for line in lines:
-        print(line, file=sys.stderr)
+    if lines:
+        sys.stderr.write("".join(f"{line}\n" for line in lines))
     return 2 if any(line.startswith("error: ") for line in lines) else 0
 
 
@@ -416,9 +418,12 @@ def _cmd_leaderboard(args: argparse.Namespace) -> int:
         rows = analysis.leaderboard(result, means_from, top_k=args.top)
         _write_report(cfg, f"leaderboard_{_safe_name(result.dataset_id)}",
                       analysis.leaderboard_csv_text, analysis.leaderboard_json_text, rows)
-        for row in rows:
-            if row.note:
-                print(f"note: {result.dataset_id}: {row.model_id}: {row.note}")
+        # One write per dataset: with unbuffered stdout each print would be
+        # a write of its own, and a report can note hundreds of models.
+        notes = "".join(f"note: {result.dataset_id}: {row.model_id}: {row.note}\n"
+                        for row in rows if row.note)
+        if notes:
+            sys.stdout.write(notes)
     return 0
 
 
@@ -475,6 +480,8 @@ def _cmd_tunability(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from . import baselines  # only simulate, elo and recovery import it
+
     cfg = build_run_config(args)
     settings = dict(n_splits=args.splits, noise=args.noise, sigma=args.sigma,
                     seed=args.seed, dataset_id=args.dataset)
@@ -496,6 +503,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_elo(args: argparse.Namespace) -> int:
+    from . import baselines
+
     cfg = build_run_config(args)
     rows = _parse_file(args.input, lambda data: read_rows(data, ("winner", "loser")))
     matches = [fields for _, fields in rows]
@@ -536,6 +545,8 @@ def _parse_truth(data, fitted: EppScores) -> dict[str, float]:
 
 
 def _cmd_recovery(args: argparse.Namespace) -> int:
+    from . import baselines
+
     cfg = build_run_config(args)
     (fitted,) = _load_fit_files([args.fit])
     truth = _parse_file(args.truth, lambda data: _parse_truth(data, fitted))
@@ -550,133 +561,181 @@ def _cmd_recovery(args: argparse.Namespace) -> int:
 # Parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Flags that several subcommands share, each declared once.
+
+
+def _common_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out-dir", dest="out_dir", default=None,
+                   help=f"output directory (default {_DEFAULT_TEXT['out_dir']})")
+    p.add_argument("--config", default=None,
+                   help="key = value config file; flags override it")
+
+
+def _report_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=[f.value for f in OutputFormat], default=None,
+                   help=f"report output format (default {_DEFAULT_TEXT['format']})")
+
+
+def _fits_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--fit", nargs="+", required=True, help="fit JSON file(s)")
+
+
+def _lower_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--lower-is-better", dest="lower_is_better",
+                   action="store_const", const=True, default=None,
+                   help="negate scores at ingest (for losses/MSE-style measures)")
+
+
+def _labels_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--scores", default=None,
+                   help="scores CSV (fallback source of algorithm labels)")
+    p.add_argument("--spread", choices=[s.value for s in analysis.SpreadKind],
+                   default=None, help="median or mean absolute deviation "
+                   f"(default {_DEFAULT_TEXT['spread']})")
+
+
+# Each subcommand's own flags.
+
+
+def _fit_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("scores", nargs="?", help="scores CSV (dataset,model,algorithm,split,score)")
+    p.add_argument("--counts", nargs="*", default=None,
+                   help="fit from cached pairwise-count JSON files instead")
+    p.add_argument("--dump-counts", action="store_true",
+                   help="also write counts_<dataset>.json for caching")
+    p.add_argument("--pairing", choices=[m.value for m in PairingMode],
+                   default=None, help="cross: all split pairs; paired: same split only")
+    p.add_argument("--ties", choices=[t.value for t in TiePolicy], default=None,
+                   help="half: ties count half a win each; drop: discard ties")
+    p.add_argument("--algorithm", choices=[a.value for a in FitAlgorithm], default=None,
+                   help=f"optimizer (default {_DEFAULT_TEXT['algorithm']})")
+    p.add_argument("--ridge-lambda", dest="ridge_lambda", type=float, default=None,
+                   help=f"ridge penalty (default {_DEFAULT_TEXT['ridge_lambda']})")
+    p.add_argument("--tol", type=float, default=None,
+                   help="convergence threshold on max score change "
+                   f"(default {_DEFAULT_TEXT['tol']})")
+    p.add_argument("--max-iter", dest="max_iter", type=int, default=None,
+                   help=f"iteration cap (default {_DEFAULT_TEXT['max_iter']})")
+    p.add_argument("--jobs", type=int, default=None,
+                   help=f"max concurrent datasets (default {_DEFAULT_TEXT['jobs']})")
+
+
+def _leaderboard_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--scores", required=True, help="scores CSV (for mean scores)")
+    p.add_argument("--top", type=int, default=None, help="keep only the best K rows")
+
+
+def _compare_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--models", default=None,
+                   help='comma-separated model ids, one CSV record ("a,1",b)')
+
+
+def _embed_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--per-model", dest="per_model", action="store_true",
+                   help="also write raw per-model scores (embed_models.csv)")
+
+
+def _tunability_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--hyperparams", required=True,
+                   help="hyperparameter CSV (model,parameter,value)")
+
+
+def _simulate_flags(p: argparse.ArgumentParser) -> None:
+    # The generator's defaults are those of SyntheticSpec and with_linear_skills.
+    from . import baselines
+
+    spec = baselines.SyntheticSpec
+    linear = inspect.signature(spec.with_linear_skills).parameters
+    p.add_argument("--models", type=int, default=None, help="number of models")
+    p.add_argument("--splits", type=int, required=True, help="splits per model")
+    p.add_argument("--seed", type=int, required=True, help="PCG64 seed")
+    p.add_argument("--noise", choices=[n.value for n in baselines.NoiseKind],
+                   default=spec.noise.value, help="noise kind (default %(default)s)")
+    p.add_argument("--sigma", type=float, default=spec.sigma,
+                   help="gaussian noise scale, unused by gumbel (default %(default)s)")
+    p.add_argument("--skills", default=None, help="explicit comma-separated skills")
+    p.add_argument("--skill-low", dest="skill_low", type=float,
+                   default=linear["low"].default,
+                   help="lowest of the equally spaced skills (default %(default)s)")
+    p.add_argument("--skill-high", dest="skill_high", type=float,
+                   default=linear["high"].default,
+                   help="highest of the equally spaced skills (default %(default)s)")
+    p.add_argument("--dataset", default=spec.dataset_id,
+                   help="dataset id to emit (default %(default)s)")
+
+
+def _elo_flags(p: argparse.ArgumentParser) -> None:
+    # Elo's defaults are those of EloConfig.
+    from . import baselines
+
+    elo = baselines.EloConfig
+    p.add_argument("--input", required=True, help="matches CSV (winner,loser)")
+    p.add_argument("--order", choices=["file", "reversed"], default="file",
+                   help="process matches in file order or reversed")
+    p.add_argument("--initial", type=float, default=elo.initial_rating,
+                   help="every player's first rating (default %(default)s)")
+    p.add_argument("--k-factor", dest="k_factor", type=float, default=elo.k_factor,
+                   help="largest rating change per match (default %(default)s)")
+    p.add_argument("--scale", type=float, default=elo.scale,
+                   help="rating gap that gives 10:1 odds (default %(default)s)")
+
+
+def _recovery_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--fit", required=True, help="fit JSON file")
+    p.add_argument("--truth", required=True, help="truth CSV (model,skill)")
+
+
+# name -> (help line, implementation, the functions adding its flags, in help order).
+_COMMANDS = {
+    "fit": ("fit per-dataset scores from a scores CSV", _cmd_fit,
+            (_lower_flags, _common_flags, _fit_flags)),
+    "leaderboard": ("ranked table per fitted dataset", _cmd_leaderboard,
+                    (_fits_flags, _lower_flags, _report_flags, _common_flags,
+                     _leaderboard_flags)),
+    "compare": ("cross-dataset comparison table", _cmd_compare,
+                (_fits_flags, _report_flags, _common_flags, _compare_flags)),
+    "embed": ("per-(algorithm, dataset) map + SVG scatter", _cmd_embed,
+              (_fits_flags, _labels_flags, _report_flags, _common_flags, _embed_flags)),
+    "tunability": ("hyperparameter association report", _cmd_tunability,
+                   (_fits_flags, _labels_flags, _report_flags, _common_flags,
+                    _tunability_flags)),
+    "simulate": ("synthetic scores with known skills", _cmd_simulate,
+                 (_common_flags, _simulate_flags)),
+    "elo": ("classical sequential Elo over a match list", _cmd_elo,
+            (_common_flags, _elo_flags)),
+    "recovery": ("compare a fit against known skills", _cmd_recovery,
+                 (_report_flags, _common_flags, _recovery_flags)),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `epp` parser with every subcommand, or with `command`'s alone:
+    each help and error text of that command is the same either way."""
     parser = argparse.ArgumentParser(
         prog="epp",
         description="Elo-based predictive power: fit, rank, and compare "
         "models from per-split performance tables.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    # Flags that several subcommands share, each declared once.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out-dir", dest="out_dir", default=None,
-                        help=f"output directory (default {_DEFAULT_TEXT['out_dir']})")
-    common.add_argument("--config", default=None,
-                        help="key = value config file; flags override it")
-    report = argparse.ArgumentParser(add_help=False)
-    report.add_argument("--format", choices=[f.value for f in OutputFormat], default=None,
-                        help=f"report output format (default {_DEFAULT_TEXT['format']})")
-    fits = argparse.ArgumentParser(add_help=False)
-    fits.add_argument("--fit", nargs="+", required=True, help="fit JSON file(s)")
-    lower = argparse.ArgumentParser(add_help=False)
-    lower.add_argument("--lower-is-better", dest="lower_is_better",
-                       action="store_const", const=True, default=None,
-                       help="negate scores at ingest (for losses/MSE-style measures)")
-    labels = argparse.ArgumentParser(add_help=False)
-    labels.add_argument("--scores", default=None,
-                        help="scores CSV (fallback source of algorithm labels)")
-    labels.add_argument("--spread", choices=[s.value for s in analysis.SpreadKind],
-                        default=None, help="median or mean absolute deviation "
-                        f"(default {_DEFAULT_TEXT['spread']})")
-
-    p_fit = sub.add_parser("fit", parents=[lower, common],
-                           help="fit per-dataset scores from a scores CSV")
-    p_fit.add_argument("scores", nargs="?", help="scores CSV (dataset,model,algorithm,split,score)")
-    p_fit.add_argument("--counts", nargs="*", default=None,
-                       help="fit from cached pairwise-count JSON files instead")
-    p_fit.add_argument("--dump-counts", action="store_true",
-                       help="also write counts_<dataset>.json for caching")
-    p_fit.add_argument("--pairing", choices=[m.value for m in PairingMode],
-                       default=None, help="cross: all split pairs; paired: same split only")
-    p_fit.add_argument("--ties", choices=[t.value for t in TiePolicy], default=None,
-                       help="half: ties count half a win each; drop: discard ties")
-    p_fit.add_argument("--algorithm", choices=[a.value for a in FitAlgorithm], default=None,
-                       help=f"optimizer (default {_DEFAULT_TEXT['algorithm']})")
-    p_fit.add_argument("--ridge-lambda", dest="ridge_lambda", type=float, default=None,
-                       help=f"ridge penalty (default {_DEFAULT_TEXT['ridge_lambda']})")
-    p_fit.add_argument("--tol", type=float, default=None,
-                       help="convergence threshold on max score change "
-                       f"(default {_DEFAULT_TEXT['tol']})")
-    p_fit.add_argument("--max-iter", dest="max_iter", type=int, default=None,
-                       help=f"iteration cap (default {_DEFAULT_TEXT['max_iter']})")
-    p_fit.add_argument("--jobs", type=int, default=None,
-                       help=f"max concurrent datasets (default {_DEFAULT_TEXT['jobs']})")
-    p_fit.set_defaults(func=_cmd_fit)
-
-    p_lb = sub.add_parser("leaderboard", parents=[fits, lower, report, common],
-                          help="ranked table per fitted dataset")
-    p_lb.add_argument("--scores", required=True, help="scores CSV (for mean scores)")
-    p_lb.add_argument("--top", type=int, default=None, help="keep only the best K rows")
-    p_lb.set_defaults(func=_cmd_leaderboard)
-
-    p_cmp = sub.add_parser("compare", parents=[fits, report, common],
-                           help="cross-dataset comparison table")
-    p_cmp.add_argument("--models", default=None,
-                       help='comma-separated model ids, one CSV record ("a,1",b)')
-    p_cmp.set_defaults(func=_cmd_compare)
-
-    p_emb = sub.add_parser("embed", parents=[fits, labels, report, common],
-                           help="per-(algorithm, dataset) map + SVG scatter")
-    p_emb.add_argument("--per-model", dest="per_model", action="store_true",
-                       help="also write raw per-model scores (embed_models.csv)")
-    p_emb.set_defaults(func=_cmd_embed)
-
-    p_tun = sub.add_parser("tunability", parents=[fits, labels, report, common],
-                           help="hyperparameter association report")
-    p_tun.add_argument("--hyperparams", required=True,
-                       help="hyperparameter CSV (model,parameter,value)")
-    p_tun.set_defaults(func=_cmd_tunability)
-
-    # The generator's and Elo's defaults are those of SyntheticSpec,
-    # with_linear_skills and EloConfig.
-    spec = baselines.SyntheticSpec
-    linear = inspect.signature(spec.with_linear_skills).parameters
-    p_sim = sub.add_parser("simulate", parents=[common],
-                           help="synthetic scores with known skills")
-    p_sim.add_argument("--models", type=int, default=None, help="number of models")
-    p_sim.add_argument("--splits", type=int, required=True, help="splits per model")
-    p_sim.add_argument("--seed", type=int, required=True, help="PCG64 seed")
-    p_sim.add_argument("--noise", choices=[n.value for n in baselines.NoiseKind],
-                       default=spec.noise.value, help="noise kind (default %(default)s)")
-    p_sim.add_argument("--sigma", type=float, default=spec.sigma,
-                       help="gaussian noise scale, unused by gumbel (default %(default)s)")
-    p_sim.add_argument("--skills", default=None, help="explicit comma-separated skills")
-    p_sim.add_argument("--skill-low", dest="skill_low", type=float,
-                       default=linear["low"].default,
-                       help="lowest of the equally spaced skills (default %(default)s)")
-    p_sim.add_argument("--skill-high", dest="skill_high", type=float,
-                       default=linear["high"].default,
-                       help="highest of the equally spaced skills (default %(default)s)")
-    p_sim.add_argument("--dataset", default=spec.dataset_id,
-                       help="dataset id to emit (default %(default)s)")
-    p_sim.set_defaults(func=_cmd_simulate)
-
-    elo = baselines.EloConfig
-    p_elo = sub.add_parser("elo", parents=[common],
-                           help="classical sequential Elo over a match list")
-    p_elo.add_argument("--input", required=True, help="matches CSV (winner,loser)")
-    p_elo.add_argument("--order", choices=["file", "reversed"], default="file",
-                       help="process matches in file order or reversed")
-    p_elo.add_argument("--initial", type=float, default=elo.initial_rating,
-                       help="every player's first rating (default %(default)s)")
-    p_elo.add_argument("--k-factor", dest="k_factor", type=float, default=elo.k_factor,
-                       help="largest rating change per match (default %(default)s)")
-    p_elo.add_argument("--scale", type=float, default=elo.scale,
-                       help="rating gap that gives 10:1 odds (default %(default)s)")
-    p_elo.set_defaults(func=_cmd_elo)
-
-    p_rec = sub.add_parser("recovery", parents=[report, common],
-                           help="compare a fit against known skills")
-    p_rec.add_argument("--fit", required=True, help="fit JSON file")
-    p_rec.add_argument("--truth", required=True, help="truth CSV (model,skill)")
-    p_rec.set_defaults(func=_cmd_recovery)
-
+    # Built alone, a command still lists every choice in the usage line, as
+    # `epp fit --bogus` prints it; the full parser leaves the metavar unset,
+    # so that its errors name the argument `command`.
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        help_line, func, flag_adders = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        for add_flags in flag_adders:
+            add_flags(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # Only the named command's parser is built, a fraction of the full tree's
+    # cost; anything else (help, a misspelt command, a flag first) gets the
+    # full tree, whose help and errors name every command.
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     with warnings.catch_warnings():
         # `fit` words fit_epp's FitWarning itself, in dataset order; every
         # other library warning prints, each time it is raised, as one line

@@ -129,12 +129,10 @@ class TestHelp:
             "elo": ["--input", "--order", "--initial", "--k-factor", "--scale", *common],
             "recovery": ["--truth", *reports],
         }
-        (subparsers,) = [a for a in build_parser()._actions
-                         if isinstance(a, argparse._SubParsersAction)]
         found = {
             name: sorted((a.option_strings or [a.dest])[0] for a in sub._actions
                          if not isinstance(a, argparse._HelpAction))
-            for name, sub in subparsers.choices.items()
+            for name, sub in _subparsers(build_parser()).choices.items()
         }
         assert found == {name: sorted(options) for name, options in expected.items()}
         assert sum(map(len, found.values())) == 62
@@ -149,6 +147,81 @@ class TestHelp:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> argparse._SubParsersAction:
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return subparsers
+
+
+def _exit_of(capsys, parse, argv) -> tuple:
+    """(exit code, stdout, stderr) of ``parse(argv)``, which must exit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+class TestOneCommandParser:
+    """`main` builds only the named command's parser; it must read and print
+    exactly as that command in the full parser does."""
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_command_alone_has_the_full_parsers_actions(self, command):
+        def actions(sub):
+            return [(a.option_strings, a.dest, a.default, a.choices, a.nargs, a.required,
+                     a.help, a.type, a.const, a.metavar, type(a)) for a in sub._actions]
+
+        alone = _subparsers(build_parser(command))
+        full = _subparsers(build_parser()).choices[command]
+        assert list(alone.choices) == [command]
+        assert actions(alone.choices[command]) == actions(full)
+        assert alone.choices[command].get_default("func") is full.get_default("func")
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_command_help_is_the_full_parsers(self, capsys, command):
+        full = _subparsers(build_parser()).choices[command].format_help()
+        assert _exit_of(capsys, main, [command, "-h"]) == (0, full, "")
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["bogus"], ["fi"], ["--out-dir", "x", "fit"], ["fit", "--bogus"],
+        ["compare", "--fit", "a.json", "--nope"], ["compare", "--fit"], ["elo", "--input"],
+        ["fit", "s.csv", "--pairing", "bad"],
+        ["leaderboard", "--fit", "a.json", "--scores", "s.csv", "--top", "x"],
+    ], ids=["none", "help", "bogus", "misspelt", "flag-first", "fit-bogus", "compare-nope",
+            "compare-no-fit", "elo-no-input", "bad-pairing", "bad-top"])
+    def test_argv_errors_are_the_full_parsers(self, capsys, argv):
+        full = _exit_of(capsys, build_parser().parse_args, argv)
+        assert _exit_of(capsys, main, argv) == full
+        assert full[0] in (0, 2)
+
+    def test_usage_lists_every_command(self, capsys):
+        code, _, err = _exit_of(capsys, main, ["fit", "--bogus"])
+        assert code == 2
+        usage, _, message = err.partition("epp: error: ")  # the usage wraps at 80 columns
+        assert " ".join(usage.split()) == "usage: epp [-h] {" + ",".join(SUBCOMMANDS) + "} ..."
+        assert message == "unrecognized arguments: --bogus\n"
+
+    def test_full_parser_errors_name_the_command_argument(self, capsys):
+        err = _exit_of(capsys, main, ["bogus"])[2]
+        assert "epp: error: argument command: invalid choice: 'bogus'" in err
+
+    @pytest.mark.parametrize("argv, built", [
+        (["compare", "-h"], ["compare"]),
+        (["-h"], [None]),
+        (["--out-dir", "x", "compare", "-h"], [None]),
+    ], ids=["command-first", "help", "flag-first"])
+    def test_main_builds_the_named_commands_parser_alone(self, monkeypatch, capsys, argv, built):
+        calls = []
+
+        def spy(command=None):
+            calls.append(command)
+            return build_parser(command)
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert calls == built
 
 
 class TestFit:
@@ -219,6 +292,24 @@ class TestFit:
             assert (tmp_path / "r1" / name).read_bytes() == (
                 tmp_path / "r2" / name
             ).read_bytes()
+
+    @pytest.mark.parametrize("with_counts_file", [True, False], ids=["file", "no-files"])
+    def test_scores_csv_and_counts_together_exit_2(self, tmp_path, capsys, with_counts_file):
+        scores = write_scores(tmp_path / "scores.csv", n_models=3)
+        main(["fit", str(scores), "--dump-counts", "--out-dir", str(tmp_path / "a")])
+        capsys.readouterr()
+        if with_counts_file:  # the CSV is never read: it is not even a table
+            csv_path = tmp_path / "other.csv"
+            csv_path.write_text("not,a\ntable\n")
+            counts = [str(tmp_path / "a" / "counts_d1.json")]
+        else:
+            csv_path, counts = scores, []
+        rc = main(["fit", str(csv_path), "--counts", *counts, "--out-dir", str(tmp_path / "b")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: give a scores CSV or --counts files, not both\n"
+        )
+        assert not (tmp_path / "b").exists()
 
     def test_counts_cache_round_trip(self, tmp_path):
         scores = write_scores(tmp_path / "scores.csv", n_models=3)
@@ -1577,10 +1668,8 @@ class TestConfigFile:
     def test_each_command_declares_every_setting_it_reads(self):
         """A setting a command does not declare keeps its default whatever
         the config file says, so a command may read only declared ones."""
-        (subparsers,) = [a for a in build_parser()._actions
-                         if isinstance(a, argparse._SubParsersAction)]
         fit_keys = {f.name for f in fields(FitConfig)}
-        for name, sub in subparsers.choices.items():
+        for name, sub in _subparsers(build_parser()).choices.items():
             source = inspect.getsource(sub.get_default("func"))
             read = set(re.findall(r"\bcfg\.(?:fit\.)?(\w+)", source))
             if "fit" in read:  # the whole FitConfig is handed on

@@ -147,3 +147,22 @@ class TestStartUp:
         )
         assert _probe(probe) == []
         assert (tmp_path / "epp_a.json").exists() and (tmp_path / "epp_b.json").exists()
+
+    def test_only_simulate_elo_and_recovery_import_baselines(self, tmp_path):
+        rows = "".join(f"d,m{k},alg,s{s},{0.1 * k + 0.01 * (s % 3)!r}\n"
+                       for k in range(4) for s in range(5))
+        (tmp_path / "one.csv").write_text("dataset,model,algorithm,split,score\n" + rows)
+        probe = (
+            "import json, os, sys\n"
+            "from eppscore import cli\n"
+            f"os.chdir({str(tmp_path)!r})\n"
+            "loaded = ['eppscore.baselines' in sys.modules]\n"
+            "assert cli.main(['fit', 'one.csv']) == 0\n"
+            "assert cli.main(['compare', '--fit', 'epp_d.json']) == 0\n"
+            "loaded.append('eppscore.baselines' in sys.modules)\n"
+            "assert cli.main(['simulate', '--models', '3', '--splits', '2', '--seed', '1']) == 0\n"
+            "loaded.append('eppscore.baselines' in sys.modules)\n"  # control
+            "print(json.dumps(loaded))"
+        )
+        assert _probe(probe) == [False, False, True]
+        assert (tmp_path / "compare.csv").exists()
