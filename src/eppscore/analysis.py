@@ -16,10 +16,10 @@ from .inference import (
     mann_whitney,
     prob_vs_average,
     spearman,
-    wald_tests,
+    wald_test,
 )
 from .perf_table import HyperparamTable, PerformanceTable, csv_text
-from .solver import EppScores
+from .solver import EppScores, rank_order
 from .special import sigmoid
 
 
@@ -65,8 +65,9 @@ def leaderboard(
     scores: EppScores, table: PerformanceTable | None, top_k: int | None = None
 ) -> list[LeaderboardRow]:
     """Rows sorted by beta descending (ties broken by model id), annotated
-    with the Wald test against the next row and with a note whenever the
-    mean-raw-score ordering disagrees with the fitted ordering.
+    with the Wald test against the next row, on the fit's ``se_vs_next``,
+    and with a note whenever the mean-raw-score ordering disagrees with the
+    fitted ordering.
 
     Mean scores come from `table`, or, when it is None, from the means the
     fit recorded (``scores.mean_score``). A table without rows of one of the
@@ -87,12 +88,12 @@ def leaderboard(
         raise ValueError(
             f"fit of dataset {scores.dataset_id!r} records no mean scores; pass a table"
         )
-    order = sorted(
-        range(len(scores.models)), key=lambda k: (-scores.beta[k], scores.models[k])
-    )
+    order = rank_order(scores.beta, scores.models)
     score_order = sorted(order, key=lambda k: (-means[k], scores.models[k]))
     mean_rank = {k: r + 1 for r, k in enumerate(score_order)}
-    vs_next = [*wald_tests(scores, order[:-1], order[1:]), None]
+    beta = scores.beta[order]
+    diffs = (beta[:-1] - beta[1:]).tolist()
+    vs_next = [*map(wald_test, diffs, scores.se_vs_next.tolist()), None]
     rows = []
     for pos, k in enumerate(order):
         note = None

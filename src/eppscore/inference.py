@@ -16,9 +16,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConstantInputError, DegenerateVarianceError
+from .errors import ConstantInputError, DegenerateVarianceError, EppError
 from .match_engine import PairwiseCounts
-from .solver import EppScores, FitConfig, fit_epp, log_likelihood
+from .solver import EppScores, FitConfig, fit_epp, log_likelihood, standard_errors
 from .special import chi2_sf_1df, sigmoid, t_sf_two_sided
 
 
@@ -83,41 +83,46 @@ def prob_vs_average(beta_i: float) -> float:
 
 
 def wald_test_difference(scores: EppScores, i, j) -> TestResult:
-    """Two-sided Wald test of equal strengths for models i and j (ids or indices)."""
-    (result,) = wald_tests(scores, [scores.model_index(i)], [scores.model_index(j)])
-    return result
+    """Two-sided Wald test of equal strengths for models i and j (ids or indices).
 
-
-def wald_tests(scores: EppScores, i, j) -> list[TestResult]:
-    """:func:`wald_test_difference` for each pair of model indices
-    ``(i[k], j[k])``, in order; a pair of zero variance and nonzero
-    difference raises `DegenerateVarianceError`, the first such pair."""
-    i = np.asarray(i, dtype=np.intp)
-    j = np.asarray(j, dtype=np.intp)
-    cov = scores.covariance
-    diffs = (scores.beta[i] - scores.beta[j]).tolist()
-    variances = (cov[i, i] + cov[j, j] - 2.0 * cov[i, j]).tolist()
-    return [_wald_from_diff(d, v) for d, v in zip(diffs, variances)]
+    The test needs the fit's covariance, which only the result of
+    :func:`fit_epp` holds: a fit loaded from its file stores the standard
+    errors of adjacent ranks alone (``se_vs_next``, which the leaderboard
+    tests), and raises `EppError` here.
+    """
+    if scores.covariance is None:
+        raise EppError(
+            f"fit of dataset {scores.dataset_id!r} holds no covariance: a fit file stores "
+            "only the standard errors of adjacent ranks (se_vs_next); test any other pair "
+            "on the result of fit_epp"
+        )
+    ii, jj = scores.model_index(i), scores.model_index(j)
+    _, (se,) = standard_errors(scores.covariance, [ii, jj])
+    return wald_test(float(scores.beta[ii] - scores.beta[jj]), float(se))
 
 
 def wald_test_vs_average(scores: EppScores, i) -> TestResult:
     """Wald test of beta_i = 0, i.e. against the average model (i an id or index).
 
     The virtual average model contributes no variance (its covariance row
-    is zero), so the standard error is just sqrt(cov[i, i]).
+    is zero), so the standard error is the score's own, ``se[i]``, which a
+    fit loaded from its file holds too.
     """
     ii = scores.model_index(i)
-    return _wald_from_diff(float(scores.beta[ii]), float(scores.covariance[ii, ii]))
+    return wald_test(float(scores.beta[ii]), float(scores.se[ii]))
 
 
-def _wald_from_diff(diff: float, var: float) -> TestResult:
-    if var <= 0.0:
+def wald_test(diff: float, se: float) -> TestResult:
+    """Two-sided Wald test that a difference `diff` of standard error `se`
+    is zero. With `se` 0, `diff` 0 gives p = 1 and any other
+    `DegenerateVarianceError`."""
+    if se <= 0.0:
         if diff == 0.0:
             return TestResult.build(0.0, 1.0, TestMethod.WALD)
         raise DegenerateVarianceError(
             f"zero variance for a nonzero difference {diff!r}"
         )
-    z = diff / math.sqrt(var)
+    z = diff / se
     return TestResult.build(z, _two_sided_normal_p(z), TestMethod.WALD)
 
 

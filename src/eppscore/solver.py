@@ -3,7 +3,8 @@
 The model is the classical Bradley-Terry / zero-intercept logistic model:
 P(i beats j) = sigmoid(beta_i - beta_j). The fit maximizes the binomial
 log-likelihood of the win counts, optionally ridge-penalized, and reports
-mean-centered scores with covariance and separation diagnostics.
+mean-centered scores with their standard errors, those of the differences
+between adjacent ranks, and separation diagnostics.
 Fractional win counts (half-win tie credit) enter the same formulas
 unchanged, making the objective a quasi-likelihood in that case.
 """
@@ -22,8 +23,7 @@ import numpy as np
 from .blas import single_thread
 from .errors import FitWarning, SeparationError
 from .jsonio import (BOOLEAN, FIT_FORMAT, INTEGER, INTEGERS, NUMBER, NUMBERS, PROVENANCE,
-                     STRING_MAP, EncodedMatrix, encode_array, encode_symmetric, load_object,
-                     load_symmetric, nullable, reader)
+                     STRING_MAP, encode_array, load_object, nullable, numbers, reader)
 from .match_engine import ModelLookup, PairwiseCounts
 from .perf_table import csv_text
 from .special import sigmoid
@@ -71,12 +71,17 @@ class FitConfig:
 class EppScores(ModelLookup):
     """Fitted scores for one dataset with diagnostics.
 
-    `beta` is mean-centered. `covariance` is, per connected component, the
-    inverse of the gauge-augmented negative Hessian ``H + c 11^T`` at the
-    optimum, double-centered: H's inverse on the mean-zero subspace, rows
-    summing to ~0. A fit file's covariance is checked when the file is
-    loaded and decoded on its first read. `log_likelihood` is the
-    unpenalized value at `beta`.
+    `beta` is mean-centered. `se` holds each score's standard error, and
+    `se_vs_next` the standard error of ``beta[k] - beta[l]`` for each pair of
+    models (k, l) adjacent in :func:`rank_order`, the leaderboard's order:
+    m-1 values, the reports' only use of the covariance. :func:`fit_epp`
+    derives both from `covariance` (see :func:`standard_errors`), which is,
+    per connected component, the inverse of the gauge-augmented negative
+    Hessian ``H + c 11^T`` at the optimum, double-centered: H's inverse on
+    the mean-zero subspace, rows summing to ~0. The covariance is held in
+    memory only: a fit file stores `se` and `se_vs_next`, and a fit loaded
+    from one has covariance None. `log_likelihood` is the unpenalized value
+    at `beta`.
     Models that won or lost every match are flagged: their magnitudes depend
     on the ridge penalty, not the data alone.
 
@@ -104,8 +109,10 @@ class EppScores(ModelLookup):
     converged: bool
     iterations: int
     log_likelihood: float
-    covariance: np.ndarray
+    se: np.ndarray
+    se_vs_next: np.ndarray
     separation_flags: tuple[SeparationFlag, ...]
+    covariance: np.ndarray | None = None
     n_components: int = 1
     algorithms: dict[str, str] = field(default_factory=dict)
     grad_norm: float | None = None
@@ -118,11 +125,8 @@ class EppScores(ModelLookup):
     def beta_of(self, model) -> float:
         return float(self.beta[self.model_index(model)])
 
-    def standard_errors(self) -> np.ndarray:
-        return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
-
     def to_csv_text(self) -> str:
-        se = self.standard_errors().tolist()
+        se = self.se.tolist()
         converged = str(self.converged).lower()
         return csv_text(
             ("model", "beta", "se", "separation", "converged"),
@@ -137,7 +141,8 @@ class EppScores(ModelLookup):
             "dataset": self.dataset_id,
             "models": list(self.models),
             "beta": self.beta.tolist(),
-            "se": self.standard_errors().tolist(),
+            "se": self.se.tolist(),
+            "se_vs_next": self.se_vs_next.tolist(),
             "separation": [f.value for f in self.separation_flags],
             "converged": self.converged,
             "iterations": self.iterations,
@@ -146,7 +151,6 @@ class EppScores(ModelLookup):
             "rescue_steps": self.rescue_steps,
             "blas_threads": self.blas_threads,
             "log_likelihood": self.log_likelihood,
-            "covariance": encode_symmetric(self.covariance),
             "n_components": self.n_components,
             "algorithms": self.algorithms,
             "source": self.source,
@@ -162,10 +166,12 @@ class EppScores(ModelLookup):
 
 
 # The one JSON form of each key a fit file is read from, in the order it is
-# written; `se`, the square roots of the covariance's diagonal, is not read.
+# written.
 _FLAGS = {f.value: f for f in SeparationFlag}
 _FIT_READERS = {
     "beta": NUMBERS,
+    "se": NUMBERS,
+    "se_vs_next": numbers(lambda m: max(m - 1, 0), "one per model but the last"),
     "separation": reader(
         lambda v, m: type(v) is list and len(v) == m and set(map(type, v)) <= {str}
         and set(v) <= _FLAGS.keys(),
@@ -178,26 +184,28 @@ _FIT_READERS = {
     "rescue_steps": nullable(INTEGER),
     "blas_threads": nullable(INTEGER),
     "log_likelihood": NUMBER,
-    "covariance": load_symmetric,
     "n_components": INTEGER,
     "algorithms": STRING_MAP,
     **PROVENANCE,
 }
 
 
-def _read_covariance(self: EppScores) -> np.ndarray:
-    if isinstance(self._covariance, EncodedMatrix):
-        self._covariance = self._covariance.decode()  # drops the base64 text
-    return self._covariance
+def rank_order(beta, models) -> list[int]:
+    """Model indices in leaderboard order: `beta` descending, ties broken by
+    model id."""
+    return sorted(range(len(models)), key=lambda k: (-beta[k], models[k]))
 
 
-def _write_covariance(self: EppScores, value: np.ndarray | EncodedMatrix) -> None:
-    self._covariance = value
-
-
-# Set after the class body, where a property would be taken for the
-# dataclass field's default value.
-EppScores.covariance = property(_read_covariance, _write_covariance)
+def standard_errors(covariance: np.ndarray, order) -> tuple[np.ndarray, np.ndarray]:
+    """The standard errors of each score and of ``beta[i] - beta[j]`` for
+    each pair (i, j) adjacent in `order`, from the scores' covariance: the
+    square roots of ``cov[i, i]`` and of ``cov[i, i] + cov[j, j] - 2 cov[i,
+    j]``, each variance floored at 0, so that a zero or negative one gives
+    SE 0."""
+    var = np.diag(covariance)
+    i, j = order[:-1], order[1:]
+    pair_var = var[i] + var[j] - 2.0 * covariance[i, j]
+    return np.sqrt(np.clip(var, 0.0, None)), np.sqrt(np.clip(pair_var, 0.0, None))
 
 
 def _evaluate(w: np.ndarray, beta: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
@@ -559,6 +567,7 @@ def fit_epp(counts: PairwiseCounts, cfg: FitConfig | None = None) -> EppScores:
                 if len(comp) > 1:
                     block = np.ix_(comp, comp)
                     covariance[block] = _covariance(n[block], p[block], cfg.ridge_lambda)
+    se, se_vs_next = standard_errors(covariance, rank_order(beta, counts.models))
     return EppScores(
         dataset_id=counts.dataset_id,
         models=counts.models,
@@ -566,8 +575,10 @@ def fit_epp(counts: PairwiseCounts, cfg: FitConfig | None = None) -> EppScores:
         converged=converged,
         iterations=max(per_component, default=0),
         log_likelihood=loglik,
-        covariance=covariance,
+        se=se,
+        se_vs_next=se_vs_next,
         separation_flags=detect_separation(counts),
+        covariance=covariance,
         n_components=len(components),
         grad_norm=grad_norm,
         rescue_steps=rescue_steps,

@@ -400,7 +400,7 @@ def _logistic(d):
 
 
 def triu_loglik(w, n, beta, lam=0.0):
-    """Log-likelihood over the upper triangle, the loss side as ``1 - p``."""
+    """Log-likelihood over the pairs i < j, the loss side as ``1 - p``."""
     beta = np.asarray(beta, dtype=float)
     p = _logistic(beta[:, None] - beta[None, :])
     iu = np.triu_indices(len(beta), k=1)

@@ -24,6 +24,7 @@ from eppscore.analysis import (
     leaderboard_csv_text,
     tunability_csv_text,
 )
+from eppscore.solver import rank_order, standard_errors
 
 
 def scores_from_betas(betas, dataset="d1", cov_scale=0.01, center=True):
@@ -33,6 +34,7 @@ def scores_from_betas(betas, dataset="d1", cov_scale=0.01, center=True):
         beta = beta - beta.mean()
     m = len(models)
     cov = cov_scale * (np.identity(m) - np.full((m, m), 1.0 / m))
+    se, se_vs_next = standard_errors(cov, rank_order(beta, models))
     return EppScores(
         dataset_id=dataset,
         models=models,
@@ -40,8 +42,10 @@ def scores_from_betas(betas, dataset="d1", cov_scale=0.01, center=True):
         converged=True,
         iterations=1,
         log_likelihood=0.0,
-        covariance=cov,
+        se=se,
+        se_vs_next=se_vs_next,
         separation_flags=tuple([SeparationFlag.NONE] * m),
+        covariance=cov,
     )
 
 

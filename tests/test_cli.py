@@ -1,5 +1,4 @@
 import argparse
-import base64
 import csv
 import inspect
 import json
@@ -238,16 +237,12 @@ class TestFit:
         payload = json.loads(json_path.read_text())
         assert payload["dataset"] == "d1"
         assert payload["algorithms"]["m0"] == "gbm"
-        enc = payload["covariance"]
-        assert enc["dtype"] == "<f8" and enc["shape"] == [4, 4] and enc["triangle"] == "upper"
-        values = iter(np.frombuffer(base64.b64decode(enc["base64"]), "<f8"))
-        cov = np.zeros((4, 4))
-        for i in range(4):  # the upper triangle, row by row
-            for j in range(i, 4):
-                cov[i, j] = cov[j, i] = next(values)
-        assert next(values, None) is None
+        assert "covariance" not in payload
+        assert [f"{x:.6g}" for x in payload["se"]] == [
+            line.split(",")[2] for line in lines[1:]]
+        assert len(payload["se_vs_next"]) == 3
         loaded = EppScores.from_json_text(json_path.read_text())
-        assert np.array_equal(cov.view(np.int64), loaded.covariance.view(np.int64))
+        assert loaded.covariance is None and loaded.to_csv_text() == csv_path.read_text()
 
     def test_paired_mismatch_exits_2_and_names_models(self, tmp_path, capsys):
         text = (
@@ -677,24 +672,24 @@ class TestMalformedFiles:
         return scores, tmp_path / "epp_d1.json", tmp_path / "counts_d1.json"
 
     @staticmethod
-    def _one_row_covariance(obj):
-        obj["covariance"] = {**encode_array(np.array([[0.1, 0.0, 0.0, -0.1]])), "triangle": "upper"}
+    def _one_row_mean_score(obj):
+        obj["mean_score"] = encode_array(np.array([[0.1, 0.0, 0.0, -0.1]]))
 
     @staticmethod
     def _short_bytes(obj):
-        obj["covariance"]["base64"] = obj["covariance"]["base64"][:-32]
-
-    @staticmethod
-    def _triangle_shape(obj):
-        obj["covariance"]["shape"] = [4, 3]
-
-    @staticmethod
-    def _unknown_triangle(obj):
-        obj["covariance"]["triangle"] = "lower"
+        obj["mean_score"]["base64"] = obj["mean_score"]["base64"][:-8]
 
     @staticmethod
     def _bad_base64(obj):
-        obj["covariance"]["base64"] = "@@@@"
+        obj["mean_score"]["base64"] = "@@@@"
+
+    @staticmethod
+    def _se_per_model(obj):
+        obj["se_vs_next"] = obj["se"]
+
+    @staticmethod
+    def _se_as_text(obj):
+        obj["se"][2] = str(obj["se"][2])
 
     @staticmethod
     def _no_beta(obj):
@@ -730,6 +725,13 @@ class TestMalformedFiles:
         del obj["format"]
 
     @staticmethod
+    def _format_2(obj):
+        # as files of the last format, with the covariance and no se_vs_next
+        obj["format"] = "epp-fit/2"
+        obj["covariance"] = encode_array(np.eye(4))
+        del obj["se_vs_next"]
+
+    @staticmethod
     def _digest_not_a_string(obj):
         # leaderboard printed "fit was made from scores sha256 5"
         obj["source"]["sha256"] = 5
@@ -739,11 +741,11 @@ class TestMalformedFiles:
         obj["source"]["lower_is_better"] = "no"
 
     @pytest.mark.parametrize("corrupt, message", [
-        ("_one_row_covariance", "covariance: shape [1, 4]"),
-        ("_short_bytes", "covariance: 57 bytes do not hold the upper triangle of shape [4, 4]"),
-        ("_triangle_shape", "covariance: shape [4, 3] is not the expected [4, 4]"),
-        ("_unknown_triangle", "covariance: triangle 'lower' is not 'upper'"),
-        ("_bad_base64", "covariance: base64 does not decode"),
+        ("_one_row_mean_score", "mean_score: shape [1, 4] is not the expected [4]"),
+        ("_short_bytes", "mean_score: 27 bytes do not hold shape [4]"),
+        ("_bad_base64", "mean_score: base64 does not decode"),
+        ("_se_per_model", "se_vs_next: not a list of JSON numbers, one per model but the last"),
+        ("_se_as_text", "se: not a list of JSON numbers, one per model"),
         ("_no_beta", "missing key 'beta'"),
         ("_dataset_not_a_string", "dataset: not a string"),
         ("_model_listed_twice", "models: 'm0' is listed more than once"),
@@ -751,24 +753,30 @@ class TestMalformedFiles:
         ("_fractional_iterations", "iterations: not a JSON integer"),
         ("_boolean_components", "n_components: not a JSON integer"),
         ("_algorithm_not_a_string", "algorithms: not a JSON object of strings"),
-        ("_no_format", "format: 'epp-fit/2' expected, the file has none; "
+        ("_no_format", "format: 'epp-fit/3' expected, the file has none; "
                        "fit its scores again with epp fit"),
+        ("_format_2", "format: 'epp-fit/3' expected, the file has 'epp-fit/2'; "
+                      "fit its scores again with epp fit"),
         ("_digest_not_a_string", "source: not a JSON object or null, whose sha256 is a "
                                  "string or null and lower_is_better a boolean or null"),
         ("_orientation_not_a_boolean", "source: not a JSON object or null, whose sha256"),
     ])
-    @pytest.mark.parametrize("command", ["leaderboard", "compare", "embed", "recovery"])
+    @pytest.mark.parametrize("command", ["leaderboard", "compare", "embed", "recovery",
+                                         "tunability"])
     def test_corrupt_fit_file(self, fitted, tmp_path, capsys, corrupt, message, command):
         scores, fit_json, _ = fitted
         obj = json.loads(fit_json.read_text())
         getattr(self, corrupt)(obj)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj))
+        hp = tmp_path / "hp.csv"
+        hp.write_text("model,parameter,value\n" + "".join(f"m{k},depth,{k}\n" for k in range(4)))
         argv = {
             "leaderboard": ["leaderboard", "--fit", str(bad), "--scores", str(scores)],
             "compare": ["compare", "--fit", str(fit_json), str(bad)],
             "embed": ["embed", "--fit", str(bad)],
             "recovery": ["recovery", "--fit", str(bad), "--truth", str(scores)],
+            "tunability": ["tunability", "--fit", str(bad), "--hyperparams", str(hp)],
         }[command]
         capsys.readouterr()
         assert main([*argv, "--out-dir", str(tmp_path / "r")]) == 2
@@ -1157,41 +1165,6 @@ class TestReports:
         )
 
 
-class TestCovarianceDecode:
-    """A fit file's covariance is checked when loaded but decoded only by
-    the one report that reads it, `leaderboard`."""
-
-    @pytest.mark.parametrize("command", ["compare", "embed", "tunability", "recovery",
-                                         "leaderboard"])
-    def test_only_leaderboard_decodes_the_covariance(self, tmp_path, monkeypatch, command):
-        main(["simulate", "--models", "5", "--splits", "10", "--seed", "1",
-              "--out-dir", str(tmp_path)])
-        main(["fit", str(tmp_path / "scores.csv"), "--out-dir", str(tmp_path)])
-        fit_json = tmp_path / "epp_synthetic.json"
-        covariance = json.loads(fit_json.read_text())["covariance"]["base64"]
-        hp = tmp_path / "hp.csv"
-        hp.write_text("model,parameter,value\n" + "".join(f"m00{k},depth,{k}\n" for k in range(5)))
-        decoded = []
-        b64decode = base64.b64decode
-
-        def spy(s, *args, **kwargs):
-            decoded.append(s)
-            return b64decode(s, *args, **kwargs)
-
-        monkeypatch.setattr(base64, "b64decode", spy)
-        extra = {
-            "compare": [],
-            "embed": [],
-            "tunability": ["--hyperparams", str(hp)],
-            "recovery": ["--truth", str(tmp_path / "truth.csv")],
-            "leaderboard": ["--scores", str(tmp_path / "scores.csv")],
-        }[command]
-        assert main([command, "--fit", str(fit_json), *extra,
-                     "--out-dir", str(tmp_path / "r")]) == 0
-        assert decoded  # the spy sees the fit's other base64 values
-        assert (covariance in decoded) == (command == "leaderboard")
-
-
 class TestQuotedIdsRoundTrip:
     """Ids holding a comma, a quote and a space come back field for field
     from every report CSV, next to the 6-digit values of its JSON twin."""
@@ -1251,7 +1224,7 @@ class TestQuotedIdsRoundTrip:
         embed_models = []
         for r in results:
             stem = cli._safe_name(r.dataset_id)
-            se = r.standard_errors()
+            se = r.se
             assert [(row["model"], row["beta"], row["se"]) for row in
                     self.read_csv(tmp_path / "fits" / f"epp_{stem}.csv")] == [
                 (m, g(b), g(e)) for m, b, e in zip(r.models, r.beta, se)]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from eppscore import (
     ConstantInputError,
     DegenerateVarianceError,
+    EppError,
     EppScores,
     FitConfig,
     PairingMode,
@@ -31,7 +32,8 @@ from eppscore import (
     wald_test_vs_average,
     win_probability,
 )
-from eppscore.inference import _merge_counts, _midranks, wald_tests
+from eppscore.inference import _merge_counts, _midranks
+from eppscore.solver import rank_order, standard_errors
 from eppscore.special import (
     betainc_reg,
     chi2_sf_1df,
@@ -174,19 +176,7 @@ class TestWald:
 
     def test_quantile_p(self):
         # engineered instance: z exactly at the 97.5% quantile
-        from eppscore import EppScores, SeparationFlag
-
-        cov = np.array([[1.0, 0.0], [0.0, 0.0]])
-        scores = EppScores(
-            dataset_id="d",
-            models=("a", "b"),
-            beta=np.array([1.959964, 0.0]),
-            converged=True,
-            iterations=1,
-            log_likelihood=0.0,
-            covariance=cov,
-            separation_flags=(SeparationFlag.NONE, SeparationFlag.NONE),
-        )
+        scores = _scores([1.959964, 0.0], [[1.0, 0.0], [0.0, 0.0]])
         result = wald_test_difference(scores, 0, 1)
         assert result.p_value == pytest.approx(0.05, abs=1e-4)
         assert result.stars == "*"
@@ -203,18 +193,7 @@ class TestWald:
         assert 1.0 / 3.0 < ratio < 3.0
 
     def test_degenerate_variance_raises(self):
-        from eppscore import EppScores, SeparationFlag
-
-        scores = EppScores(
-            dataset_id="d",
-            models=("a", "b"),
-            beta=np.array([1.0, 0.0]),
-            converged=True,
-            iterations=1,
-            log_likelihood=0.0,
-            covariance=np.zeros((2, 2)),
-            separation_flags=(SeparationFlag.NONE, SeparationFlag.NONE),
-        )
+        scores = _scores([1.0, 0.0], np.zeros((2, 2)))
         with pytest.raises(DegenerateVarianceError):
             wald_test_difference(scores, 0, 1)
 
@@ -232,18 +211,53 @@ class TestWald:
             scores, 0, 1
         )
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_vs_average_is_the_same_on_a_loaded_fit(self, seed):
+        counts = build_matches(simulate_scores(
+            SyntheticSpec.with_linear_skills(5, n_splits=4, seed=seed)), "synthetic")
+        if seed == 3:  # a model that wins every match: a large, ridge-bound SE
+            counts.w[0] += counts.w[:, 0]
+            counts.w[:, 0] = 0.0
+        fresh = fit_epp(counts)
+        loaded = EppScores.from_json_text(fresh.to_json_text())
+        for k in range(5):
+            a, b = wald_test_vs_average(fresh, k), wald_test_vs_average(loaded, k)
+            assert _float_bits(a.statistic) == _float_bits(b.statistic)
+            assert _float_bits(a.p_value) == _float_bits(b.p_value)
+            assert a.stars == b.stars
+
+    def test_difference_on_a_loaded_fit_raises_one_clear_error(self):
+        loaded = EppScores.from_json_text(fit_epp(counts_2model()).to_json_text())
+        with pytest.raises(EppError) as caught:
+            wald_test_difference(loaded, "a", "b")
+        assert type(caught.value) is EppError
+        assert str(caught.value) == (
+            "fit of dataset 'd' holds no covariance: a fit file stores only the standard "
+            "errors of adjacent ranks (se_vs_next); test any other pair on the result of fit_epp"
+        )
+
 
 def _scores(beta, cov):
+    """Scores of models named in reverse, ..., m1, m0, so that ties in beta
+    rank by id against the index order, with their standard errors derived
+    from `cov` as :func:`fit_epp` derives them."""
     m = len(beta)
+    beta = np.array(beta, dtype=float)
+    cov = np.array(cov, dtype=float)
+    models = tuple(f"m{m - 1 - k}" for k in range(m))
+    se, se_vs_next = standard_errors(cov, rank_order(beta, models))
     return EppScores(
         dataset_id="d",
-        models=tuple(f"m{k}" for k in range(m)),
-        beta=np.array(beta, dtype=float),
+        models=models,
+        beta=beta,
         converged=True,
         iterations=1,
         log_likelihood=0.0,
-        covariance=np.array(cov, dtype=float),
+        se=se,
+        se_vs_next=se_vs_next,
         separation_flags=(SeparationFlag.NONE,) * m,
+        covariance=cov,
+        mean_score=np.zeros(m),
     )
 
 
@@ -252,8 +266,10 @@ def _float_bits(x):
 
 
 class TestWaldPairs:
-    """`wald_tests`, the many-pair path under `wald_test_difference` and the
-    leaderboard, against the one-pair oracle `scalar_wald`."""
+    """The SEs of adjacent ranks that :func:`fit_epp` stores (`se_vs_next`,
+    computed for all pairs at once) and the leaderboard's tests on them, and
+    `wald_test_difference` on any pair, against the one-pair oracle
+    `scalar_wald`."""
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -273,34 +289,52 @@ class TestWaldPairs:
             cov = square @ square.T
         else:
             cov = np.triu(square) + np.triu(square, 1).T
+        scores = _scores(beta, cov)
+        order = rank_order(scores.beta, scores.models)
+        adjacent = list(zip(order, order[1:]))
+        expected = [scalar_wald(beta, cov, a, b) for a, b in adjacent]
+        # the leaderboard raises at the first pair of zero variance and
+        # nonzero difference
+        k = expected.index(None) if None in expected else len(adjacent)
+        if k < len(adjacent):
+            a, b = adjacent[k]
+            diff = float(beta[a]) - float(beta[b])
+            with pytest.raises(DegenerateVarianceError) as exc:
+                leaderboard(scores, None)
+            assert str(exc.value) == f"zero variance for a nonzero difference {diff!r}"
+        else:
+            rows = leaderboard(scores, None)
+            assert [r.model_id for r in rows] == [scores.models[a] for a in order]
+            assert rows[-1].significance_vs_next is None
+            for row, (z, p), (a, b) in zip(rows, expected, adjacent):
+                r = row.significance_vs_next
+                assert _float_bits(r.statistic) == _float_bits(z)
+                assert _float_bits(r.p_value) == _float_bits(p)
+                assert r.stars == stars_for(p) and r.method == TestMethod.WALD
+                assert r == wald_test_difference(scores, a, b)
         pairs = data.draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)),
                                    max_size=10))
-        i, j = [p[0] for p in pairs], [p[1] for p in pairs]
-        expected = [scalar_wald(beta, cov, a, b) for a, b in pairs]
-        scores = _scores(beta, cov)
-        # the pairs before the first of zero variance and nonzero difference
-        k = expected.index(None) if None in expected else len(pairs)
-        if k < len(pairs):
-            diff = float(beta[i[k]]) - float(beta[j[k]])
-            with pytest.raises(DegenerateVarianceError) as exc:
-                wald_tests(scores, i, j)
-            assert str(exc.value) == f"zero variance for a nonzero difference {diff!r}"
-        results = wald_tests(scores, i[:k], j[:k])
-        assert len(results) == k
-        for r, (z, p), (a, b) in zip(results, expected, pairs):
-            assert _float_bits(r.statistic) == _float_bits(z)
-            assert _float_bits(r.p_value) == _float_bits(p)
-            assert r.stars == stars_for(p) and r.method == TestMethod.WALD
-            assert r == wald_test_difference(scores, a, b)
+        for a, b in pairs:
+            z_p = scalar_wald(beta, cov, a, b)
+            if z_p is None:
+                with pytest.raises(DegenerateVarianceError):
+                    wald_test_difference(scores, a, b)
+                continue
+            r = wald_test_difference(scores, a, b)
+            assert (_float_bits(r.statistic), _float_bits(r.p_value)) == tuple(map(_float_bits, z_p))
 
     def test_zero_variance(self):
         scores = _scores([1.0, 1.0, 0.0], np.zeros((3, 3)))
-        (tied,) = wald_tests(scores, [0], [1])
+        tied = wald_test_difference(scores, 0, 1)
         assert (tied.statistic, tied.p_value, tied.stars) == (0.0, 1.0, "")
-        # the first pair of nonzero difference in the given order is named
+        assert scores.se_vs_next.tolist() == [0.0, 0.0]
         with pytest.raises(DegenerateVarianceError,
                            match=r"^zero variance for a nonzero difference -1\.0$"):
-            wald_tests(scores, [0, 2, 0], [1, 1, 2])
+            wald_test_difference(scores, 2, 0)
+        # the leaderboard names its first pair of nonzero difference
+        with pytest.raises(DegenerateVarianceError,
+                           match=r"^zero variance for a nonzero difference 1\.0$"):
+            leaderboard(scores, None)
 
     def test_leaderboard_tests_adjacent_ranks(self):
         spec = SyntheticSpec.with_linear_skills(6, n_splits=10, seed=2)

@@ -1,8 +1,7 @@
 """The fit and counts files: their `format` key, the one JSON form of each
-key, the float64 array codec, and the covariance's upper-triangle form and
-its deferred decode."""
+key, the float64 array codec, and the fit file's standard errors, which
+give the same leaderboard as the fit they were written from."""
 
-import base64
 import json
 import warnings
 
@@ -11,10 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eppscore import (EppScores, FileFormatError, FitConfig, FitWarning, PairwiseCounts,
-                      build_matches, fit_epp, parse_scores_csv)
-from eppscore.jsonio import (COUNTS_FORMAT, FIT_FORMAT, EncodedMatrix, decode_array,
-                             decode_symmetric, encode_array, encode_symmetric, load_symmetric)
+from eppscore import (EppError, EppScores, FileFormatError, FitConfig, FitWarning,
+                      PairwiseCounts, build_matches, fit_epp, leaderboard, parse_scores_csv)
+from eppscore.jsonio import COUNTS_FORMAT, FIT_FORMAT, decode_array, encode_array
 from test_solver import _graph_counts
 
 SPECIAL = [
@@ -74,151 +72,6 @@ class TestCodec:
             decode_array(value, (2, 2), "w")
 
 
-@st.composite
-def symmetric_matrices(draw):
-    a = draw(matrices())
-    # a copy of the upper triangle's bits below the diagonal, -0.0 and NaN
-    # payloads included (arithmetic would change them)
-    return np.where(np.tri(len(a), k=-1, dtype=bool), a.T, a)
-
-
-class TestSymmetricCodec:
-    @settings(max_examples=200, deadline=None)
-    @given(symmetric_matrices())
-    def test_triangle_round_trip_is_bit_exact(self, a):
-        value = json.loads(json.dumps(encode_symmetric(a)))
-        m = len(a)
-        assert list(value) == ["dtype", "shape", "triangle", "base64"]
-        assert value["triangle"] == "upper" and value["shape"] == [m, m]
-        assert len(base64.b64decode(value["base64"])) == 8 * m * (m + 1) // 2
-        again = decode_symmetric(value, m, "c")
-        assert again.dtype == np.float64 and again.flags.c_contiguous
-        assert np.array_equal(bits(again), bits(a))
-        again[...] = 0.0  # writable, not a view of the decoded bytes
-
-    @pytest.mark.parametrize("index, entry", [
-        ((0, 1), np.nextafter(0.25, 1.0)),
-        ((0, 2), -0.0),
-        ((1, 2), np.int64(0x7FF8000000000001).view(float)),
-    ], ids=["next-float", "negative-zero", "nan-payload"])
-    def test_matrix_not_equal_to_its_transpose_is_refused(self, index, entry):
-        # Its triangle would not hold it; no fit makes one (see
-        # TestFitFile::test_fitted_covariance_round_trips_as_its_triangle).
-        a = np.array([[1.0, 0.25, 0.0], [0.25, 2.0, np.nan], [0.0, np.nan, 3.0]])
-        encode_symmetric(a)
-        a[index] = entry
-        with pytest.raises(ValueError, match="^matrix is not its own transpose bit for bit$"):
-            encode_symmetric(a)
-
-    @pytest.mark.parametrize("change, message", [
-        ({"triangle": "lower"}, "c: triangle 'lower' is not 'upper'"),
-        ({"triangle": None}, "c: triangle None is not 'upper'"),
-        ({"dtype": "<f4"}, "c: dtype '<f4' is not '<f8'"),
-        ({"base64": "AAAA@@@@"}, "c: base64 does not decode"),
-        ({"shape": [3, 2]}, "c: shape [3, 2] is not the expected [3, 3]"),
-        ({"shape": [6]}, "c: shape [6] is not the expected [3, 3]"),
-        ({"base64": base64.b64encode(bytes(40)).decode()},
-         "c: 40 bytes do not hold the upper triangle of shape [3, 3]"),
-        ({"base64": base64.b64encode(bytes(72)).decode()},
-         "c: 72 bytes do not hold the upper triangle of shape [3, 3]"),
-    ])
-    def test_malformed_triangle_names_the_problem(self, change, message):
-        value = {**encode_symmetric(np.ones((3, 3))), **change}
-        with pytest.raises(FileFormatError, match="^" + message.replace("[", r"\[")):
-            decode_symmetric(value, 3, "c")
-
-
-def _outcome(decode):
-    """The bits `decode()` returns, or the text of the `FileFormatError` it raises."""
-    try:
-        return bits(decode()).tolist()
-    except FileFormatError as exc:
-        return str(exc)
-
-
-@st.composite
-def encoded_values(draw):
-    """A covariance value as a fit file holds it, or as no reader takes it:
-    a triangle, or a full matrix without the triangle key, of 0-40 floats in
-    canonical base64, often of the right count for its shape, then perhaps
-    cut short, padded wrong, or given a byte outside the alphabet or
-    whitespace."""
-    m = draw(st.integers(0, 8))
-    triangle = draw(st.booleans())
-    count = m * (m + 1) // 2 if triangle else m * m
-    n = draw(st.one_of(st.just(count), st.integers(0, 40)))
-    floats = draw(st.lists(st.floats(allow_nan=True, allow_infinity=True),
-                           min_size=n, max_size=n))
-    text = base64.b64encode(np.array(floats, dtype="<f8").tobytes()).decode("ascii")
-    at = draw(st.integers(0, len(text)))
-    edit = draw(st.sampled_from(["none", "truncate", "strip_padding", "add_padding",
-                                 "insert_padding", "misplace_padding", "foreign_byte",
-                                 "whitespace"]))
-    if edit == "truncate":
-        text = text[:at]
-    elif edit == "strip_padding":
-        text = text.rstrip("=")
-    elif edit == "add_padding":
-        text += "=" * draw(st.integers(1, 3))
-    elif edit == "insert_padding":
-        text = text[:at] + "=" + text[at:]
-    elif edit == "misplace_padding":  # the same length and count of "="
-        body = text.rstrip("=")
-        text = body[:at] + text[len(body):] + body[at:]
-    elif edit in ("foreign_byte", "whitespace"):
-        chars = "=@-_.*\x00\x7fé€" if edit == "foreign_byte" else " \n\t\r"
-        text = text[:at] + draw(st.sampled_from(chars)) + text[at + 1:]
-    value = {"dtype": "<f8", "shape": [m, m], "base64": text}
-    if triangle:
-        value["triangle"] = "upper"
-    return value, m, edit
-
-
-class TestDeferredDecode:
-    @settings(max_examples=400, deadline=None)
-    @given(encoded_values())
-    def test_load_time_check_accepts_what_the_decode_accepts(self, drawn):
-        value, m, edit = drawn
-        expected = _outcome(lambda: decode_symmetric(value, m, "c"))
-        try:
-            loaded = load_symmetric(value, m, "c")
-        except FileFormatError as exc:
-            assert str(exc) == expected  # raised at load, in the same words
-            return
-        if isinstance(loaded, EncodedMatrix):
-            # deferred only what decodes without error, to the same bits
-            assert not isinstance(expected, str)
-            assert bits(loaded.decode()).tolist() == expected
-        else:
-            assert bits(loaded).tolist() == expected
-        if edit == "none" and not isinstance(expected, str):
-            assert isinstance(loaded, EncodedMatrix)
-
-    @settings(max_examples=100, deadline=None)
-    @given(symmetric_matrices())
-    def test_written_values_are_deferred(self, a):
-        assert isinstance(load_symmetric(encode_symmetric(a), len(a), "c"), EncodedMatrix)
-        # the whole matrix, which no fit file holds, is refused at once
-        with pytest.raises(FileFormatError, match="^c: triangle None is not 'upper'$"):
-            load_symmetric(encode_array(a), len(a), "c")
-
-    def test_first_read_decodes_to_the_eager_bits(self):
-        # bits that arithmetic would not keep: -0.0, a subnormal, NaN, inf
-        cov = np.array([[-0.0, 0.25, np.nan], [0.25, 5e-324, 1.0 / 3.0],
-                        [np.nan, 1.0 / 3.0, np.inf]])
-        value = encode_symmetric(cov)
-        obj = json.loads(_fit_text())
-        obj["covariance"] = value
-        eager = decode_symmetric(json.loads(json.dumps(value)), 3, "covariance")
-        scores = EppScores.from_json_text(json.dumps(obj))
-        assert isinstance(scores._covariance, EncodedMatrix)
-        first = scores.covariance
-        assert isinstance(first, np.ndarray) and scores.covariance is first
-        assert not isinstance(scores._covariance, EncodedMatrix)  # base64 text dropped
-        assert np.array_equal(bits(first), bits(eager))
-        assert np.array_equal(bits(first), bits(cov))
-
-
 def _counts() -> PairwiseCounts:
     """A 3-model ledger with its source and mean scores, as `epp fit` counts it."""
     rows = "".join(f"toy,m{k},alg,s{s},{0.1 * k + 0.05 * ((3 * s + k) % 4)!r}\n"
@@ -236,14 +89,66 @@ KINDS = {"fit": (EppScores, _fit_text),
          "counts": (PairwiseCounts, lambda: _counts().to_json_text())}
 
 
+@st.composite
+def ledgers(draw):
+    """A ledger of 1-8 models of one of three kinds: wins in halves, as tie
+    credit gives them (or every pair split evenly, so that scores tie); a
+    model that wins every match it plays; or two components and an
+    isolated model."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    m = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["ties", "wins_all", "components"]))
+    if kind == "ties":
+        if draw(st.booleans()):
+            return _graph_counts(seed, m, "random", [], half_ties=True)
+        w = np.full((m, m), draw(st.sampled_from([0.5, 3.0])))
+        np.fill_diagonal(w, 0.0)
+        return PairwiseCounts("d", tuple(f"m{k}" for k in range(m)), w)
+    if kind == "wins_all":
+        return _graph_counts(seed, m, draw(st.sampled_from(["random", "path"])),
+                             [draw(st.integers(0, m - 1))])
+    rng = np.random.default_rng(seed)
+    group = np.arange(m) % 2  # models 0, 2, 4, ... and 1, 3, 5, ...
+    linked = (group[:, None] == group[None, :]) & (np.arange(m) < m - 1)[:, None]
+    linked &= linked.T
+    np.fill_diagonal(linked, False)
+    n = np.triu(np.where(linked, rng.integers(1, 12, (m, m)), 0), 1)
+    w_up = rng.integers(0, n + 1)
+    w = (w_up + (n - w_up).T).astype(float)
+    return PairwiseCounts("d", tuple(f"m{k}" for k in range(m)), w)
+
+
+def _fit(counts: PairwiseCounts, algorithm: str = "mm") -> EppScores:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FitWarning)
+        fit = fit_epp(counts, FitConfig(algorithm=algorithm))
+    fit.mean_score = np.linspace(1.0, 0.0, len(fit.models))  # a note or two on each board
+    return fit
+
+
+def _board(fit: EppScores):
+    """Each leaderboard row's fields, its test's z and p as bits, or the
+    text of the error the leaderboard raises."""
+    try:
+        rows = leaderboard(fit, None)
+    except EppError as exc:
+        return repr(exc)
+    return [(r.rank, r.model_id, bits(r.beta).tolist(), bits(r.prob_vs_average).tolist(),
+             r.mean_score, r.note, None if (t := r.significance_vs_next) is None else
+             (bits(t.statistic).tolist(), bits(t.p_value).tolist(), t.stars, t.method))
+            for r in rows]
+
+
 class TestFitFile:
-    def test_covariance_written_as_base64_bytes(self):
-        obj = json.loads(fit_epp(_counts()).to_json_text())
-        assert obj["covariance"]["dtype"] == "<f8"
-        assert obj["covariance"]["shape"] == [3, 3]
-        assert obj["covariance"]["triangle"] == "upper"
-        assert list(obj)[-5:] == ["covariance", "n_components", "algorithms", "source",
-                                  "mean_score"]
+    def test_fit_file_stores_standard_errors_not_the_covariance(self):
+        fit = fit_epp(_counts())
+        obj = json.loads(fit.to_json_text())
+        assert "covariance" not in obj
+        assert list(obj)[:7] == ["format", "dataset", "models", "beta", "se", "se_vs_next",
+                                 "separation"]
+        assert obj["se"] == np.sqrt(np.diag(fit.covariance)).tolist()
+        assert len(obj["se_vs_next"]) == 2
+        assert list(obj)[-4:] == ["n_components", "algorithms", "source", "mean_score"]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -253,17 +158,22 @@ class TestFitFile:
         separated=st.lists(st.integers(0, 8), max_size=2),
         algorithm=st.sampled_from(["mm", "newton"]),
     )
-    def test_fitted_covariance_round_trips_as_its_triangle(self, seed, m, shape, separated,
-                                                           algorithm):
-        counts = _graph_counts(seed, m, shape, separated)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", FitWarning)
-            fit = fit_epp(counts, FitConfig(algorithm=algorithm))
+    def test_fit_round_trips_through_its_file(self, seed, m, shape, separated, algorithm):
+        fit = _fit(_graph_counts(seed, m, shape, separated), algorithm)
         text = fit.to_json_text()
-        assert json.loads(text)["covariance"]["triangle"] == "upper"
         again = EppScores.from_json_text(text)
-        assert np.array_equal(bits(again.covariance), bits(fit.covariance))
+        assert again.covariance is None
+        assert np.array_equal(bits(again.se), bits(fit.se))
+        assert np.array_equal(bits(again.se_vs_next), bits(fit.se_vs_next))
         assert again.to_json_text() == text
+        assert again.to_csv_text() == fit.to_csv_text()
+
+    @settings(max_examples=150, deadline=None)
+    @given(counts=ledgers(), algorithm=st.sampled_from(["mm", "newton"]))
+    def test_loaded_fit_gives_the_same_leaderboard(self, counts, algorithm):
+        fit = _fit(counts, algorithm)
+        again = EppScores.from_json_text(fit.to_json_text())
+        assert _board(again) == _board(fit)
 
     @pytest.mark.parametrize("text, message", [
         ('{"dataset": "d", "models": [', "not valid JSON"),
@@ -302,15 +212,17 @@ class TestFormat:
     another, is refused before any other key is read."""
 
     def test_every_file_starts_with_its_format(self):
-        for kind, fmt in (("fit", "epp-fit/2"), ("counts", "epp-counts/2")):
+        for kind, fmt in (("fit", "epp-fit/3"), ("counts", "epp-counts/2")):
             assert next(iter(json.loads(KINDS[kind][1]()).items())) == ("format", fmt)
 
     @pytest.mark.parametrize("kind, fmt, message", [
-        ("fit", None, "'epp-fit/2' expected, the file has none; "
+        ("fit", None, "'epp-fit/3' expected, the file has none; "
                       "fit its scores again with epp fit"),
-        ("fit", "epp-fit/1", "'epp-fit/2' expected, the file has 'epp-fit/1'; "
+        ("fit", "epp-fit/1", "'epp-fit/3' expected, the file has 'epp-fit/1'; "
                              "fit its scores again with epp fit"),
-        ("fit", "epp-counts/2", "'epp-fit/2' expected, the file has 'epp-counts/2'; "
+        ("fit", "epp-fit/2", "'epp-fit/3' expected, the file has 'epp-fit/2'; "
+                             "fit its scores again with epp fit"),
+        ("fit", "epp-counts/2", "'epp-fit/3' expected, the file has 'epp-counts/2'; "
                                 "fit its scores again with epp fit"),
         ("counts", None, "'epp-counts/2' expected, the file has none; "
                          "count its scores again with epp fit --dump-counts"),
@@ -356,8 +268,14 @@ WRONG_VALUES = [
     ("fit", "log_likelihood", True),
     ("fit", "log_likelihood", "1.5"),
     ("fit", "log_likelihood", None),
-    ("fit", "covariance", np.eye(3).tolist()),
-    ("fit", "covariance", encode_array(np.eye(3))),
+    ("fit", "se", [0.1, 0.2]),
+    ("fit", "se", [0.1, None, 0.2]),
+    ("fit", "se", encode_array(np.zeros(3))),
+    ("fit", "se_vs_next", [0.1, 0.2, 0.3]),
+    ("fit", "se_vs_next", [0.1]),
+    ("fit", "se_vs_next", [0.1, "0.2"]),
+    ("fit", "se_vs_next", [0.1, False]),
+    ("fit", "se_vs_next", None),
     ("fit", "n_components", True),
     ("fit", "n_components", None),
     ("fit", "algorithms", [["m0", "alg"]]),

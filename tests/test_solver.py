@@ -357,6 +357,17 @@ class TestFitEpp:
         assert eigvals.min() >= -1e-10
         assert np.allclose(cov.sum(axis=1), 0.0, atol=1e-10)
 
+    def test_standard_errors_are_the_covariance_s(self):
+        # `se` from the diagonal; `se_vs_next` from each pair of adjacent
+        # ranks, beta descending, in plain floats one pair at a time
+        counts = random_counts(np.random.default_rng(25), 6)
+        scores = fit_epp(counts)
+        cov = scores.covariance.tolist()
+        assert scores.se.tolist() == [math.sqrt(cov[k][k]) for k in range(6)]
+        order = sorted(range(6), key=lambda k: -scores.beta[k])
+        assert scores.se_vs_next.tolist() == [
+            math.sqrt(cov[i][i] + cov[j][j] - 2.0 * cov[i][j]) for i, j in zip(order, order[1:])]
+
     def test_monotone_transform_invariance_end_to_end(self):
         # identical counts in, identical scores out (fit is deterministic)
         rng = np.random.default_rng(18)
@@ -378,7 +389,9 @@ class TestFitEpp:
         again = EppScores.from_json_text(scores.to_json_text())
         assert again.models == scores.models
         assert np.allclose(again.beta, scores.beta)
-        assert np.allclose(again.covariance, scores.covariance)
+        assert again.covariance is None  # the file stores only the SEs
+        assert np.array_equal(again.se, scores.se)
+        assert np.array_equal(again.se_vs_next, scores.se_vs_next)
         assert again.separation_flags == scores.separation_flags
         assert again.algorithms == scores.algorithms
         assert scores.grad_norm <= 10.0 * FitConfig().tol
@@ -612,7 +625,7 @@ class TestGraphHelpers:
 
 class TestEvaluation:
     """The one-pass log-likelihood and gradient against the former
-    upper-triangle and sigmoid-form passes."""
+    pair-by-pair (i < j) and sigmoid-form passes."""
 
     @settings(deadline=None, max_examples=200)
     @given(
@@ -709,7 +722,7 @@ class TestCovariance:
         scores = fit_epp(counts)
         exact = np.sqrt(np.diag(_subspace_covariance(counts.n, scores.beta, 1e-6)))
         pinv = np.sqrt(np.diag(pinv_covariance(counts.n, scores.beta, 1e-6)))
-        assert np.max(np.abs(scores.standard_errors() / exact - 1.0)) <= 1e-12
+        assert np.max(np.abs(scores.se / exact - 1.0)) <= 1e-12
         csv_se = [line.split(",")[2] for line in scores.to_csv_text().splitlines()[1:]]
         assert csv_se == [f"{s:.6g}" for s in exact]
         assert csv_se != [f"{s:.6g}" for s in pinv]
