@@ -11,13 +11,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import AnalysisWarning, ConstantInputError, EppError, UnknownModelError, first_ids
-from .inference import (
-    TestResult,
-    mann_whitney,
-    prob_vs_average,
-    spearman,
-    wald_test,
-)
+from .inference import TestResult, mann_whitney, spearman, wald_test
 from .perf_table import HyperparamTable, PerformanceTable, csv_text
 from .solver import EppScores, rank_order
 from .special import sigmoid
@@ -94,6 +88,7 @@ def leaderboard(
     beta = scores.beta[order]
     diffs = (beta[:-1] - beta[1:]).tolist()
     vs_next = [*map(wald_test, diffs, scores.se_vs_next.tolist()), None]
+    p_vs_avg = sigmoid(scores.beta).tolist()  # prob_vs_average of each model
     rows = []
     for pos, k in enumerate(order):
         note = None
@@ -104,7 +99,7 @@ def leaderboard(
                 rank=pos + 1,
                 model_id=scores.models[k],
                 beta=float(scores.beta[k]),
-                prob_vs_average=prob_vs_average(float(scores.beta[k])),
+                prob_vs_average=p_vs_avg[k],
                 mean_score=means[k],
                 significance_vs_next=vs_next[pos],
                 note=note,
@@ -234,10 +229,11 @@ def cross_dataset_compare(
     for r in results:
         index = {model: k for k, model in enumerate(r.models)}
         beta = r.beta.tolist()
+        p_vs_avg = sigmoid(r.beta).tolist()
         for model in models:
             k = index.get(model)
             if k is not None:
-                cells[(model, r.dataset_id)] = ComparisonCell(beta[k], prob_vs_average(beta[k]))
+                cells[(model, r.dataset_id)] = ComparisonCell(beta[k], p_vs_avg[k])
     return ComparisonTable(models=models, datasets=datasets, cells=cells)
 
 

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, EppError
 from .inference import spearman
 from .perf_table import PerformanceTable, _factorize
 from .solver import EppScores
@@ -34,6 +34,14 @@ class EloConfig:
             raise ConfigError(f"scale must be > 0, got {self.scale}")
 
 
+class SelfMatchError(EppError, ValueError):
+    """A match whose winner is its loser, at `index` in the match list."""
+
+    def __init__(self, index: int, player: str):
+        self.index, self.reason = index, f"{player!r} is both the winner and the loser"
+        super().__init__(f"match {index}: {self.reason}")
+
+
 def sequential_elo(
     matches, cfg: EloConfig | None = None, initial: dict[str, float] | None = None
 ) -> dict[str, float]:
@@ -41,12 +49,15 @@ def sequential_elo(
 
     Ratings update after every match, so the same match multiset played in a
     different order generally yields different final ratings. Total rating
-    points are conserved exactly (winner gain equals loser loss). `initial`
+    points are conserved exactly (winner gain equals loser loss), so a match
+    whose winner is its loser raises :class:`SelfMatchError`. `initial`
     seeds specific players; everyone else starts at ``cfg.initial_rating``.
     """
     cfg = cfg or EloConfig()
     ratings: dict[str, float] = dict(initial or {})
-    for winner, loser in matches:
+    for index, (winner, loser) in enumerate(matches):
+        if winner == loser:
+            raise SelfMatchError(index, winner)
         r_w = ratings.setdefault(winner, cfg.initial_rating)
         r_l = ratings.setdefault(loser, cfg.initial_rating)
         expected_w = 1.0 / (1.0 + 10.0 ** ((r_l - r_w) / cfg.scale))

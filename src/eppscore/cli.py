@@ -507,13 +507,15 @@ def _cmd_elo(args: argparse.Namespace) -> int:
 
     cfg = build_run_config(args)
     rows = _parse_file(args.input, lambda data: read_rows(data, ("winner", "loser")))
-    matches = [fields for _, fields in rows]
     if args.order == "reversed":
-        matches.reverse()
+        rows.reverse()
     elo_cfg = baselines.EloConfig(
         initial_rating=args.initial, k_factor=args.k_factor, scale=args.scale
     )
-    ratings = baselines.sequential_elo(matches, elo_cfg)
+    try:
+        ratings = baselines.sequential_elo([fields for _, fields in rows], elo_cfg)
+    except baselines.SelfMatchError as exc:
+        raise EppError(f"{args.input}: line {rows[exc.index][0]}: {exc.reason}") from None
     ranked = sorted(ratings, key=lambda p: (-ratings[p], p))
     _write_atomic(Path(cfg.out_dir) / "elo_ratings.csv",
                   csv_text(("player", "rating"), ((p, ratings[p]) for p in ranked)))

@@ -16,9 +16,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConstantInputError, DegenerateVarianceError, EppError
+from .errors import ConstantInputError, DegenerateVarianceError
 from .match_engine import PairwiseCounts
-from .solver import EppScores, FitConfig, fit_epp, log_likelihood, standard_errors
+from .solver import EppScores, FitConfig, _fit_with_covariance, fit_epp, standard_errors
 from .special import chi2_sf_1df, sigmoid, t_sf_two_sided
 
 
@@ -82,22 +82,15 @@ def prob_vs_average(beta_i: float) -> float:
     return win_probability(beta_i, 0.0)
 
 
-def wald_test_difference(scores: EppScores, i, j) -> TestResult:
-    """Two-sided Wald test of equal strengths for models i and j (ids or indices).
-
-    The test needs the fit's covariance, which only the result of
-    :func:`fit_epp` holds: a fit loaded from its file stores the standard
-    errors of adjacent ranks alone (``se_vs_next``, which the leaderboard
-    tests), and raises `EppError` here.
-    """
-    if scores.covariance is None:
-        raise EppError(
-            f"fit of dataset {scores.dataset_id!r} holds no covariance: a fit file stores "
-            "only the standard errors of adjacent ranks (se_vs_next); test any other pair "
-            "on the result of fit_epp"
-        )
-    ii, jj = scores.model_index(i), scores.model_index(j)
-    _, (se,) = standard_errors(scores.covariance, [ii, jj])
+def wald_test_difference(counts: PairwiseCounts, i, j, cfg: FitConfig | None = None) -> TestResult:
+    """Two-sided Wald test of equal strengths for models i and j (ids or
+    indices) of a ledger: its :func:`fit_epp` fit, with the SE of ``beta_i -
+    beta_j`` from that fit's covariance. For models adjacent in rank it is
+    the leaderboard's test on ``se_vs_next``, bit for bit."""
+    cfg = cfg or FitConfig()
+    ii, jj = counts.model_index(i), counts.model_index(j)
+    scores, covariance = _fit_with_covariance(counts, cfg)
+    _, (se,) = standard_errors(covariance, [ii, jj])
     return wald_test(float(scores.beta[ii] - scores.beta[jj]), float(se))
 
 
@@ -105,8 +98,8 @@ def wald_test_vs_average(scores: EppScores, i) -> TestResult:
     """Wald test of beta_i = 0, i.e. against the average model (i an id or index).
 
     The virtual average model contributes no variance (its covariance row
-    is zero), so the standard error is the score's own, ``se[i]``, which a
-    fit loaded from its file holds too.
+    is zero), so the standard error is the score's own, ``se[i]``: the test
+    is the same on a fit and on the fit loaded from its file.
     """
     ii = scores.model_index(i)
     return wald_test(float(scores.beta[ii]), float(scores.se[ii]))
@@ -149,9 +142,7 @@ def _merge_counts(counts: PairwiseCounts, ii: int, jj: int):
     return merged, dropped
 
 
-def lr_test_difference(
-    counts: PairwiseCounts, i, j, cfg: FitConfig | None = None
-) -> TestResult:
+def lr_test_difference(counts: PairwiseCounts, i, j, cfg: FitConfig | None = None) -> TestResult:
     """Likelihood-ratio test of equal strengths for two models i and j (ids or indices).
 
     The restricted model merges the two models into one; the matches they
@@ -162,11 +153,9 @@ def lr_test_difference(
     ii, jj = counts.model_index(i), counts.model_index(j)
     if ii == jj:
         raise ValueError("i and j must differ")
-    full = fit_epp(counts, cfg)
-    ll_full = log_likelihood(counts, full.beta)
+    ll_full = fit_epp(counts, cfg).log_likelihood
     merged, dropped = _merge_counts(counts, ii, jj)
-    restricted = fit_epp(merged, cfg)
-    ll_restricted = log_likelihood(merged, restricted.beta) - dropped * math.log(2.0)
+    ll_restricted = fit_epp(merged, cfg).log_likelihood - dropped * math.log(2.0)
     statistic = max(2.0 * (ll_full - ll_restricted), 0.0)
     return TestResult.build(statistic, chi2_sf_1df(statistic), TestMethod.LRT)
 

@@ -69,19 +69,20 @@ class FitConfig:
 
 @dataclass
 class EppScores(ModelLookup):
-    """Fitted scores for one dataset with diagnostics.
+    """Fitted scores for one dataset with diagnostics: each field is one key
+    of its fit file, under the same name but for `dataset_id` (``dataset``)
+    and `separation_flags` (``separation``), so a fit and the fit loaded
+    from its file are equal field for field.
 
     `beta` is mean-centered. `se` holds each score's standard error, and
     `se_vs_next` the standard error of ``beta[k] - beta[l]`` for each pair of
     models (k, l) adjacent in :func:`rank_order`, the leaderboard's order:
     m-1 values, the reports' only use of the covariance. :func:`fit_epp`
-    derives both from `covariance` (see :func:`standard_errors`), which is,
+    derives both from the covariance (see :func:`standard_errors`), which is,
     per connected component, the inverse of the gauge-augmented negative
     Hessian ``H + c 11^T`` at the optimum, double-centered: H's inverse on
-    the mean-zero subspace, rows summing to ~0. The covariance is held in
-    memory only: a fit file stores `se` and `se_vs_next`, and a fit loaded
-    from one has covariance None. `log_likelihood` is the unpenalized value
-    at `beta`.
+    the mean-zero subspace, rows summing to ~0; it is not kept (any pair is
+    tested on the ledger). `log_likelihood` is the unpenalized value at `beta`.
     Models that won or lost every match are flagged: their magnitudes depend
     on the ridge penalty, not the data alone.
 
@@ -112,7 +113,6 @@ class EppScores(ModelLookup):
     se: np.ndarray
     se_vs_next: np.ndarray
     separation_flags: tuple[SeparationFlag, ...]
-    covariance: np.ndarray | None = None
     n_components: int = 1
     algorithms: dict[str, str] = field(default_factory=dict)
     grad_norm: float | None = None
@@ -528,14 +528,19 @@ def fit_epp(counts: PairwiseCounts, cfg: FitConfig | None = None) -> EppScores:
     centered to zero mean) with a :class:`FitWarning`. Non-convergence
     within ``cfg.max_iter`` returns a result with ``converged=False``.
     """
-    cfg = cfg or FitConfig()
+    return _fit_with_covariance(counts, cfg or FitConfig())[0]
+
+
+def _fit_with_covariance(counts: PairwiseCounts, cfg: FitConfig) -> tuple[EppScores, np.ndarray]:
+    """:func:`fit_epp`'s scores and the covariance they were derived from
+    (see :class:`EppScores`); its `FitWarning` names its caller's caller."""
     m = counts.n_models
     w, n = counts.w, counts.n  # n = w + w.T, derived once per fit
     beta = np.zeros(m)
     components = _connected_components(n)
     if len(components) > 1:
         warnings.warn(
-            disconnected_warning(counts.dataset_id, len(components)), FitWarning, stacklevel=2
+            disconnected_warning(counts.dataset_id, len(components)), FitWarning, stacklevel=3
         )
     # A component of all m models is fitted on the ledger itself; only the
     # blocks of a split ledger are copied out and their covariances back.
@@ -578,7 +583,6 @@ def fit_epp(counts: PairwiseCounts, cfg: FitConfig | None = None) -> EppScores:
         se=se,
         se_vs_next=se_vs_next,
         separation_flags=detect_separation(counts),
-        covariance=covariance,
         n_components=len(components),
         grad_norm=grad_norm,
         rescue_steps=rescue_steps,
@@ -592,4 +596,4 @@ def fit_epp(counts: PairwiseCounts, cfg: FitConfig | None = None) -> EppScores:
             "max_iter": cfg.max_iter,
         },
         mean_score=counts.mean_score,
-    )
+    ), covariance

@@ -22,17 +22,11 @@ __all__ = [
 def sigmoid(x):
     """Logistic function 1/(1+exp(-x)), overflow-safe for any float input.
 
-    Accepts scalars or numpy arrays; returns the matching type.
+    Returns a float64 array of x's shape, 0-d for a scalar.
     """
-    if np.isscalar(x):
-        # np.exp keeps the scalar and array paths bit-identical.
-        if x >= 0:
-            return float(1.0 / (1.0 + np.exp(-x)))
-        z = float(np.exp(x))
-        return z / (1.0 + z)
     x = np.asarray(x, dtype=float)
-    # e = exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere, so the
-    # quotient is bit for bit the scalar path's, with no masked gathers.
+    # e = exp(-|x|): the quotient is 1/(1+exp(-x)) where x >= 0 and
+    # exp(x)/(1+exp(x)) elsewhere, with no masked gathers.
     e = np.abs(x, out=np.empty_like(x))
     np.negative(e, out=e)
     np.exp(e, out=e)

@@ -166,6 +166,15 @@ def exact_binomial_two_sided(k, n):
     return float(min(1, 2 * min(upper, lower)))
 
 
+def scalar_sigmoid(x):
+    """The logistic function of one float by two branches, each exp by
+    ``np.exp``: ``1/(1+exp(-x))`` for x >= 0, ``exp(x)/(1+exp(x))`` below."""
+    if x >= 0:
+        return float(1.0 / (1.0 + np.exp(-x)))
+    z = float(np.exp(x))
+    return z / (1.0 + z)
+
+
 def scalar_wald(beta, cov, i, j):
     """(z, p) of the two-sided Wald test of beta_i = beta_j, in plain floats
     one pair at a time; (0, 1) for zero variance and zero difference, None

@@ -45,7 +45,6 @@ def scores_from_betas(betas, dataset="d1", cov_scale=0.01, center=True):
         se=se,
         se_vs_next=se_vs_next,
         separation_flags=tuple([SeparationFlag.NONE] * m),
-        covariance=cov,
     )
 
 

@@ -7,6 +7,7 @@ from oracles import rowwise_simulated_scores_csv
 from eppscore import (
     ConfigError,
     EloConfig,
+    EppError,
     NoiseKind,
     SyntheticSpec,
     build_matches,
@@ -17,7 +18,7 @@ from eppscore import (
     sequential_elo,
     simulate_scores,
 )
-from eppscore.baselines import _noise_matrix, synthetic_model_id
+from eppscore.baselines import SelfMatchError, _noise_matrix, synthetic_model_id
 
 
 class TestSequentialElo:
@@ -58,6 +59,15 @@ class TestSequentialElo:
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
             EloConfig(k_factor=0.0)
+
+    def test_self_match_refused(self):
+        # a, a would set a's rating twice, to r + delta and then r - delta:
+        # a 1000-point table would end with 1984 points in all.
+        with pytest.raises(SelfMatchError) as caught:
+            sequential_elo([("a", "b"), (" a", "a"), ("a", "a")])
+        assert caught.value.index == 2
+        assert str(caught.value) == "match 2: 'a' is both the winner and the loser"
+        assert isinstance(caught.value, EppError) and isinstance(caught.value, ValueError)
         with pytest.raises(ConfigError):
             EloConfig(scale=-1.0)
 

@@ -242,7 +242,7 @@ class TestFit:
             line.split(",")[2] for line in lines[1:]]
         assert len(payload["se_vs_next"]) == 3
         loaded = EppScores.from_json_text(json_path.read_text())
-        assert loaded.covariance is None and loaded.to_csv_text() == csv_path.read_text()
+        assert loaded.to_csv_text() == csv_path.read_text()
 
     def test_paired_mismatch_exits_2_and_names_models(self, tmp_path, capsys):
         text = (
@@ -1436,6 +1436,17 @@ class TestElo:
         rc = main(["elo", "--input", str(bad), "--out-dir", str(tmp_path)])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {bad}: line 4: expected 2 columns, got 1\n"
+        assert not (tmp_path / "elo_ratings.csv").exists()
+
+    @pytest.mark.parametrize("order", ["file", "reversed"])
+    def test_self_match_exits_2_naming_its_line(self, tmp_path, capsys, order):
+        # the line in the file, whichever order the matches are played in
+        bad = tmp_path / "matches.csv"
+        bad.write_text("winner,loser\na,b\n\nb, b\nb,a\n")
+        rc = main(["elo", "--input", str(bad), "--order", order, "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line 4: 'b' is both the winner and the loser\n")
         assert not (tmp_path / "elo_ratings.csv").exists()
 
     def test_long_row(self, tmp_path, capsys):

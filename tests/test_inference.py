@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 from eppscore import (
     ConstantInputError,
     DegenerateVarianceError,
-    EppError,
     EppScores,
     FitConfig,
+    FitWarning,
     PairingMode,
     PairwiseCounts,
     SeparationFlag,
@@ -32,8 +33,8 @@ from eppscore import (
     wald_test_vs_average,
     win_probability,
 )
-from eppscore.inference import _merge_counts, _midranks
-from eppscore.solver import rank_order, standard_errors
+from eppscore.inference import _merge_counts, _midranks, wald_test
+from eppscore.solver import _fit_with_covariance, rank_order, standard_errors
 from eppscore.special import (
     betainc_reg,
     chi2_sf_1df,
@@ -42,13 +43,17 @@ from eppscore.special import (
     t_sf_two_sided,
 )
 from oracles import (
+    component_covariance,
     exact_binomial_two_sided,
     loop_merge_counts,
     mann_whitney_u_bruteforce,
     position_midranks,
+    scalar_sigmoid,
     scalar_wald,
     spearman_rank_formula,
 )
+from test_jsonio import ledgers
+from test_solver import _subspace_covariance, random_counts
 
 
 def counts_2model(w=264.0, n=400.0):
@@ -66,10 +71,30 @@ class TestSpecialFunctions:
             [0.0, -0.0, np.inf, -np.inf, 36.7, -36.7, 709.0, -709.0, 745.2, -745.2,
              5e-324, -5e-324, 1e-300, -1e-300],
         ])
-        expected = np.array([sigmoid(float(v)) for v in x])
+        expected = np.array([scalar_sigmoid(float(v)) for v in x])
         assert np.array_equal(sigmoid(x).view(np.int64), expected.view(np.int64))
         assert np.array_equal(sigmoid(x.reshape(-1, 2)), expected.reshape(-1, 2))
         assert sigmoid(np.array(-2.0)).shape == ()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.one_of(
+            st.floats(allow_nan=False),
+            st.sampled_from([0.0, -0.0, 1e-320, -1e-320, 709.9, -745.2, 1e308, -1e308,
+                             np.inf, -np.inf]),
+            st.floats(-40.0, 40.0),
+        ),
+        min_size=1, max_size=20,
+    ))
+    def test_sigmoid_is_the_two_branch_formula_bitwise(self, values):
+        # One code path for arrays and scalars: each value, alone as a float
+        # or a 0-d array, or in a 1-d array, gives the two-branch formula's bits.
+        expected = np.array([scalar_sigmoid(v) for v in values])
+        assert np.array_equal(sigmoid(np.array(values)).view(np.int64), expected.view(np.int64))
+        for v, e in zip(values, expected.tolist()):
+            for x in (v, np.float64(v), np.array(v)):
+                out = sigmoid(x)
+                assert out.shape == () and _float_bits(out) == _float_bits(e)
 
     def test_norm_cdf_against_scipy(self):
         # Relative error, so the far lower tail must keep its digits too;
@@ -167,49 +192,41 @@ class TestStars:
 
 class TestWald:
     def test_equal_betas_p_one(self):
-        counts = counts_2model(200.0, 400.0)
-        scores = fit_epp(counts)
-        result = wald_test_difference(scores, 0, 1)
+        result = wald_test_difference(counts_2model(200.0, 400.0), 0, 1)
         assert result.statistic == pytest.approx(0.0, abs=1e-6)
         assert result.p_value == pytest.approx(1.0, abs=1e-5)
         assert result.method == TestMethod.WALD
 
     def test_quantile_p(self):
         # engineered instance: z exactly at the 97.5% quantile
-        scores = _scores([1.959964, 0.0], [[1.0, 0.0], [0.0, 0.0]])
-        result = wald_test_difference(scores, 0, 1)
+        _, (se,) = standard_errors(np.array([[1.0, 0.0], [0.0, 0.0]]), [0, 1])
+        result = wald_test(1.959964, float(se))
         assert result.p_value == pytest.approx(0.05, abs=1e-4)
         assert result.stars == "*"
 
     def test_against_exact_binomial_oracle(self):
         # Wald p and the exact binomial p differ by the depth of the normal
         # approximation in the far tail; assert same scale, not equality.
-        counts = counts_2model()
-        scores = fit_epp(counts, FitConfig(ridge_lambda=0.0))
-        wald_p = wald_test_difference(scores, 0, 1).p_value
+        wald_p = wald_test_difference(counts_2model(), 0, 1, FitConfig(ridge_lambda=0.0)).p_value
         exact_p = exact_binomial_two_sided(264, 400)
         assert exact_p == pytest.approx(1.5134235631486044e-10, rel=1e-9)
         ratio = wald_p / exact_p
         assert 1.0 / 3.0 < ratio < 3.0
 
     def test_degenerate_variance_raises(self):
-        scores = _scores([1.0, 0.0], np.zeros((2, 2)))
+        _, (se,) = standard_errors(np.zeros((2, 2)), [0, 1])
         with pytest.raises(DegenerateVarianceError):
-            wald_test_difference(scores, 0, 1)
+            wald_test(1.0, float(se))
 
     def test_vs_average_uses_diagonal_only(self):
-        counts = counts_2model()
-        scores = fit_epp(counts)
+        scores, covariance = _fit_with_covariance(counts_2model(), FitConfig())
         result = wald_test_vs_average(scores, 0)
-        expected_z = scores.beta[0] / math.sqrt(scores.covariance[0, 0])
+        expected_z = scores.beta[0] / math.sqrt(covariance[0, 0])
         assert result.statistic == pytest.approx(expected_z)
 
     def test_model_ids_accepted(self):
         counts = counts_2model()
-        scores = fit_epp(counts)
-        assert wald_test_difference(scores, "a", "b") == wald_test_difference(
-            scores, 0, 1
-        )
+        assert wald_test_difference(counts, "a", "b") == wald_test_difference(counts, 0, 1)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_vs_average_is_the_same_on_a_loaded_fit(self, seed):
@@ -226,15 +243,20 @@ class TestWald:
             assert _float_bits(a.p_value) == _float_bits(b.p_value)
             assert a.stars == b.stars
 
-    def test_difference_on_a_loaded_fit_raises_one_clear_error(self):
-        loaded = EppScores.from_json_text(fit_epp(counts_2model()).to_json_text())
-        with pytest.raises(EppError) as caught:
-            wald_test_difference(loaded, "a", "b")
-        assert type(caught.value) is EppError
-        assert str(caught.value) == (
-            "fit of dataset 'd' holds no covariance: a fit file stores only the standard "
-            "errors of adjacent ranks (se_vs_next); test any other pair on the result of fit_epp"
-        )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_difference_is_the_same_on_a_loaded_ledger(self, seed):
+        # The test takes a ledger, so a counts file gives it as the ledger
+        # it was written from does, with the fit's configuration.
+        counts = build_matches(simulate_scores(
+            SyntheticSpec.with_linear_skills(5, n_splits=4, seed=seed)), "synthetic")
+        loaded = PairwiseCounts.from_json_text(counts.to_json_text())
+        cfg = FitConfig(algorithm="newton", ridge_lambda=1e-3)
+        for i, j in [(0, 1), (4, 0), (2, 3)]:
+            a = wald_test_difference(counts, i, j, cfg)
+            b = wald_test_difference(loaded, i, j, cfg)
+            assert _float_bits(a.statistic) == _float_bits(b.statistic)
+            assert _float_bits(a.p_value) == _float_bits(b.p_value)
+        assert wald_test_difference(counts, 0, 4, cfg) != wald_test_difference(counts, 0, 4)
 
 
 def _scores(beta, cov):
@@ -256,7 +278,6 @@ def _scores(beta, cov):
         se=se,
         se_vs_next=se_vs_next,
         separation_flags=(SeparationFlag.NONE,) * m,
-        covariance=cov,
         mean_score=np.zeros(m),
     )
 
@@ -265,11 +286,27 @@ def _float_bits(x):
     return np.float64(x).view(np.int64)
 
 
+def _test_bits(tests):
+    """Each test's statistic and p-value as bits, its stars and method; an
+    error's text as it is."""
+    if isinstance(tests, str):
+        return tests
+    return [(_float_bits(t.statistic), _float_bits(t.p_value), t.stars, t.method) for t in tests]
+
+
+def _pair_test(beta, cov, a, b):
+    """The Wald test of models a and b, as `wald_test_difference` makes it
+    from a fit's scores and covariance."""
+    _, (se,) = standard_errors(cov, [a, b])
+    return wald_test(float(beta[a] - beta[b]), float(se))
+
+
 class TestWaldPairs:
     """The SEs of adjacent ranks that :func:`fit_epp` stores (`se_vs_next`,
     computed for all pairs at once) and the leaderboard's tests on them, and
-    `wald_test_difference` on any pair, against the one-pair oracle
-    `scalar_wald`."""
+    the test of any pair from one pair's SE, against the one-pair oracle
+    `scalar_wald`; and `wald_test_difference` on a ledger, against the
+    leaderboard and the oracle covariance."""
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -311,26 +348,26 @@ class TestWaldPairs:
                 assert _float_bits(r.statistic) == _float_bits(z)
                 assert _float_bits(r.p_value) == _float_bits(p)
                 assert r.stars == stars_for(p) and r.method == TestMethod.WALD
-                assert r == wald_test_difference(scores, a, b)
+                assert r == _pair_test(scores.beta, cov, a, b)
         pairs = data.draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)),
                                    max_size=10))
         for a, b in pairs:
             z_p = scalar_wald(beta, cov, a, b)
             if z_p is None:
                 with pytest.raises(DegenerateVarianceError):
-                    wald_test_difference(scores, a, b)
+                    _pair_test(scores.beta, cov, a, b)
                 continue
-            r = wald_test_difference(scores, a, b)
+            r = _pair_test(scores.beta, cov, a, b)
             assert (_float_bits(r.statistic), _float_bits(r.p_value)) == tuple(map(_float_bits, z_p))
 
     def test_zero_variance(self):
         scores = _scores([1.0, 1.0, 0.0], np.zeros((3, 3)))
-        tied = wald_test_difference(scores, 0, 1)
+        tied = _pair_test(scores.beta, np.zeros((3, 3)), 0, 1)
         assert (tied.statistic, tied.p_value, tied.stars) == (0.0, 1.0, "")
         assert scores.se_vs_next.tolist() == [0.0, 0.0]
         with pytest.raises(DegenerateVarianceError,
                            match=r"^zero variance for a nonzero difference -1\.0$"):
-            wald_test_difference(scores, 2, 0)
+            _pair_test(scores.beta, np.zeros((3, 3)), 2, 0)
         # the leaderboard names its first pair of nonzero difference
         with pytest.raises(DegenerateVarianceError,
                            match=r"^zero variance for a nonzero difference 1\.0$"):
@@ -338,12 +375,69 @@ class TestWaldPairs:
 
     def test_leaderboard_tests_adjacent_ranks(self):
         spec = SyntheticSpec.with_linear_skills(6, n_splits=10, seed=2)
-        scores = fit_epp(build_matches(simulate_scores(spec), "synthetic", PairingMode.CROSS))
-        rows = leaderboard(scores, None)
+        counts = build_matches(simulate_scores(spec), "synthetic", PairingMode.CROSS)
+        rows = leaderboard(fit_epp(counts), None)
         for upper, lower in zip(rows, rows[1:]):
             assert upper.significance_vs_next == wald_test_difference(
-                scores, upper.model_id, lower.model_id)
+                counts, upper.model_id, lower.model_id)
         assert rows[-1].significance_vs_next is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(counts=ledgers(), algorithm=st.sampled_from(["mm", "newton"]))
+    def test_difference_of_adjacent_ranks_is_the_leaderboards_bitwise(self, counts, algorithm):
+        # Ties, a model that wins every match, two components and a lone
+        # model: each adjacent pair's test, or the error raised at the first
+        # pair of zero variance and nonzero difference.
+        cfg = FitConfig(algorithm=algorithm)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FitWarning)
+            scores = fit_epp(counts, cfg)
+            scores.mean_score = np.zeros(len(scores.models))  # any column will do
+            order = rank_order(scores.beta, scores.models)
+            try:
+                board = [r.significance_vs_next for r in leaderboard(scores, None)][:-1]
+            except DegenerateVarianceError as exc:
+                board = str(exc)
+            try:
+                pairs = [wald_test_difference(counts, a, b, cfg)
+                         for a, b in zip(order, order[1:])]
+            except DegenerateVarianceError as exc:
+                pairs = str(exc)
+        assert _test_bits(pairs) == _test_bits(board)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+        algorithm=st.sampled_from(["mm", "newton"]),
+        data=st.data(),
+    )
+    def test_any_pair_agrees_with_the_oracle_covariance(self, seed, sizes, algorithm, data):
+        # Components of interior wins (a size of 1 is a lone model), so that
+        # every variance is well conditioned; the oracle covariance is the
+        # exact inverse of each component's negative Hessian on its mean-zero
+        # subspace.
+        rng = np.random.default_rng(seed)
+        m = sum(sizes)
+        w = np.zeros((m, m))
+        start = 0
+        for size in sizes:
+            block = slice(start, start + size)
+            w[block, block] = random_counts(rng, size).w
+            start += size
+        counts = PairwiseCounts("d", tuple(f"m{k}" for k in range(m)), w)
+        cfg = FitConfig(algorithm=algorithm)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FitWarning)
+            beta = fit_epp(counts, cfg).beta
+            cov = component_covariance(counts.n, beta, cfg.ridge_lambda, _subspace_covariance)
+            pairs = data.draw(st.lists(
+                st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)), min_size=1, max_size=6))
+            for a, b in pairs:
+                r = wald_test_difference(counts, a, b, cfg)
+                z, p = scalar_wald(beta, cov, a, b)
+                assert r.statistic == pytest.approx(z, rel=1e-8, abs=1e-12)
+                assert r.p_value == pytest.approx(p, rel=1e-6 * (1.0 + z * z), abs=1e-300)
 
 
 class TestLikelihoodRatio:
@@ -380,9 +474,8 @@ class TestLikelihoodRatio:
                     w[i, j] = rng.binomial(400, p)
                     w[j, i] = 400 - w[i, j]
             counts = PairwiseCounts("d", tuple("abcd"), w)
-            scores = fit_epp(counts)
             for i, j in [(0, 1), (1, 2), (2, 3)]:
-                z2 = wald_test_difference(scores, i, j).statistic ** 2
+                z2 = wald_test_difference(counts, i, j).statistic ** 2
                 lrt = lr_test_difference(counts, i, j).statistic
                 assert lrt == pytest.approx(z2, rel=0.15, abs=1e-3)
 
@@ -401,8 +494,8 @@ class TestModelArguments:
         """One call per model argument of each function, the others valid."""
         counts, scores = cls.COUNTS, fit_epp(cls.COUNTS)
         return [
-            lambda k: wald_test_difference(scores, k, 0),
-            lambda k: wald_test_difference(scores, 0, k),
+            lambda k: wald_test_difference(counts, k, 0),
+            lambda k: wald_test_difference(counts, 0, k),
             lambda k: wald_test_vs_average(scores, k),
             lambda k: lr_test_difference(counts, k, 1),
             lambda k: lr_test_difference(counts, 1, k),
@@ -430,7 +523,7 @@ class TestModelArguments:
     def test_ids_ints_and_numpy_integers_agree(self):
         counts, scores = self.COUNTS, fit_epp(self.COUNTS)
         for i, j in [(np.int64(0), np.int32(2)), ("a", "c"), (0, "c")]:
-            assert wald_test_difference(scores, i, j) == wald_test_difference(scores, 0, 2)
+            assert wald_test_difference(counts, i, j) == wald_test_difference(counts, 0, 2)
             assert wald_test_vs_average(scores, j) == wald_test_vs_average(scores, 2)
             assert empirical_win_rate(counts, i, j) == empirical_win_rate(counts, 0, 2)
             assert scores.beta_of(j) == scores.beta[2]

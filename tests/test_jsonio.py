@@ -2,6 +2,7 @@
 key, the float64 array codec, and the fit file's standard errors, which
 give the same leaderboard as the fit they were written from."""
 
+import dataclasses
 import json
 import warnings
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from eppscore import (EppError, EppScores, FileFormatError, FitConfig, FitWarning,
                       PairwiseCounts, build_matches, fit_epp, leaderboard, parse_scores_csv)
 from eppscore.jsonio import COUNTS_FORMAT, FIT_FORMAT, decode_array, encode_array
+from eppscore.solver import _fit_with_covariance
 from test_solver import _graph_counts
 
 SPECIAL = [
@@ -141,12 +143,12 @@ def _board(fit: EppScores):
 
 class TestFitFile:
     def test_fit_file_stores_standard_errors_not_the_covariance(self):
-        fit = fit_epp(_counts())
+        fit, covariance = _fit_with_covariance(_counts(), FitConfig())
         obj = json.loads(fit.to_json_text())
         assert "covariance" not in obj
         assert list(obj)[:7] == ["format", "dataset", "models", "beta", "se", "se_vs_next",
                                  "separation"]
-        assert obj["se"] == np.sqrt(np.diag(fit.covariance)).tolist()
+        assert obj["se"] == np.sqrt(np.diag(covariance)).tolist()
         assert len(obj["se_vs_next"]) == 2
         assert list(obj)[-4:] == ["n_components", "algorithms", "source", "mean_score"]
 
@@ -162,11 +164,35 @@ class TestFitFile:
         fit = _fit(_graph_counts(seed, m, shape, separated), algorithm)
         text = fit.to_json_text()
         again = EppScores.from_json_text(text)
-        assert again.covariance is None
         assert np.array_equal(bits(again.se), bits(fit.se))
         assert np.array_equal(bits(again.se_vs_next), bits(fit.se_vs_next))
         assert again.to_json_text() == text
         assert again.to_csv_text() == fit.to_csv_text()
+
+    @settings(max_examples=150, deadline=None)
+    @given(counts=ledgers(), algorithm=st.sampled_from(["mm", "newton"]),
+           provenance=st.booleans())
+    def test_loaded_fit_is_the_fit_field_for_field(self, counts, algorithm, provenance):
+        # A fit has one form: each field is one key of its file and reads
+        # back with the same type and bits.
+        if provenance:
+            counts.source = {"sha256": "ab", "lower_is_better": False, "ties": "half"}
+            counts.mean_score = np.linspace(-0.0, 1.0 / 3.0, len(counts.models))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FitWarning)
+            fit = fit_epp(counts, FitConfig(algorithm=algorithm))
+        again = EppScores.from_json_text(fit.to_json_text())
+        for f in dataclasses.fields(EppScores):
+            a, b = getattr(fit, f.name), getattr(again, f.name)
+            assert type(a) is type(b), f.name
+            if isinstance(a, np.ndarray):
+                assert a.shape == b.shape and np.array_equal(bits(a), bits(b)), f.name
+            elif isinstance(a, float):
+                assert bits(a) == bits(b), f.name
+            else:
+                assert a == b, f.name
+                if isinstance(a, tuple):
+                    assert list(map(type, a)) == list(map(type, b)), f.name
 
     @settings(max_examples=150, deadline=None)
     @given(counts=ledgers(), algorithm=st.sampled_from(["mm", "newton"]))

@@ -27,6 +27,7 @@ from eppscore import (
 )
 from eppscore.solver import (
     _connected_components,
+    _fit_with_covariance,
     _fit_mm,
     _fit_newton,
     _gradient_noise_floor,
@@ -311,14 +312,14 @@ class TestFitEpp:
         w[2, 3], w[3, 2] = 9.0, 1.0
         counts = PairwiseCounts("d", ("a", "b", "c", "e"), w)
         with pytest.warns(FitWarning, match="2 connected components"):
-            scores = fit_epp(counts, FitConfig(ridge_lambda=0.0))
+            scores, covariance = _fit_with_covariance(counts, FitConfig(ridge_lambda=0.0))
         assert scores.n_components == 2
         assert scores.beta[0] + scores.beta[1] == pytest.approx(0.0, abs=1e-12)
         assert scores.beta[2] + scores.beta[3] == pytest.approx(0.0, abs=1e-12)
         assert scores.beta[0] == pytest.approx(0.5 * math.log(6.0 / 4.0), abs=1e-8)
         assert scores.beta[2] == pytest.approx(0.5 * math.log(9.0 / 1.0), abs=1e-8)
         # cross-component covariance stays zero
-        assert np.all(scores.covariance[:2, 2:] == 0.0)
+        assert np.all(covariance[:2, 2:] == 0.0)
 
     @pytest.mark.parametrize("algorithm", ["mm", "newton"])
     def test_one_component_fit_matches_its_block_fit(self, algorithm):
@@ -330,13 +331,13 @@ class TestFitEpp:
         w[:6, :6] = counts.w
         split = PairwiseCounts("d", (*counts.models, "z"), w)
         cfg = FitConfig(algorithm=algorithm)
-        whole = fit_epp(counts, cfg)
+        whole, whole_cov = _fit_with_covariance(counts, cfg)
         with pytest.warns(FitWarning, match="2 connected components"):
-            blocks = fit_epp(split, cfg)
+            blocks, blocks_cov = _fit_with_covariance(split, cfg)
         assert blocks.beta[:6].tobytes() == whole.beta.tobytes()
-        assert blocks.covariance[:6, :6].tobytes() == whole.covariance.tobytes()
+        assert blocks_cov[:6, :6].tobytes() == whole_cov.tobytes()
         assert blocks.beta[6] == 0.0
-        assert not blocks.covariance[6].any() and not blocks.covariance[:, 6].any()
+        assert not blocks_cov[6].any() and not blocks_cov[:, 6].any()
 
     @pytest.mark.parametrize("algorithm", ["mm", "newton"])
     def test_fit_leaves_the_ledger_as_it_was(self, algorithm):
@@ -350,8 +351,7 @@ class TestFitEpp:
     def test_covariance_properties(self):
         rng = np.random.default_rng(17)
         counts = random_counts(rng, 5)
-        scores = fit_epp(counts)
-        cov = scores.covariance
+        _, cov = _fit_with_covariance(counts, FitConfig())
         assert np.allclose(cov, cov.T)
         eigvals = np.linalg.eigvalsh(cov)
         assert eigvals.min() >= -1e-10
@@ -361,8 +361,8 @@ class TestFitEpp:
         # `se` from the diagonal; `se_vs_next` from each pair of adjacent
         # ranks, beta descending, in plain floats one pair at a time
         counts = random_counts(np.random.default_rng(25), 6)
-        scores = fit_epp(counts)
-        cov = scores.covariance.tolist()
+        scores, cov = _fit_with_covariance(counts, FitConfig())
+        cov = cov.tolist()
         assert scores.se.tolist() == [math.sqrt(cov[k][k]) for k in range(6)]
         order = sorted(range(6), key=lambda k: -scores.beta[k])
         assert scores.se_vs_next.tolist() == [
@@ -389,7 +389,6 @@ class TestFitEpp:
         again = EppScores.from_json_text(scores.to_json_text())
         assert again.models == scores.models
         assert np.allclose(again.beta, scores.beta)
-        assert again.covariance is None  # the file stores only the SEs
         assert np.array_equal(again.se, scores.se)
         assert np.array_equal(again.se_vs_next, scores.se_vs_next)
         assert again.separation_flags == scores.separation_flags
@@ -704,13 +703,13 @@ class TestCovariance:
         cfg = FitConfig(algorithm=algorithm)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", FitWarning)
-            scores = fit_epp(counts, cfg)
+            scores, covariance = _fit_with_covariance(counts, cfg)
         expected = component_covariance(
             counts.n, scores.beta, cfg.ridge_lambda, _subspace_covariance
         )
         scale = float(np.max(np.abs(expected), initial=0.0))
-        assert np.allclose(scores.covariance, expected, rtol=1e-9, atol=1e-9 * scale)
-        assert np.array_equal(scores.covariance, scores.covariance.T)
+        assert np.allclose(covariance, expected, rtol=1e-9, atol=1e-9 * scale)
+        assert np.array_equal(covariance, covariance.T)
 
     def test_csv_se_is_the_exact_value_where_pinv_rounds_it(self):
         # Many matches per pair make the SEs small against the pseudo-inverse
